@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ModelParams
+from .model import ModelParams, require_horizon
 
 _REL_TOL = 1e-17
 _LOG_START_FLOOR = -680.0  # below this, start the series at its peak term
@@ -263,17 +263,19 @@ _ALLOWED_ORDERS = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 2)}
 
 
 def kernel_derivative(point: KernelPoint, t_order: int = 0,
-                      u_order: int = 0) -> float:
+                      u_order: int = 0, scaled: bool = False) -> float:
     """Partial derivative of g(u,t) of the given orders at ``point``.
 
     Supported orders: pure t-derivatives 0..3, pure u-derivatives 1..2,
     and the mixed (t_order=1, u_order=2).  Values are exact limits at
-    u = ct.  Overflows to inf where I_0(xi) does (xi beyond ~709).
+    u = ct.  Overflows to inf where I_0(xi) does (xi beyond ~709);
+    ``scaled=True`` returns e^{-xi} times the derivative instead
+    (xi = ``point.xi``), which is finite for every lam*t.
     """
     if (t_order, u_order) not in _ALLOWED_ORDERS:
         raise ValueError(f"unsupported derivative orders ({t_order}, {u_order})")
     B0, B1, B2, B3, xi = _kernel_sums_scaled(point)
-    scale = math.exp(xi) if xi < 709.0 else math.inf
+    scale = 1.0 if scaled else math.exp(xi) if xi < 709.0 else math.inf
     c, t, u = point.params.c, point.t, point.u
     c2 = c * c
     if t_order == 0 and u_order == 0:
@@ -321,8 +323,7 @@ def kernel_integral(params: ModelParams, t: float, m: int,
         raise ValueError(f"unsupported kernel_integral pair (m={m}, t_order={t_order})")
     if t_order == 3 and m != 0:
         raise ValueError("t_order=3 is only available for m=0")
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require_horizon(t, "t")
     lam, c = params.lam, params.c
     lt = lam * t
     ct = c * t

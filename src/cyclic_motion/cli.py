@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import __version__, laws, simulate, verify
 from .laws import SingularStratumError
-from .model import ModelParams
+from .model import ModelParams, require_horizon
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,7 +110,8 @@ def cmd_simulate(config: RunConfig) -> int:
         params, config.t, config.count, config.seed,
         conditioning=config.condition_n)
     lines = _header_lines(
-        config, count=config.count, seed=config.seed,
+        config, sampler=simulate.SAMPLER_ID, count=config.count,
+        seed=config.seed,
         condition_n="" if config.condition_n is None else config.condition_n)
     cols = (["replication", "n_events", "u", "stratum"]
             + [f"x{i + 1}" for i in range(params.dim)]
@@ -187,6 +188,7 @@ def cmd_verify(config: RunConfig) -> int:
         "seed": config.seed,
         "max_dim": config.max_dim,
         "git": _git_describe(),
+        "sampler": simulate.SAMPLER_ID,
         "reports": [rep.as_dict() for rep in reports],
     }
     with _open_out(config.out) as f:
@@ -259,8 +261,7 @@ def main(argv=None) -> int:
     try:
         if config.command in ("simulate", "density"):
             config.model_params()
-            if config.t <= 0:
-                raise ValueError("t must be > 0")
+            require_horizon(config.t, "t")
         if config.command == "simulate" and config.count < 1:
             raise ValueError("count must be >= 1")
         if config.command == "density" and config.points < 1:

@@ -28,7 +28,8 @@ from scipy import integrate
 
 from .bessel import (KernelPoint, bessel_i_scaled, kernel_derivative,
                      scaled_series)
-from .model import ModelParams, face_label, stratum_labels, VERTEX
+from .model import (ModelParams, face_label, require_horizon, stratum_labels,
+                    VERTEX)
 
 _QUAD_EPSABS = 1e-10
 _EDGE_SPLIT = 1.0 - 1e-6  # adaptive quadrature split point as fraction of ct
@@ -68,8 +69,7 @@ def singular_masses(params: ModelParams, t: float) -> list[StratumMass]:
     sits on the k-dimensional faces.  The remaining probability is the
     absolutely continuous interior mass `ac_mass`.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require_horizon(t, "t")
     if params.dim > 3:
         raise ValueError("analytic strata masses cover dim <= 3")
     out = [StratumMass(VERTEX, poisson_pmf(0, params.lam * t),
@@ -106,10 +106,11 @@ class DensityCoefficients:
         raise ValueError("closed-form densities exist for dim 2 and 3 only")
 
     def evaluate(self, params: ModelParams, t: float, u: float) -> float:
+        # Scaled derivatives: e^{xi} would overflow for lam*t past ~709.
         point = KernelPoint(params, t, u)
-        total = sum(a * kernel_derivative(point, t_order=j)
+        total = sum(a * kernel_derivative(point, t_order=j, scaled=True)
                     for j, a in enumerate(self.coeffs))
-        return math.exp(-params.lam * t) / params.c * total
+        return math.exp(point.xi - params.lam * t) / params.c * total
 
 
 def density_u(params: ModelParams, t: float, u: float) -> float:
@@ -119,8 +120,7 @@ def density_u(params: ModelParams, t: float, u: float) -> float:
     (only the k=0 series term survives there).  Evaluated in scaled
     space, so large lam*t stays finite.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require_horizon(t, "t")
     lam, c = params.lam, params.c
     ct = c * t
     if u < 0 or u > ct:
@@ -145,8 +145,7 @@ def density_u(params: ModelParams, t: float, u: float) -> float:
 def density_u_from_coefficients(params: ModelParams, t: float,
                                 u: float) -> float:
     """Interior density via the kernel-derivative coefficient form."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require_horizon(t, "t")
     if u < 0 or u > params.c * t:
         return 0.0
     return DensityCoefficients.for_params(params).evaluate(params, t, u)
@@ -156,8 +155,7 @@ def density_u_closed_form(params: ModelParams, t: float, u: float) -> float:
     """Interior density via the I0/I1 expression (dim 2, 0 <= u < ct)."""
     if params.dim != 2:
         raise ValueError("the I0/I1 closed form is planar (dim 2) only")
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require_horizon(t, "t")
     lam, c = params.lam, params.c
     ct = c * t
     if not 0 <= u < ct:
@@ -174,6 +172,7 @@ def density_u_closed_form(params: ModelParams, t: float, u: float) -> float:
 
 def _cond_poly(params: ModelParams, n: int, t: float):
     """(amplitude, j, a, b) with density = amplitude * P^j * (a + b u^2)."""
+    require_horizon(t, "t")
     if params.dim not in (1, 2, 3):
         raise ValueError("conditional laws cover dims 1, 2, 3")
     if n < params.dim:
@@ -207,8 +206,7 @@ def _cond_poly(params: ModelParams, n: int, t: float):
 def conditional_density_u(params: ModelParams, n: int, t: float,
                           u: float) -> float:
     """Exact polynomial density of U(t) given N(t)=n, for n >= dim."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require_horizon(t, "t")
     amp, j, a, b = _cond_poly(params, n, t)
     ct = params.c * t
     if u < 0 or u > ct:
@@ -286,8 +284,7 @@ def mean_u(params: ModelParams, t: float) -> float:
     """E U(t) in dim 2, singular part included (overflow-safe)."""
     if params.dim != 2:
         raise ValueError("the closed-form mean is planar (dim 2) only")
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require_horizon(t, "t")
     lam, c = params.lam, params.c
     lt = lam * t
     ct = c * t
@@ -307,8 +304,7 @@ def moment_u(params: ModelParams, m: int, t: float) -> float:
         raise ValueError("closed-form moments are planar (dim 2) only")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    require_horizon(t, "t")
     lam, c = params.lam, params.c
     lt = lam * t
     ct = c * t

@@ -13,6 +13,7 @@ location there is classified by `classify_stratum`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,22 @@ class ModelParams:
             raise ValueError(f"speed c must be positive and finite, got {self.c}")
         if not (self.lam > 0 and np.isfinite(self.lam)):
             raise ValueError(f"rate lam must be positive and finite, got {self.lam}")
-        if not (isinstance(self.dim, (int, np.integer)) and 1 <= self.dim <= 8):
+        if (isinstance(self.dim, bool)
+                or not (isinstance(self.dim, (int, np.integer))
+                        and 1 <= self.dim <= 8)):
             raise ValueError(f"dim must be an integer in 1..8, got {self.dim}")
 
     @property
     def n_directions(self) -> int:
         return 2 * self.dim
+
+
+def require_horizon(t: float, name: str = "horizon") -> float:
+    """``t`` as a float, or ValueError unless it is finite and > 0."""
+    t = float(t)
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"{name} must be finite and > 0, got {t}")
+    return t
 
 
 @dataclass(frozen=True)

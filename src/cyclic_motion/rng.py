@@ -6,8 +6,19 @@ substream ``i`` is a pure function of ``(seed, i, j)``, so results are
 identical no matter how replications are batched or parallelised, and
 any single path can be reproduced in isolation.
 
-Value 0 of a substream is reserved for the initial direction draw;
-values 1, 2, ... feed the event-time construction.
+Slot layout used by `simulate` (d = dimension, 2d direction classes):
+
+* value 0: the initial direction;
+* value 1: the Poisson inversion of the switch count (unused when
+  the count is fixed by conditioning);
+* values 2 .. 6d+1: three exponential slots per class q, at 2 + 3q + k,
+  summed for class sizes up to 3;
+* from 6d+2 on: Gamma rejection attempts, three slots per attempt, at
+  6d + 2 + 3(2d a + q) for attempt a of class q.
+
+The scalar event-time oracle `simulate.sample_path` instead reads
+value 0 and then values 1, 2, ... in order as exponential gaps (or, when
+conditioned, as the n uniform switch times).
 """
 
 from __future__ import annotations
@@ -70,14 +81,17 @@ def stream_value(key: int, j: int) -> int:
     return mix64((key + (j + 1) * GOLDEN) & _MASK)
 
 
-def uniform_column(keys: np.ndarray, j: int) -> np.ndarray:
+def uniform_column(keys: np.ndarray, j) -> np.ndarray:
     """Value ``j`` of every substream in ``keys``, mapped to (0, 1).
 
-    The top 53 bits are used and the result is offset by half an ulp so
-    that 0 and 1 are never returned; ``-log(u)`` is always finite.
+    ``j`` is one slot for every key, or an integer array holding one
+    slot per key.  The top 53 bits are used and the result is offset by
+    half an ulp so that 0 and 1 are never returned; ``-log(u)`` is
+    always finite.
     """
     with np.errstate(over="ignore"):
-        z = _mix64_vec(keys + np.uint64(((j + 1) * GOLDEN) & _MASK))
+        offset = (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _U_GOLDEN
+        z = _mix64_vec(keys + offset)
     return ((z >> _SHIFT_11).astype(np.float64) + 0.5) * _TO_UNIT
 
 

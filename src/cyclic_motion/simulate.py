@@ -3,23 +3,53 @@
 A path is: an initial direction uniform on the 2d cycle directions,
 Poisson(lam) switch times on (0, t), and deterministic cycling
 d_j -> d_{j+1} at each switch.  Conditioned on N(t)=n the switch times
-are n sorted Uniform(0,t) draws (order statistics), sampled directly.
+are n sorted Uniform(0,t) draws (order statistics).
 
-`simulate_ensemble` is vectorised and streams one event column at a
-time, so memory stays O(count * dim) even for lam*t in the thousands;
-replication i consumes only substream i regardless of batching, which
-makes ensembles bit-reproducible under any execution layout.
+`sample_path`/`evolve` are the scalar event-time oracle: they draw the
+switch times and integrate the path segment by segment.
+
+`simulate_ensemble` draws no switch times.  Given N(t)=n the n+1
+segment lengths are t*Dirichlet(1, ..., 1), and segment k runs along
+cycle direction (j0-1+k) mod 2d, so the 2d direction-class sums are
+t*Dirichlet(m_0, ..., m_{2d-1}) with m_q the number of segments
+k <= n with k = q mod 2d (Dirichlet aggregation; Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. XI).  A path costs
+one Poisson inversion and 2d Gamma(m_q) variates, whatever lam*t is;
+conditioning on N(t)=n only fixes N.  Every draw of replication i
+reads a fixed slot of substream i (layout in `rng`), so replication i
+depends only on (seed, i) and ensembles are bit-reproducible under any
+batching.  Rows are processed in blocks of `_BLOCK_ROWS`, so temporary
+arrays do not grow with the count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 
 from . import rng
-from .model import Direction, ModelParams, classify_stratum
+from .model import Direction, ModelParams, classify_stratum, require_horizon
+
+# Algorithm id of `simulate_ensemble`, written into every output: the
+# samples of a given seed change whenever it does.
+SAMPLER_ID = "classsum-1"
+# Largest supported lam*t of an unconditioned ensemble (the Poisson
+# inversion table holds about 20 sqrt(lam*t) entries).
+MAX_MEAN_EVENTS = 1e8
+
+_BLOCK_ROWS = 1 << 14
+_TAIL = 2.0 ** -60
+_EXP_TERMS = 3  # Gamma(m) with m <= 3 is a sum of m exponentials
+# Substream slots: initial direction, Poisson draw, then _EXP_TERMS
+# exponential slots per class, then 3 slots per class per rejection
+# attempt (a Box-Muller pair and the acceptance uniform).
+_SLOT_DIRECTION = 0
+_SLOT_POISSON = 1
+_SLOT_EXP = 2
 
 _STRATUM_TOL = 1e-9  # relative tolerance of the u == ct shell test
 
@@ -97,8 +127,7 @@ class SampleSet:
 def sample_path(params: ModelParams, horizon: float,
                 stream: rng.Substream) -> MotionPath:
     """Unconditional path: uniform initial direction, Poisson switches."""
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    horizon = require_horizon(horizon)
     j0 = 1 + int(stream.uniform() * params.n_directions)
     times = []
     s = 0.0
@@ -114,8 +143,7 @@ def sample_path(params: ModelParams, horizon: float,
 def sample_path_conditional(params: ModelParams, horizon: float, n: int,
                             stream: rng.Substream) -> MotionPath:
     """Path conditioned on N(t)=n: switch times are n sorted uniforms."""
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    horizon = require_horizon(horizon)
     if n < 0:
         raise ValueError("n must be >= 0")
     j0 = 1 + int(stream.uniform() * params.n_directions)
@@ -145,78 +173,111 @@ def evolve(path: MotionPath) -> MotionOutcome:
                          final_direction=final, stratum=stratum)
 
 
-def _accumulate_segments(params: ModelParams, horizon: float,
-                         j0: np.ndarray, seg_gaps) -> np.ndarray:
-    """Add c * gap contributions along cycle directions (vectorised).
+def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
+    """``(lo, F)`` with ``F[k] = P(N <= lo + k)`` for N ~ Poisson(mu).
 
-    ``seg_gaps`` yields (k, gaps) for segment index k = 0, 1, ...;
-    direction of segment k for a row with initial index j0 is
-    ((j0 - 1 + k) mod 2d).
+    The table stops at the first k with P(N > k) < 2**-60 (its last
+    entry is set to 1) and starts at the first k with
+    P(N <= k) >= 2**-60.  `rng` uniforms are >= 2**-54, so inversion
+    never lands below ``lo`` and the trimmed table inverts exactly as
+    the full one; it holds O(sqrt(mu)) entries.
     """
-    d = params.dim
-    pos = np.zeros((len(j0), d))
-    rows = np.arange(len(j0))
-    for k, gaps in seg_gaps:
-        jj = (j0 - 1 + k) % (2 * d)
-        axis = jj % d
-        sign = np.where(jj < d, 1.0, -1.0)
-        pos[rows, axis] += sign * params.c * gaps
-    return pos
+    if mu > MAX_MEAN_EVENTS:
+        raise ValueError(f"lam*t={mu:g} above the supported "
+                         f"{MAX_MEAN_EVENTS:g}")
+    # Both Poisson tails beyond 10 sqrt(mu) + 60 are far below 2**-60.
+    half = 10.0 * math.sqrt(mu) + 60.0
+    k = np.arange(max(0, int(mu - half)), int(mu + half) + 1)
+    cdf = special.pdtr(k, mu)
+    first = int(np.searchsorted(cdf, _TAIL))
+    last = int(np.argmax(special.pdtrc(k, mu) < _TAIL))
+    cdf = cdf[first:last + 1]
+    cdf[-1] = 1.0
+    return int(k[first]), cdf
+
+
+def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Gamma(m[q, i]) variates for class q of replication i (0 where m is 0).
+
+    Every variate reads fixed slots of substream ``keys[i]``.
+
+    Shapes up to `_EXP_TERMS` are sums of that many exponentials, read
+    from slots ``_SLOT_EXP + _EXP_TERMS*q + k``.  Larger shapes use the
+    Marsaglia-Tsang (2000) rejection method with a Box-Muller normal;
+    attempt a of class q reads the three slots from
+    ``_SLOT_EXP + _EXP_TERMS*2d + 3*(2d*a + q)``.
+    """
+    two_d = m.shape[0]
+    g = np.zeros(m.shape)
+    for q in range(two_d):
+        small = m[q] <= _EXP_TERMS
+        for k in range(_EXP_TERMS):
+            rows = np.flatnonzero(small & (m[q] > k))
+            if rows.size == 0:
+                break
+            g[q, rows] -= np.log(rng.uniform_column(
+                keys[rows], _SLOT_EXP + _EXP_TERMS * q + k))
+    q, i = np.nonzero(m > _EXP_TERMS)
+    shape = m[q, i] - 1.0 / 3.0
+    spread = 1.0 / np.sqrt(9.0 * shape)
+    slot = _SLOT_EXP + _EXP_TERMS * two_d + 3 * q
+    while i.size:
+        kk = keys[i]
+        x = (np.sqrt(-2.0 * np.log(rng.uniform_column(kk, slot)))
+             * np.cos(2.0 * np.pi * rng.uniform_column(kk, slot + 1)))
+        v = (1.0 + spread * x) ** 3
+        with np.errstate(invalid="ignore", divide="ignore"):
+            accept = (v > 0) & (np.log(rng.uniform_column(kk, slot + 2))
+                                < 0.5 * x * x + shape * (1.0 - v + np.log(v)))
+        g[q[accept], i[accept]] = shape[accept] * v[accept]
+        reject = ~accept
+        i, q, shape, spread = i[reject], q[reject], shape[reject], spread[reject]
+        slot = slot[reject] + 3 * two_d
+    return g
 
 
 def simulate_ensemble(params: ModelParams, horizon: float, count: int,
                       seed: int, conditioning: int | None = None) -> SampleSet:
-    """count independent outcomes; replication i depends only on (seed, i)."""
+    """count independent outcomes; replication i depends only on (seed, i).
+
+    With ``conditioning=n`` every path has exactly n switches.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    t = float(horizon)
-    keys = rng.substream_keys(seed, 0, count)
-    two_d = params.n_directions
-    j0 = 1 + (rng.uniform_column(keys, 0) * two_d).astype(np.int64)
-
+    t = require_horizon(horizon)
+    if conditioning is not None and conditioning < 0:
+        raise ValueError("conditioning must be >= 0")
+    dim, two_d = params.dim, params.n_directions
     if conditioning is None:
-        # Stream exponential-gap columns; a finished row (cum >= t)
-        # contributes zero-length segments from then on.
-        cum = np.zeros(count)
-        prev = np.zeros(count)
-        n_events = np.zeros(count, dtype=np.int64)
-        pos = np.zeros((count, params.dim))
-        rows = np.arange(count)
-        k = 0
-        while True:
-            gap = -np.log(rng.uniform_column(keys, k + 1)) / params.lam
-            cum = cum + gap
-            clipped = np.minimum(cum, t)
-            seg = clipped - prev
-            jj = (j0 - 1 + k) % two_d
-            axis = jj % params.dim
-            sign = np.where(jj < params.dim, 1.0, -1.0)
-            pos[rows, axis] += sign * params.c * seg
-            n_events += cum < t
-            prev = clipped
-            k += 1
-            if cum.min() >= t:
-                break
-    else:
-        n = int(conditioning)
-        if n < 0:
-            raise ValueError("conditioning must be >= 0")
-        if n > 0:
-            cols = np.stack([rng.uniform_column(keys, j + 1) for j in range(n)],
-                            axis=1)
-            times = np.sort(cols, axis=1) * t
-            bounds = np.concatenate(
-                [np.zeros((count, 1)), times, np.full((count, 1), t)], axis=1)
-            gaps = np.diff(bounds, axis=1)
+        lo, cdf = _poisson_table(params.lam * t)
+    classes = np.arange(two_d)
+    n_events = np.empty(count, dtype=np.int64)
+    j0 = np.empty(count, dtype=np.int64)
+    pos = np.empty((count, dim))
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, count)
+        keys = rng.substream_keys(seed, start, stop - start)
+        j = (rng.uniform_column(keys, _SLOT_DIRECTION) * two_d).astype(np.int64)
+        if conditioning is None:
+            n = lo + np.searchsorted(cdf, rng.uniform_column(keys, _SLOT_POISSON))
         else:
-            gaps = np.full((count, 1), t)
-        pos = _accumulate_segments(params, t, j0,
-                                   ((k, gaps[:, k]) for k in range(n + 1)))
-        n_events = np.full(count, n, dtype=np.int64)
-
-    u = np.abs(pos).sum(axis=1)
+            n = np.full(keys.size, int(conditioning), dtype=np.int64)
+        # Segment k runs along class k mod 2d; class q holds m_q segments.
+        segs = n + 1
+        g = _class_gammas(keys, segs // two_d
+                          + (classes[:, None] < segs % two_d))
+        # Class q runs along cycle direction (j + q) mod 2d.
+        dirs = j + classes[:, None]
+        dirs[dirs >= two_d] -= two_d
+        h = np.empty_like(g)
+        h[dirs, np.arange(keys.size)] = g
+        pos[start:stop] = params.c * t * ((h[:dim] - h[dim:])
+                                          / g.sum(axis=0)).T
+        n_events[start:stop] = n
+        j0[start:stop] = j + 1
+    ct = params.c * t
+    # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
+    u = np.where(n_events < dim, ct, np.abs(pos).sum(axis=1))
     final = (j0 - 1 + n_events) % two_d + 1
     return SampleSet(params=params, horizon=t, conditioning=conditioning,
                      seed=seed, u=u, n_events=n_events, positions=pos,

@@ -10,6 +10,7 @@ import pytest
 from cyclic_motion import laws
 from cyclic_motion.cli import main
 from cyclic_motion.model import ModelParams
+from cyclic_motion.simulate import SAMPLER_ID
 
 
 def run_cli(*args):
@@ -45,6 +46,7 @@ def test_simulate_row_count_and_columns(tmp_path):
                              "x1", "x2", "final_direction"]
     assert headers["seed"] == "42"
     assert headers["dim"] == "2"
+    assert headers["sampler"] == SAMPLER_ID
     # u column equals |x1| + |x2| row by row
     for row in rows[:50]:
         want = abs(float(row["x1"])) + abs(float(row["x2"]))
@@ -161,6 +163,15 @@ def test_invalid_params_exit_1(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "density"])
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_non_finite_horizon_exit_1(tmp_path, capsys, command, horizon):
+    assert run_cli(command, "--t", horizon, "--seed", "1",
+                   "--out", str(tmp_path / "x.csv")) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_io_error_exit_2(tmp_path):
     assert run_cli("simulate", "--seed", "1", "--count", "10",
                    "--out", str(tmp_path / "no_dir" / "x.csv")) == 2
@@ -176,6 +187,7 @@ def test_verify_report_json_and_exit_codes(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["suite"] == "limits"
     assert doc["seed"] == 7
+    assert doc["sampler"] == SAMPLER_ID
     names = [r["name"] for r in doc["reports"]]
     assert "heat_limit_dim2" in names and "heat_limit_dim3" in names
     assert all(r["pass"] for r in doc["reports"])

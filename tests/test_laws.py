@@ -64,6 +64,34 @@ def test_density_validation():
         density_u(ModelParams(c=1.0, lam=1.0, dim=4), 1.0, 0.5)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_non_finite_horizon_rejected(t):
+    for call in (lambda: density_u(P2, t, 0.5),
+                 lambda: density_u_from_coefficients(P2, t, 0.5),
+                 lambda: density_u_closed_form(P2, t, 0.5),
+                 lambda: conditional_density_u(P2, 3, t, 0.5),
+                 lambda: ConditionalLaw(P2, 3, t),
+                 lambda: singular_masses(P2, t),
+                 lambda: mean_u(P2, t),
+                 lambda: moment_u(P2, 2, t)):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            call()
+
+
+@pytest.mark.parametrize("dim, want", [(2, 0.1702376851), (3, None)])
+def test_coefficient_form_finite_at_large_lambda_t(dim, want):
+    # the unscaled kernel derivatives overflow past lam*t ~ 709; the
+    # coefficient form must stay finite and agree with the series form
+    params = ModelParams(c=1.0, lam=1000.0, dim=dim)
+    for u in (0.0, 0.1, 0.5, 0.999):
+        val = density_u_from_coefficients(params, 1.0, u)
+        assert math.isfinite(val)
+        assert val == pytest.approx(density_u(params, 1.0, u), rel=1e-9)
+    if want is not None:
+        assert density_u_from_coefficients(params, 1.0, 0.1) == \
+            pytest.approx(want, rel=1e-9)
+
+
 @pytest.mark.parametrize("params,t", [(P2, 1.0), (P2B, 2.0), (P3, 1.0),
                                       (ModelParams(0.5, 2.0, 3), 2.0)])
 def test_representations_agree(params, t):

@@ -44,6 +44,14 @@ def test_uniform_column_matches_scalar():
             assert col[i] == rng.uniform_value(int(keys[i]), j)
 
 
+def test_uniform_column_per_key_slots():
+    keys = rng.substream_keys(42, 0, 16)
+    slots = np.arange(16) * 5 + 1
+    col = rng.uniform_column(keys, slots)
+    for i in range(16):
+        assert col[i] == rng.uniform_value(int(keys[i]), int(slots[i]))
+
+
 def test_substream_sequential_matches_columns():
     stream = rng.Substream(7, 3)
     first = stream.uniform()

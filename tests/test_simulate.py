@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cyclic_motion import laws, stats
+from scipy.stats import poisson
+
+from cyclic_motion import laws, rng, simulate, stats
 from cyclic_motion.model import (Direction, ModelParams, classify_stratum,
                                  cycle_successor)
 from cyclic_motion.simulate import (MotionPath, empirical_char_function,
@@ -109,22 +111,134 @@ def test_shell_law_and_stratum_equivalence():
     assert np.array_equal(on_shell, s.n_events < P2.dim)
 
 
+def _classsum_reference(params, t, stream, n=None):
+    """Scalar twin of `simulate_ensemble` for one replication.
+
+    Reads the same substream slots one value at a time (layout in
+    `rng`), inverts the Poisson count with scipy's ppf and evaluates the
+    Marsaglia-Tsang gamma rejection in plain floats.  Returns
+    ``(n_events, initial_index, position)``.
+    """
+    def uniform(slot):
+        return rng.uniform_value(stream.key, slot)
+
+    two_d = params.n_directions
+    j0 = 1 + int(uniform(0) * two_d)
+    if n is None:
+        n = int(poisson.ppf(uniform(1), params.lam * t))
+    gammas = []
+    for q in range(two_d):
+        m = (n + 1) // two_d + (q < (n + 1) % two_d)
+        if m <= 3:
+            gammas.append(sum(-math.log(uniform(2 + 3 * q + k))
+                              for k in range(m)))
+            continue
+        shape = m - 1.0 / 3.0
+        spread = 1.0 / math.sqrt(9.0 * shape)
+        slot = 2 + 3 * two_d + 3 * q
+        while True:
+            x = (math.sqrt(-2.0 * math.log(uniform(slot)))
+                 * math.cos(2.0 * math.pi * uniform(slot + 1)))
+            v = (1.0 + spread * x) ** 3
+            if v > 0 and (math.log(uniform(slot + 2))
+                          < 0.5 * x * x + shape * (1.0 - v + math.log(v))):
+                gammas.append(shape * v)
+                break
+            slot += 3 * two_d
+    total = sum(gammas)
+    pos = np.zeros(params.dim)
+    for q, g in enumerate(gammas):
+        d = Direction((j0 - 1 + q) % two_d + 1, params.dim)
+        pos[d.axis] += d.sign * params.c * t * g / total
+    return n, j0, pos
+
+
+def _assert_matches_reference(s, params, t, seed, n=None):
+    for i in range(len(s)):
+        n_i, j0, pos = _classsum_reference(params, t, Substream(seed, i), n)
+        assert pos == pytest.approx(s.positions[i], abs=1e-12)
+        assert s.n_events[i] == n_i
+        assert s.initial_direction[i] == j0
+        assert s.final_direction[i] == (j0 - 1 + n_i) % params.n_directions + 1
+        assert s.outcome(i).stratum == classify_stratum(n_i, params.dim)
+
+
 def test_ensemble_matches_per_path_sampler():
-    s = simulate_ensemble(P3, 1.0, 64, 123)
-    for i in range(64):
-        out = evolve(sample_path(P3, 1.0, Substream(123, i)))
-        assert out.position == pytest.approx(s.positions[i], abs=1e-12)
-        assert out.n_events == s.n_events[i]
-        assert out.final_direction.index == s.final_direction[i]
-        assert out.stratum == s.outcome(i).stratum
+    _assert_matches_reference(simulate_ensemble(P3, 1.0, 64, 123),
+                              P3, 1.0, 123)
 
 
 def test_conditional_ensemble_matches_per_path_sampler():
     s = simulate_ensemble(P2, 1.5, 32, 55, conditioning=3)
-    for i in range(32):
-        out = evolve(sample_path_conditional(P2, 1.5, 3, Substream(55, i)))
-        assert out.position == pytest.approx(s.positions[i], abs=1e-12)
+    _assert_matches_reference(s, P2, 1.5, 55, n=3)
     assert np.all(s.n_events == 3)
+
+
+@pytest.mark.parametrize("dim, conditioning", [(2, None), (3, None), (3, 40)])
+def test_ensemble_matches_reference_with_rejection_sampling(dim, conditioning):
+    # lam*t = 64 (or n = 40) puts about 7-16 segments in every class, so
+    # the gammas come from the Marsaglia-Tsang branch, not exponential sums
+    params = ModelParams(c=2.0, lam=64.0, dim=dim)
+    s = simulate_ensemble(params, 1.0, 48, 31, conditioning=conditioning)
+    _assert_matches_reference(s, params, 1.0, 31, conditioning)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam_t", [1.0, 64.0])
+def test_ensemble_law_matches_event_time_oracle(dim, lam_t):
+    # two-sample KS of the class-sum ensemble against the independent
+    # event-time sampler: first coordinate and interior radius
+    params = ModelParams(c=1.0, lam=lam_t, dim=dim)
+    seed = 900 + dim + int(lam_t)
+    oracle = [evolve(sample_path(params, 1.0, Substream(seed, i)))
+              for i in range(3000)]
+    s = simulate_ensemble(params, 1.0, 100_000, seed + 1)
+    x1 = np.array([o.position[0] for o in oracle])
+    u_in = np.array([o.u for o in oracle if o.n_events >= dim])
+    for name, a, b in (("x1", s.positions[:, 0], x1),
+                       ("u_interior", s.u[s.n_events >= dim], u_in)):
+        rep = stats.ks_two_sample(np.sort(a), np.sort(b),
+                                  name=f"{name}_dim{dim}_lt{lam_t:g}")
+        assert rep.passed, rep.line()
+
+
+def test_event_count_poisson_at_large_lambda_t():
+    lt = 1024.0
+    s = simulate_ensemble(ModelParams(c=32.0, lam=lt, dim=2), 1.0,
+                          200_000, 19)
+    count = s.n_events.size
+    mean_rep = stats.moment_compare(s.n_events.astype(float), lt, 1,
+                                    name="poisson_mean")
+    assert mean_rep.passed, mean_rep.line()
+    # sample variance: SE of s^2 for Poisson(mu) is sqrt((mu + 2 mu^2)/n)
+    var = float(np.var(s.n_events, ddof=1))
+    z = (var - lt) / math.sqrt((lt + 2 * lt * lt) / count)
+    assert abs(z) < 3.0, f"variance {var} vs {lt}, z={z}"
+
+
+def test_shell_outcomes_sit_exactly_on_ct():
+    for dim in (2, 3):
+        params = ModelParams(c=0.7, lam=1.0, dim=dim)
+        s = simulate_ensemble(params, 1.3, 100_000, 37 + dim)
+        shell = s.n_events < dim
+        assert shell.any() and not shell.all()
+        assert np.all(s.u[shell] == params.c * 1.3)
+        assert np.all(s.u[~shell] < params.c * 1.3)
+
+
+def test_batch_invariance_across_row_blocks(monkeypatch):
+    # counts that span several row blocks and do not fill the last one;
+    # lam*t = 20 mixes exponential-sum and rejection-sampled classes
+    params = ModelParams(c=1.0, lam=20.0, dim=3)
+    full = simulate_ensemble(params, 1.0, 3 * simulate._BLOCK_ROWS + 123, 5)
+    part = simulate_ensemble(params, 1.0, simulate._BLOCK_ROWS + 77, 5)
+    k = len(part)
+    for name in ("u", "n_events", "positions", "initial_direction"):
+        assert np.array_equal(getattr(full, name)[:k], getattr(part, name))
+    monkeypatch.setattr(simulate, "_BLOCK_ROWS", 1000)
+    reblocked = simulate_ensemble(params, 1.0, len(full), 5)
+    assert np.array_equal(reblocked.positions, full.positions)
+    assert np.array_equal(reblocked.u, full.u)
 
 
 def test_batching_invariance():
@@ -243,6 +357,25 @@ def test_stratum_counts_and_outcome_roundtrip():
     assert out.stratum == classify_stratum(int(s.n_events[17]), 3)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
+def test_non_finite_or_non_positive_horizon_rejected(horizon):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        simulate_ensemble(P2, horizon, 10, 1)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        sample_path(P2, horizon, Substream(1, 0))
+    with pytest.raises(ValueError, match="finite and > 0"):
+        sample_path_conditional(P2, horizon, 2, Substream(1, 0))
+
+
+def test_lambda_t_beyond_supported_range_rejected():
+    params = ModelParams(c=1.0, lam=1e300, dim=2)
+    with pytest.raises(ValueError, match="supported"):
+        simulate_ensemble(params, 1e300, 10, 1)
+    # a fixed switch count needs no Poisson table
+    s = simulate_ensemble(params, 1.0, 10, 1, conditioning=10 ** 12)
+    assert np.all(s.u <= 1.0)
+
+
 def test_dim_validation():
     with pytest.raises(ValueError):
         ModelParams(c=1.0, lam=1.0, dim=9)
@@ -250,6 +383,8 @@ def test_dim_validation():
         ModelParams(c=0.0, lam=1.0, dim=2)
     with pytest.raises(ValueError):
         ModelParams(c=1.0, lam=-1.0, dim=2)
+    with pytest.raises(ValueError):
+        ModelParams(c=1.0, lam=1.0, dim=True)
     with pytest.raises(ValueError):
         simulate_ensemble(P2, -1.0, 10, 1)
     with pytest.raises(ValueError):
