@@ -11,9 +11,8 @@ masses, Klein-Gordon and fourth-order PDE residuals,
 characteristic-function recursions, and the diffusive limit.
 """
 
-from .bessel import (BesselOrder, KernelPoint, bessel_i, bessel_i_scaled,
-                     kernel_derivative, kernel_identity_residual,
-                     kernel_integral)
+from .bessel import (KernelPoint, bessel_i_scaled, kernel_derivative,
+                     kernel_identity_residual, kernel_integral)
 from .laws import (ConditionalLaw, SingularStratumError, StratumMass,
                    ac_mass, cdf_u, conditional_cdf_u, conditional_density_u,
                    conditional_mean_catalan, conditional_mean_ratio,
@@ -36,8 +35,8 @@ from .verify import run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselOrder", "KernelPoint", "bessel_i", "bessel_i_scaled",
-    "kernel_derivative", "kernel_identity_residual", "kernel_integral",
+    "KernelPoint", "bessel_i_scaled", "kernel_derivative",
+    "kernel_identity_residual", "kernel_integral",
     "ConditionalLaw", "SingularStratumError", "StratumMass", "ac_mass",
     "cdf_u", "conditional_cdf_u", "conditional_density_u",
     "conditional_mean_catalan", "conditional_mean_ratio",

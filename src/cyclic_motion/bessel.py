@@ -1,4 +1,4 @@
-"""Modified Bessel functions and the motion kernel g(u,t).
+"""The motion kernel g(u,t) and its power series.
 
 Everything analytic in this package reduces to the kernel
 
@@ -13,9 +13,11 @@ index-shifted power series
 whose term-wise derivatives never produce negative powers of P, so the
 edge u = ct is a removable limit (only finitely many terms survive).
 
-Series are accumulated in scaled space (each term carries e^{-xi}) so
-that density formulas stay finite for lam*t in the hundreds; the
-unscaled kernel derivative overflows to inf where I_0(xi) itself does.
+`scaled_series` sums the series for a scalar or an array of u in one
+array code path.  Each term carries e^{-xi}, so the sums stay finite
+for every lam*t; an unscaled kernel derivative is +-inf where its value
+overflows.  The modified Bessel functions themselves are scipy's AMOS
+routines: `scipy.special.iv`, and `ive` under the name `bessel_i_scaled`.
 """
 
 from __future__ import annotations
@@ -23,220 +25,104 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import iv
+from scipy.special import ive as bessel_i_scaled
+
 from .model import ModelParams, require_horizon
 
 _REL_TOL = 1e-17
-_LOG_START_FLOOR = -680.0  # below this, start the series at its peak term
+_BLOCK = 32  # series terms per array pass
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order nu stored as 2*nu, so half-integer orders are exact."""
-
-    twice_order: int
-
-    def __post_init__(self):
-        if self.twice_order < -1:
-            raise ValueError("orders below -1/2 are not supported")
-
-    @classmethod
-    def of(cls, order) -> "BesselOrder":
-        if isinstance(order, BesselOrder):
-            return order
-        twice = round(2 * order)
-        if twice != 2 * order:
-            raise ValueError(f"order must be integer or half-integer, got {order}")
-        return cls(int(twice))
-
-    @property
-    def value(self) -> float:
-        return self.twice_order / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_order % 2 == 0
+def like_input(u, values):
+    """``values`` as a float when ``u`` is a scalar, else as an array."""
+    return float(values) if np.ndim(u) == 0 else values
 
 
-def _gamma_nu_plus_1(twice_nu: int) -> float:
-    """Gamma(nu + 1) for integer or half-integer nu >= -1/2.
-
-    Integer nu uses the exact factorial; half-integer nu uses the
-    product Gamma(n + 1/2) = sqrt(pi) * prod_{i<n} (i + 1/2).
-    """
-    if twice_nu % 2 == 0:
-        return float(math.factorial(twice_nu // 2))
-    n = (twice_nu + 1) // 2  # Gamma(nu+1) = Gamma(n + 1/2)
-    g = math.sqrt(math.pi)
-    for i in range(n):
-        g *= i + 0.5
-    return g
+def _check_u(ct: float, u) -> np.ndarray:
+    """u as a float array, after checking that it lies in [0, ct]."""
+    u = np.asarray(u, dtype=float)
+    bad = ~((u >= 0) & (u <= ct * (1 + 1e-12)))
+    if bad.any():
+        raise ValueError(f"u={u[bad].flat[0]} outside [0, ct]={ct}")
+    return u
 
 
-def bessel_i(order, x: float) -> float:
-    """Modified Bessel function I_nu(x) for x >= 0, nu >= -1/2.
-
-    Integer and half-integer orders >= 3/2 use the all-positive power
-    series sum_k (x/2)^{2k+nu} / (k! Gamma(k+nu+1)); nu = +-1/2 use the
-    exact hyperbolic closed forms.  Overflows to inf where I_nu does.
-    """
-    ord_ = BesselOrder.of(order)
-    if x < 0:
-        raise ValueError("bessel_i requires x >= 0")
-    nu = ord_.value
-    if x == 0.0:
-        if ord_.twice_order == 0:
-            return 1.0
-        if ord_.twice_order == -1:
-            return math.inf
-        return 0.0
-    if ord_.twice_order == 1:
-        return math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
-    if ord_.twice_order == -1:
-        return math.sqrt(2.0 / (math.pi * x)) * math.cosh(x)
-    # Leading asymptotic size e^x/sqrt(2 pi x): bail out before the
-    # partial sums overflow.
-    if x - 0.5 * math.log(2 * math.pi * x) > 709.0:
-        return math.inf
-    half = 0.5 * x
-    term = half ** nu / _gamma_nu_plus_1(ord_.twice_order)
-    q = half * half
-    total = 0.0
-    k = 0
-    while True:
-        total += term
-        term *= q / ((k + 1) * (k + 1 + nu))
-        k += 1
-        if term < _REL_TOL * total and k > half:
-            return total + term
-
-
-def bessel_i_scaled(order, x: float) -> float:
-    """e^{-x} I_nu(x), finite for all x >= 0 (asymptotically ~1/sqrt(2 pi x))."""
-    ord_ = BesselOrder.of(order)
-    if x < 0:
-        raise ValueError("bessel_i_scaled requires x >= 0")
-    nu = ord_.value
-    if x == 0.0:
-        return bessel_i(ord_, 0.0)
-    if ord_.twice_order == 1:
-        return (1.0 - math.exp(-2.0 * x)) / math.sqrt(2.0 * math.pi * x)
-    if ord_.twice_order == -1:
-        return (1.0 + math.exp(-2.0 * x)) / math.sqrt(2.0 * math.pi * x)
-    half = 0.5 * x
-    q = half * half
-    log_t0 = -x + nu * math.log(half) - math.lgamma(nu + 1.0)
-    if log_t0 >= _LOG_START_FLOOR:
-        term = math.exp(log_t0)
-        total = 0.0
-        k = 0
-        while True:
-            total += term
-            term *= q / ((k + 1) * (k + 1 + nu))
-            k += 1
-            if term < _REL_TOL * total and k > half:
-                return total + term
-    # Start at the peak term k* ~ x/2 and sweep outward in both
-    # directions; every term is positive so no cancellation occurs.
-    k_star = max(1, int(half))
-    log_peak = (-x + (2 * k_star + nu) * math.log(half)
-                - math.lgamma(k_star + 1.0) - math.lgamma(k_star + nu + 1.0))
-    peak = math.exp(log_peak)
-    total = peak
-    term = peak
-    k = k_star
-    while True:  # upward
-        term *= q / ((k + 1) * (k + 1 + nu))
-        k += 1
-        total += term
-        if term < _REL_TOL * peak:
-            break
-    term = peak
-    k = k_star
-    while k > 0:  # downward
-        term *= k * (k + nu) / q
-        k -= 1
-        total += term
-        if term < _REL_TOL * peak:
-            break
-    return total
+def _unscaled(scaled, xi):
+    """scaled * e^{xi}: +-inf where that overflows, 0 where scaled is 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = scaled * np.exp(xi)
+    return np.where(scaled == 0.0, 0.0, value)
 
 
 @dataclass(frozen=True)
 class KernelPoint:
-    """Evaluation point (t, u) of the kernel, with 0 <= u <= ct."""
+    """Kernel points (t, u): one t and a scalar or array u in [0, ct]."""
 
     params: ModelParams
     t: float
-    u: float
+    u: float | np.ndarray
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("t must be >= 0")
-        ct = self.params.c * self.t
-        if not 0 <= self.u <= ct * (1 + 1e-12):
-            raise ValueError(f"u={self.u} outside [0, ct]={ct}")
+        _check_u(self.params.c * self.t, self.u)
 
     @property
-    def p_factor(self) -> float:
+    def p_factor(self):
         """P = c^2 t^2 - u^2, computed as a product to keep the edge exact."""
         ct = self.params.c * self.t
-        return max(0.0, (ct - self.u) * (ct + self.u))
+        u = np.asarray(self.u, dtype=float)
+        return like_input(self.u, np.maximum(0.0, (ct - u) * (ct + u)))
 
     @property
-    def xi(self) -> float:
-        return (self.params.lam / self.params.c) * math.sqrt(self.p_factor)
+    def xi(self):
+        return (self.params.lam / self.params.c) * np.sqrt(self.p_factor)
 
 
-def scaled_series(lam: float, c: float, t: float, u: float,
-                  weights) -> tuple[list[float], float]:
-    """Weighted sums of the scaled kernel series terms.
+def scaled_series(lam: float, c: float, t: float, u,
+                  weights) -> tuple[list[np.ndarray], np.ndarray]:
+    """Weighted sums of the scaled kernel series terms, for scalar or array u.
 
-    Returns ``([sum_k b_k w(k) for w in weights], xi)`` with
-    ``b_k = e^{-xi} (lam/(2c))^{2k} P^k / (k!)^2`` — the kernel series
-    terms scaled by e^{-xi} so every partial sum stays bounded.
+    Returns ``([sum_k b_k w(k) for w in weights], xi)`` as arrays shaped
+    like ``u``, with ``b_k = e^{-xi} (lam/(2c))^{2k} P^k / (k!)^2`` — the
+    kernel series terms scaled by e^{-xi} so every sum stays bounded.
+    Each weight maps an array of k to per-term factors.
+
+    The terms peak at k* = floor(xi/2) and fall monotonically on both
+    sides, so each sum starts there and runs outward, ``_BLOCK`` terms a
+    pass, until the terms drop below 1e-17 of the peak.  The terms are
+    summed relative to the peak and normalised by sum_k b_k = ive(0, xi):
+    a peak term taken from logs would lose ~xi ulps (1e-10 at xi = 1e5).
     """
     ct = c * t
-    if not 0 <= u <= ct * (1 + 1e-12):
-        raise ValueError(f"u={u} outside [0, ct]={ct}")
-    xi = (lam / c) * math.sqrt(max(0.0, (ct - u) * (ct + u)))
-    q = (0.5 * xi) ** 2
-    sums = [0.0] * len(weights)
-    if xi <= 680.0:
-        b = math.exp(-xi)
-        k = 0
-        b_max = b
-        while True:
-            for m, w in enumerate(weights):
-                sums[m] += b * w(k)
-            b *= q / ((k + 1) * (k + 1))
-            k += 1
-            b_max = max(b_max, b)
-            if b < _REL_TOL * b_max and k > 0.5 * xi:
-                return sums, xi
-    k_star = max(1, int(0.5 * xi))
-    log_peak = -xi + 2 * k_star * math.log(0.5 * xi) - 2 * math.lgamma(k_star + 1.0)
-    peak = math.exp(log_peak)
-    for m, w in enumerate(weights):
-        sums[m] += peak * w(k_star)
-    b = peak
-    k = k_star
-    while True:
-        b *= q / ((k + 1) * (k + 1))
-        k += 1
-        for m, w in enumerate(weights):
-            sums[m] += b * w(k)
-        if b < _REL_TOL * peak:
-            break
-    b = peak
-    k = k_star
-    while k > 0:
-        b *= (k * k) / q
-        k -= 1
-        for m, w in enumerate(weights):
-            sums[m] += b * w(k)
-        if b < _REL_TOL * peak:
-            break
-    return sums, xi
+    u = _check_u(ct, u)
+    xi = (lam / c) * np.sqrt(np.maximum(0.0, (ct - u) * (ct + u)))
+    q = (0.5 * xi).ravel() ** 2
+    peak = np.floor(0.5 * xi).ravel()
+    sums = [np.ones_like(q)] + [w(peak) + np.zeros_like(q) for w in weights]
+    # Up from k*, then down from k* (rows with k* = 0 have no terms below
+    # it: they start at last = 0, and there q may be 0, hence max(q, 1)).
+    for step, last in ((1, np.ones_like(q)), (-1, (peak > 0).astype(float))):
+        k = peak
+        offsets = step * np.arange(1, _BLOCK + 1)
+        while last.any():
+            ks = k[:, None] + offsets
+            if step > 0:
+                ratio = q[:, None] / (ks * ks)
+            else:
+                ratio = np.where(ks >= 0, (ks + 1) ** 2, 0.0) \
+                    / np.maximum(q, 1.0)[:, None]
+            terms = last[:, None] * np.cumprod(ratio, axis=1)
+            terms[terms < _REL_TOL] = 0.0
+            k_w = np.maximum(ks, 0)  # the terms below k = 0 are 0
+            sums[0] += terms.sum(axis=1)
+            for m, w in enumerate(weights, 1):
+                sums[m] += (terms * w(k_w)).sum(axis=1)
+            last, k = terms[:, -1], ks[:, -1]
+    scale = bessel_i_scaled(0, xi.ravel()) / sums[0]
+    return [(s * scale).reshape(xi.shape) for s in sums[1:]], xi
 
 
 def _kernel_sums_scaled(point: KernelPoint):
@@ -262,50 +148,58 @@ def _kernel_sums_scaled(point: KernelPoint):
 _ALLOWED_ORDERS = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 2)}
 
 
+def _derivative(sums, point: KernelPoint, t_order: int, u_order: int):
+    """e^{-xi} times the (t_order, u_order) derivative, from B0..B3."""
+    B0, B1, B2, B3 = sums
+    c, t = point.params.c, point.t
+    u = np.asarray(point.u, dtype=float)
+    c2 = c * c
+    if t_order == 0 and u_order == 0:
+        return B0
+    if t_order == 1 and u_order == 0:
+        return 2.0 * c2 * t * B1
+    if t_order == 2 and u_order == 0:
+        return 2.0 * c2 * B1 + 4.0 * c2 * c2 * t * t * B2
+    if t_order == 3 and u_order == 0:
+        return 12.0 * c2 * c2 * t * B2 + 8.0 * c2 ** 3 * t ** 3 * B3
+    if t_order == 0 and u_order == 1:
+        return -2.0 * u * B1
+    if t_order == 0 and u_order == 2:
+        return -2.0 * B1 + 4.0 * u * u * B2
+    return -4.0 * c2 * t * B2 + 8.0 * c2 * t * u * u * B3  # (1, 2)
+
+
 def kernel_derivative(point: KernelPoint, t_order: int = 0,
-                      u_order: int = 0, scaled: bool = False) -> float:
+                      u_order: int = 0, scaled: bool = False):
     """Partial derivative of g(u,t) of the given orders at ``point``.
 
     Supported orders: pure t-derivatives 0..3, pure u-derivatives 1..2,
     and the mixed (t_order=1, u_order=2).  Values are exact limits at
-    u = ct.  Overflows to inf where I_0(xi) does (xi beyond ~709);
+    u = ct.  A float for a scalar ``point.u``, else an array.  The value
+    is +-inf where it overflows (xi beyond ~709) and 0 where it is 0;
     ``scaled=True`` returns e^{-xi} times the derivative instead
     (xi = ``point.xi``), which is finite for every lam*t.
     """
     if (t_order, u_order) not in _ALLOWED_ORDERS:
         raise ValueError(f"unsupported derivative orders ({t_order}, {u_order})")
-    B0, B1, B2, B3, xi = _kernel_sums_scaled(point)
-    scale = 1.0 if scaled else math.exp(xi) if xi < 709.0 else math.inf
-    c, t, u = point.params.c, point.t, point.u
-    c2 = c * c
-    if t_order == 0 and u_order == 0:
-        base = B0
-    elif t_order == 1 and u_order == 0:
-        base = 2.0 * c2 * t * B1
-    elif t_order == 2 and u_order == 0:
-        base = 2.0 * c2 * B1 + 4.0 * c2 * c2 * t * t * B2
-    elif t_order == 3 and u_order == 0:
-        base = 12.0 * c2 * c2 * t * B2 + 8.0 * c2 ** 3 * t ** 3 * B3
-    elif t_order == 0 and u_order == 1:
-        base = -2.0 * u * B1
-    elif t_order == 0 and u_order == 2:
-        base = -2.0 * B1 + 4.0 * u * u * B2
-    else:  # (1, 2)
-        base = -4.0 * c2 * t * B2 + 8.0 * c2 * t * u * u * B3
-    return base * scale
+    *sums, xi = _kernel_sums_scaled(point)
+    value = _derivative(sums, point, t_order, u_order)
+    return like_input(point.u, value if scaled else _unscaled(value, xi))
 
 
-def kernel_identity_residual(point: KernelPoint) -> float:
+def kernel_identity_residual(point: KernelPoint):
     """Residual of the exact identity d2g/dt2 = c^2 d2g/du2 + lam^2 g.
 
-    Evaluated from the analytic series (no differencing); rounding is
-    the only contribution, so the relative size is ~1e-16.
+    Evaluated from one pass of the scaled series sums (no differencing);
+    rounding is the only contribution, so the relative size is ~1e-16.
+    Like the kernel itself, the residual is +-inf where e^{xi} overflows.
     """
     lam, c = point.params.lam, point.params.c
-    g = kernel_derivative(point, 0, 0)
-    g_tt = kernel_derivative(point, 2, 0)
-    g_uu = kernel_derivative(point, 0, 2)
-    return g_tt - c * c * g_uu - lam * lam * g
+    *sums, xi = _kernel_sums_scaled(point)
+    res = (_derivative(sums, point, 2, 0)
+           - c * c * _derivative(sums, point, 0, 2)
+           - lam * lam * _derivative(sums, point, 0, 0))
+    return like_input(point.u, _unscaled(res, xi))
 
 
 _INTEGRAL_ORDERS = {0, 1, 2, 3}
@@ -317,7 +211,8 @@ def kernel_integral(params: ModelParams, t: float, m: int,
 
     Supported: any m >= 0 with t_order in {0,1,2}, and m = 0 with
     t_order = 3.  The closed forms are Bessel expressions of (half-)
-    integer order; tests check them against adaptive quadrature.
+    integer order; tests check them against adaptive quadrature.  Where
+    I_nu(lam*t) overflows (lam*t beyond ~700) the value is inf.
     """
     if m < 0 or t_order not in _INTEGRAL_ORDERS:
         raise ValueError(f"unsupported kernel_integral pair (m={m}, t_order={t_order})")
@@ -328,9 +223,9 @@ def kernel_integral(params: ModelParams, t: float, m: int,
     lt = lam * t
     ct = c * t
     a_big = 2.0 * c * c * t / lam
-    gam = _gamma_nu_plus_1(m - 1)  # Gamma((m+1)/2)
-    i_hi = bessel_i(BesselOrder(m + 1), lt)   # order (m+1)/2
-    i_lo = bessel_i(BesselOrder(m - 1), lt)   # order (m-1)/2
+    gam = math.gamma(0.5 * (m + 1))
+    i_hi = float(iv(0.5 * (m + 1), lt))
+    i_lo = float(iv(0.5 * (m - 1), lt))
     half_pow_hi = a_big ** (0.5 * (m + 1))
     if t_order == 0:
         return 0.5 * gam * half_pow_hi * i_hi
@@ -344,5 +239,6 @@ def kernel_integral(params: ModelParams, t: float, m: int,
             val += -m * c * c * ct ** (m - 1) \
                 + m * gam * c * c * half_pow_lo * i_lo
         return val
-    return 0.5 * c * lam * lam * (math.exp(lt) + math.exp(-lt)) \
+    # c lam^2 cosh(lt), with cosh(x) = sqrt(pi x / 2) I_{-1/2}(x)
+    return lam * lam * c * gam * math.sqrt(0.5 * lt) * i_lo \
         - lam * lam * c - lam ** 4 * c * t * t / 8.0

@@ -29,6 +29,8 @@ import subprocess
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__, laws, simulate, verify
 from .laws import SingularStratumError
 from .model import ModelParams, require_horizon
@@ -163,18 +165,17 @@ def cmd_density(config: RunConfig) -> int:
     if has_unconditional:
         cols.append("p_unconditional")
     cols += [f"p_cond_n{n}" for n in sorted(cond_laws)]
+    us = ct * np.arange(config.points) / max(config.points - 1, 1)
+    columns = [us]
+    if has_unconditional:
+        columns.append(laws.density_u(params, config.t, us))
+    columns += [cond_laws[n].density(us) for n in sorted(cond_laws)]
     with _open_out(config.out) as f:
         for line in lines:
             f.write(line + "\n")
         f.write(",".join(cols) + "\n")
-        for i in range(config.points):
-            u = ct * i / (config.points - 1) if config.points > 1 else 0.0
-            row = [_fmt(u)]
-            if has_unconditional:
-                row.append(_fmt(laws.density_u(params, config.t, u)))
-            for n in sorted(cond_laws):
-                row.append(_fmt(cond_laws[n].density(u)))
-            f.write(",".join(row) + "\n")
+        for row in zip(*columns):
+            f.write(",".join(_fmt(x) for x in row) + "\n")
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ The density has three equivalent representations, all implemented:
 * `density_u` — the primary non-negative series (index-shifted so the
   edge u = ct is a plain evaluation; every term is >= 0);
 * `density_u_from_coefficients` — a fixed linear combination of kernel
-  t-derivatives (`DensityCoefficients`);
+  t-derivatives;
 * `density_u_closed_form` — an I0/I1 expression, valid on the open
   interval only (0/0 at the edge).
 
@@ -27,9 +27,9 @@ import numpy as np
 from scipy import integrate
 
 from .bessel import (KernelPoint, bessel_i_scaled, kernel_derivative,
-                     scaled_series)
-from .model import (ModelParams, face_label, require_horizon, stratum_labels,
-                    VERTEX)
+                     like_input, scaled_series)
+from .model import ModelParams, face_label, require_horizon, VERTEX
+from .simulate import _poisson_table
 
 _QUAD_EPSABS = 1e-10
 _EDGE_SPLIT = 1.0 - 1e-6  # adaptive quadrature split point as fraction of ct
@@ -84,145 +84,145 @@ def ac_mass(params: ModelParams, t: float) -> float:
     return 1.0 - sum(m.mass for m in singular_masses(params, t))
 
 
-@dataclass(frozen=True)
-class DensityCoefficients:
-    """Coefficients (A, B, C[, D]) of the kernel-derivative form.
+def _on_support(params: ModelParams, t: float, u, density):
+    """``density`` at the points of u in [0, ct] and 0 at the others.
 
-    The interior density is (e^{-lam t}/c) * sum_j coeffs[j] * d^j g/dt^j
-    with (A, B, C) = (-lam, 1, 2/lam) in dimension 2 and
-    (A, B, C, D) = (-lam, -3, 2/lam, 4/lam^2) in dimension 3.
+    A float for a scalar u, else an array.
     """
-
-    dim: int
-    coeffs: tuple[float, ...]
-
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "DensityCoefficients":
-        lam = params.lam
-        if params.dim == 2:
-            return cls(2, (-lam, 1.0, 2.0 / lam))
-        if params.dim == 3:
-            return cls(3, (-lam, -3.0, 2.0 / lam, 4.0 / lam ** 2))
-        raise ValueError("closed-form densities exist for dim 2 and 3 only")
-
-    def evaluate(self, params: ModelParams, t: float, u: float) -> float:
-        # Scaled derivatives: e^{xi} would overflow for lam*t past ~709.
-        point = KernelPoint(params, t, u)
-        total = sum(a * kernel_derivative(point, t_order=j, scaled=True)
-                    for j, a in enumerate(self.coeffs))
-        return math.exp(point.xi - params.lam * t) / params.c * total
+    require_horizon(t, "t")
+    u_arr = np.asarray(u, dtype=float)
+    if np.isnan(u_arr).any():
+        raise ValueError("u must not be NaN")
+    off = (u_arr < 0) | (u_arr > params.c * t)
+    values = density(np.where(off, 0.0, u_arr))
+    return like_input(u, np.where(off, 0.0, values))
 
 
-def density_u(params: ModelParams, t: float, u: float) -> float:
+# Per-term weights w_i(k) of the series form: the density sums
+# w_0 + (lt/2) w_1 + q w_2 [+ q lt w_3] with q = lam^2 u^2 / (2 c^2).
+_SERIES_WEIGHTS = {
+    2: (lambda k: k / (k + 1.0),
+        lambda k: 1.0 / (k + 1.0),
+        lambda k: 1.0 / ((k + 1.0) * (k + 2.0))),
+    3: (lambda k: k / (k + 1.0),
+        lambda k: k / ((k + 1.0) * (k + 2.0)),
+        lambda k: 1.0 / ((k + 1.0) * (k + 2.0)),
+        lambda k: 1.0 / ((k + 1.0) * (k + 2.0) * (k + 3.0))),
+}
+
+
+def density_u(params: ModelParams, t: float, u):
     """Interior density p(u, t) of U(t) for dim 2 or 3 (series form).
 
-    Returns 0 outside [0, ct]; the edge u = ct is the finite limit
+    Takes a scalar or an array u and returns a float or an array.  The
+    density is 0 outside [0, ct]; the edge u = ct is the finite limit
     (only the k=0 series term survives there).  Evaluated in scaled
     space, so large lam*t stays finite.
     """
-    require_horizon(t, "t")
-    lam, c = params.lam, params.c
-    ct = c * t
-    if u < 0 or u > ct:
-        return 0.0
-    lt = lam * t
-    q = lam * lam * u * u / (2.0 * c * c)
-    if params.dim == 2:
-        def w(k):
-            return (k / (k + 1.0) + lt / (2.0 * (k + 1.0))
-                    + q / ((k + 1.0) * (k + 2.0)))
-    elif params.dim == 3:
-        def w(k):
-            kk = (k + 1.0) * (k + 2.0)
-            return (k / (k + 1.0) + lt * k / (2.0 * kk) + q / kk
-                    + q * lt / (kk * (k + 3.0)))
-    else:
+    if params.dim not in _SERIES_WEIGHTS:
         raise ValueError("closed-form densities exist for dim 2 and 3 only")
-    (total,), xi = scaled_series(lam, c, t, u, (w,))
-    return lam / c * math.exp(xi - lt) * total
+    lam, c = params.lam, params.c
+    lt = lam * t
+
+    def series(v):
+        q = lam * lam * v * v / (2.0 * c * c)
+        sums, xi = scaled_series(lam, c, t, v, _SERIES_WEIGHTS[params.dim])
+        total = sum(a * s for a, s in zip((1.0, 0.5 * lt, q, q * lt), sums))
+        return lam / c * np.exp(xi - lt) * total
+
+    return _on_support(params, t, u, series)
 
 
-def density_u_from_coefficients(params: ModelParams, t: float,
-                                u: float) -> float:
-    """Interior density via the kernel-derivative coefficient form."""
-    require_horizon(t, "t")
-    if u < 0 or u > params.c * t:
-        return 0.0
-    return DensityCoefficients.for_params(params).evaluate(params, t, u)
+def density_u_from_coefficients(params: ModelParams, t: float, u):
+    """Interior density via the kernel-derivative coefficient form.
+
+    The density is (e^{-lam t}/c) * sum_j coeffs[j] * d^j g/dt^j with
+    (A, B, C) = (-lam, 1, 2/lam) in dimension 2 and
+    (A, B, C, D) = (-lam, -3, 2/lam, 4/lam^2) in dimension 3.
+    """
+    lam = params.lam
+    coeffs = {2: (-lam, 1.0, 2.0 / lam),
+              3: (-lam, -3.0, 2.0 / lam, 4.0 / lam ** 2)}.get(params.dim)
+    if coeffs is None:
+        raise ValueError("closed-form densities exist for dim 2 and 3 only")
+
+    def combination(v):
+        # Scaled derivatives: e^{xi} would overflow for lam*t past ~709.
+        point = KernelPoint(params, t, v)
+        total = sum(a * kernel_derivative(point, t_order=j, scaled=True)
+                    for j, a in enumerate(coeffs))
+        return np.exp(point.xi - lam * t) / params.c * total
+
+    return _on_support(params, t, u, combination)
 
 
-def density_u_closed_form(params: ModelParams, t: float, u: float) -> float:
+def density_u_closed_form(params: ModelParams, t: float, u):
     """Interior density via the I0/I1 expression (dim 2, 0 <= u < ct)."""
     if params.dim != 2:
         raise ValueError("the I0/I1 closed form is planar (dim 2) only")
     require_horizon(t, "t")
     lam, c = params.lam, params.c
     ct = c * t
-    if not 0 <= u < ct:
+    v = np.asarray(u, dtype=float)
+    if not np.all((v >= 0) & (v < ct)):
         raise ValueError("closed form requires 0 <= u < ct (0/0 at the edge)")
-    p_fac = (ct - u) * (ct + u)
-    xi = lam / c * math.sqrt(p_fac)
-    s = ct * ct + u * u
+    p_fac = (ct - v) * (ct + v)
+    xi = lam / c * np.sqrt(p_fac)
+    s = ct * ct + v * v
     i0 = bessel_i_scaled(0, xi)
     i1 = bessel_i_scaled(1, xi)
-    return math.exp(xi - lam * t) * (
+    return like_input(u, np.exp(xi - lam * t) * (
         lam / c * s / p_fac * i0
-        + (lam * t * p_fac - 2.0 * s) / p_fac * i1 / math.sqrt(p_fac))
+        + (lam * t * p_fac - 2.0 * s) / p_fac * i1 / np.sqrt(p_fac)))
 
 
-def _cond_poly(params: ModelParams, n: int, t: float):
-    """(amplitude, j, a, b) with density = amplitude * P^j * (a + b u^2)."""
-    require_horizon(t, "t")
+def _cond_poly(params: ModelParams, n: int):
+    """(amplitude, j, b): given N=n, V = U/(ct) has density
+    amplitude * (1 - v^2)^j * (1 + b v^2) on [0, 1].
+
+    Each amplitude is a ratio of exact integers, rounded once, so it
+    stays finite for every n.
+    """
     if params.dim not in (1, 2, 3):
         raise ValueError("conditional laws cover dims 1, 2, 3")
     if n < params.dim:
         raise SingularStratumError(
             f"N={n} < dim={params.dim}: the motion is on a shell stratum "
             "and has no density in u")
-    ct = params.c * t
-    ct2 = ct * ct
+    f = math.factorial
     if n % 2 == 1:
         k = (n - 1) // 2
         if params.dim == 1:
-            amp = (math.factorial(2 * k + 1)
-                   / (math.factorial(k) ** 2 * 4 ** k * ct ** (2 * k + 1)))
-            return amp, k, 1.0, 0.0
-        amp = (math.factorial(2 * k + 1)
-               / (math.factorial(k - 1) * math.factorial(k + 1)
-                  * 4 ** k * ct ** (2 * k + 1)))
-        return amp, k - 1, ct2, 1.0
+            return f(2 * k + 1) / (f(k) ** 2 * 4 ** k), k, 0.0
+        return f(2 * k + 1) / (f(k - 1) * f(k + 1) * 4 ** k), k - 1, 1.0
     k = (n - 2) // 2
     if params.dim in (1, 2):
-        amp = (math.factorial(2 * k + 2)
-               / (math.factorial(k) * math.factorial(k + 1)
-                  * (2 * ct) ** (2 * k + 1)))
-        return amp, k, 1.0, 0.0
-    amp = (math.factorial(2 * k + 2)
-           / (math.factorial(k + 2) * math.factorial(k - 1)
-              * (2 * ct) ** (2 * k + 1)))
-    return amp, k - 1, ct2, 3.0
+        return f(2 * k + 2) / (f(k) * f(k + 1) * 2 ** (2 * k + 1)), k, 0.0
+    return f(2 * k + 2) / (f(k + 2) * f(k - 1) * 2 ** (2 * k + 1)), k - 1, 3.0
 
 
-def conditional_density_u(params: ModelParams, n: int, t: float,
-                          u: float) -> float:
-    """Exact polynomial density of U(t) given N(t)=n, for n >= dim."""
-    require_horizon(t, "t")
-    amp, j, a, b = _cond_poly(params, n, t)
+def conditional_density_u(params: ModelParams, n: int, t: float, u):
+    """Exact polynomial density of U(t) given N(t)=n, for n >= dim.
+
+    Takes a scalar or an array u and returns a float or an array.
+    """
+    amp, j, b = _cond_poly(params, n)
     ct = params.c * t
-    if u < 0 or u > ct:
-        return 0.0
-    p_fac = (ct - u) * (ct + u)
-    return amp * p_fac ** j * (a + b * u * u)
+
+    def poly(v):
+        v = v / ct
+        return amp / ct * ((1.0 - v) * (1.0 + v)) ** j * (1.0 + b * v * v)
+
+    return _on_support(params, t, u, poly)
 
 
-def _cond_cdf_coeffs(params: ModelParams, n: int, t: float) -> np.ndarray:
-    """Coefficients gamma_i with CDF(u) = sum_i gamma_i u^{2i+1}."""
-    amp, j, a, b = _cond_poly(params, n, t)
-    ct2 = (params.c * t) ** 2
-    # density = amp * (a + b u^2) * sum_i C(j,i) ct2^{j-i} (-1)^i u^{2i}
-    base = np.array([math.comb(j, i) * ct2 ** (j - i) * (-1) ** i
+def _cond_cdf_coeffs(params: ModelParams, n: int) -> np.ndarray:
+    """Coefficients gamma_i with CDF = sum_i gamma_i v^{2i+1}, v = u/(ct)."""
+    amp, j, b = _cond_poly(params, n)
+    # density = amp * (1 + b v^2) * sum_i C(j,i) (-1)^i v^{2i}
+    base = np.array([float(math.comb(j, i)) * (-1) ** i
                      for i in range(j + 1)])
-    dens = a * np.concatenate([base, [0.0]])
+    dens = np.concatenate([base, [0.0]])
     dens[1:] += b * base
     powers = 2 * np.arange(j + 2) + 1
     return amp * dens / powers
@@ -238,21 +238,20 @@ class ConditionalLaw:
     def __init__(self, params: ModelParams, n: int, horizon: float):
         self.params = params
         self.n = n
-        self.horizon = horizon
-        self._coeffs = _cond_cdf_coeffs(params, n, horizon)
+        self.horizon = require_horizon(horizon, "t")
+        self._coeffs = _cond_cdf_coeffs(params, n)
 
-    def density(self, u: float) -> float:
+    def density(self, u):
         return conditional_density_u(self.params, self.n, self.horizon, u)
 
     def cdf(self, u):
-        u_arr = np.clip(np.asarray(u, dtype=float), 0.0,
-                        self.params.c * self.horizon)
-        u2 = u_arr * u_arr
-        total = np.zeros_like(u_arr)
+        ct = self.params.c * self.horizon
+        v = np.clip(np.asarray(u, dtype=float) / ct, 0.0, 1.0)
+        v2 = v * v
+        total = np.zeros_like(v)
         for gamma in self._coeffs[::-1]:
-            total = total * u2 + gamma
-        out = np.clip(total * u_arr, 0.0, 1.0)
-        return float(out) if np.isscalar(u) else out
+            total = total * v2 + gamma
+        return like_input(u, np.clip(total * v, 0.0, 1.0))
 
 
 def conditional_cdf_u(params: ModelParams, n: int, t: float, u) -> float:
@@ -288,8 +287,8 @@ def mean_u(params: ModelParams, t: float) -> float:
     lam, c = params.lam, params.c
     lt = lam * t
     ct = c * t
-    return ((ct + 2 * c / lam) * bessel_i_scaled(0, lt)
-            + ct * bessel_i_scaled(1, lt) - 2 * c / lam * math.exp(-lt))
+    return float((ct + 2 * c / lam) * bessel_i_scaled(0, lt)
+                 + ct * bessel_i_scaled(1, lt) - 2 * c / lam * math.exp(-lt))
 
 
 def moment_u(params: ModelParams, m: int, t: float) -> float:
@@ -318,7 +317,7 @@ def moment_u(params: ModelParams, m: int, t: float) -> float:
                           + 2.0 * m * c * c / lam * a_big ** (0.5 * (m - 1)))
     if m > 0:
         total -= 2.0 / lam * m * c * c * ct ** (m - 1) * math.exp(-lt)
-    return total / c
+    return float(total / c)
 
 
 def conditional_mean_u(n: int) -> float:
@@ -364,9 +363,15 @@ def conditional_mean_catalan(n: int) -> float:
         / (2 ** (2 * k + 1) * (k + 2))
 
 
-def mixture_density(params: ModelParams, t: float, u: float,
-                    n_max: int = 60) -> float:
-    """sum_n P(N=n) conditional_density(n, u): reconstructs density_u."""
+def mixture_density(params: ModelParams, t: float, u):
+    """sum_n P(N=n) conditional_density(n, u): reconstructs density_u.
+
+    The sum stops where the sampler's Poisson table does, at the first n
+    with P(N > n) < 2**-60.  Takes a scalar or an array u and returns a
+    float or an array.
+    """
+    require_horizon(t, "t")
     lt = params.lam * t
+    lo, cdf = _poisson_table(lt)
     return sum(poisson_pmf(n, lt) * conditional_density_u(params, n, t, u)
-               for n in range(params.dim, n_max + 1))
+               for n in range(params.dim, lo + cdf.size))

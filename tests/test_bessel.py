@@ -1,4 +1,14 @@
-"""Modified Bessel evaluators against the scipy oracle and invariants."""
+"""The kernel series against scipy's modified Bessel functions.
+
+`bessel.scaled_series` is the package's one series loop.  At the point
+u = 0, c = t = 1 its argument is xi = lam, and with the order-nu weights
+k!/Gamma(k+nu+1) its sum is e^{-xi} I_nu(xi) / (xi/2)^nu.  So each order
+checks the loop against scipy's AMOS routines (`scipy.special.iv` and
+`ive`; the package's `bessel_i_scaled` is `ive`).  The loop normalises
+its terms by ive(0, xi), so order 0 pins that normalisation and every
+other order pins the summation.  The kernel sums B_0..B_3 are the
+orders 0..3: B_j (P/r)^{j/2} = ive(j, xi) with r = lam^2/(4c^2).
+"""
 
 import math
 
@@ -6,86 +16,100 @@ import numpy as np
 import pytest
 from scipy import special
 
-from cyclic_motion.bessel import BesselOrder, bessel_i, bessel_i_scaled
+from cyclic_motion.bessel import (KernelPoint, _kernel_sums_scaled,
+                                  bessel_i_scaled, kernel_derivative,
+                                  scaled_series)
+from cyclic_motion.model import ModelParams
 
 ORDERS = [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 5.5]
 XS = [1e-8, 0.25, 1.0, 5.0, 30.0, 200.0, 700.0]
+# Crosses the old forward-sum limit xi = 680 and the peak start k* = 1.
+XI_GRID = [0.0, 1e-8, 0.25, 1.0, 1.999, 2.0, 5.0, 30.0, 200.0, 679.5,
+           680.0, 680.5, 700.0, 2000.0, 12345.6, 1e5]
 
 
-def test_order_wrapper():
-    assert BesselOrder.of(0.5).twice_order == 1
-    assert BesselOrder.of(2).twice_order == 4
-    assert BesselOrder.of(BesselOrder(3)).twice_order == 3
-    assert BesselOrder(1).value == 0.5
-    assert BesselOrder(4).is_integer
-    assert not BesselOrder(1).is_integer
-    with pytest.raises(ValueError):
-        BesselOrder(-2)
-    with pytest.raises(ValueError):
-        BesselOrder.of(0.3)
+def order_weight(nu):
+    return lambda k: 1.0 / special.poch(k + 1.0, nu)
+
+
+def series_i_scaled(nu, x, lam=None, u=0.0):
+    """e^{-x} I_nu(x) from the kernel series at xi = x.
+
+    By default the point is u = 0, lam = x; any (lam, u) with
+    lam * sqrt(1 - u^2) = x reaches the same xi.
+    """
+    lam = x if lam is None else lam
+    (s,), xi = scaled_series(lam, 1.0, 1.0, u, (order_weight(nu),))
+    return float(s) * (0.5 * float(xi)) ** nu
 
 
 @pytest.mark.parametrize("nu", ORDERS)
 @pytest.mark.parametrize("x", XS)
 def test_bessel_i_against_scipy(nu, x):
     want = special.iv(nu, x)
-    got = bessel_i(nu, x)
-    assert got == pytest.approx(want, rel=1e-12)
+    got = series_i_scaled(nu, x) * math.exp(x)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("nu", ORDERS)
 @pytest.mark.parametrize("x", XS + [2000.0, 1e5])
 def test_bessel_i_scaled_against_scipy(nu, x):
-    want = special.ive(nu, x)
-    got = bessel_i_scaled(nu, x)
-    assert got == pytest.approx(want, rel=1e-12)
+    want = bessel_i_scaled(nu, x)
+    assert want == special.ive(nu, x)
+    assert series_i_scaled(nu, x) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("nu", ORDERS)
 def test_scaled_consistency(nu):
+    # the sums depend on (lam, c, t, u) only through xi
     for x in (0.5, 3.0, 50.0):
-        assert bessel_i_scaled(nu, x) == pytest.approx(
-            bessel_i(nu, x) * math.exp(-x), rel=1e-13)
+        other = series_i_scaled(nu, x, lam=2.0 * x, u=math.sqrt(0.75))
+        assert other == pytest.approx(series_i_scaled(nu, x), rel=1e-13)
 
 
 def test_x_zero_values():
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(1, 0.0) == 0.0
-    assert bessel_i(0.5, 0.0) == 0.0
-    assert bessel_i(-0.5, 0.0) == math.inf
-    assert bessel_i_scaled(0, 0.0) == 1.0
+    # at xi = 0 (the edge u = ct) only the k = 0 term survives
+    edge = KernelPoint(ModelParams(c=1.0, lam=2.0, dim=2), 1.0, 1.0)
+    assert _kernel_sums_scaled(edge) == (1.0, 1.0, 0.5, 1.0 / 6.0, 0.0)
+    for nu in ORDERS:
+        (s,), _ = scaled_series(1.0, 1.0, 1.0, 1.0, (order_weight(nu),))
+        assert s == pytest.approx(1.0 / math.gamma(nu + 1.0), rel=1e-15)
+    assert series_i_scaled(0, 0.0) == 1.0
+    assert series_i_scaled(1, 0.0) == 0.0
+    assert series_i_scaled(0.5, 0.0) == 0.0
 
 
 def test_negative_x_rejected():
+    # xi is real only on [0, ct]; one bad point rejects the whole array
+    for u in (-0.1, 1.5, [0.2, 1.5], [float("nan")]):
+        with pytest.raises(ValueError, match="outside"):
+            scaled_series(1.0, 1.0, 1.0, u, (order_weight(0),))
     with pytest.raises(ValueError):
-        bessel_i(0, -1.0)
-    with pytest.raises(ValueError):
-        bessel_i_scaled(1, -0.1)
+        KernelPoint(ModelParams(c=1.0, lam=1.0, dim=2), 1.0,
+                    np.array([0.5, -0.2]))
 
 
 def test_overflow_to_inf():
-    assert bessel_i(0, 800.0) == math.inf
-    assert math.isfinite(bessel_i_scaled(0, 800.0))
+    point = KernelPoint(ModelParams(c=1.0, lam=800.0, dim=2), 1.0, 0.0)
+    assert kernel_derivative(point) == math.inf
+    scaled = kernel_derivative(point, scaled=True)
+    assert scaled == pytest.approx(special.ive(0, 800.0), rel=1e-14)
 
 
 def test_half_integer_closed_forms():
     for x in (0.3, 2.0, 10.0):
-        assert bessel_i(0.5, x) == pytest.approx(
-            math.sqrt(2.0 / (math.pi * x)) * math.sinh(x), rel=1e-14)
-        assert bessel_i(-0.5, x) == pytest.approx(
-            math.sqrt(2.0 / (math.pi * x)) * math.cosh(x), rel=1e-14)
-        assert bessel_i_scaled(0.5, x) == pytest.approx(
+        assert series_i_scaled(0.5, x) == pytest.approx(
             (1.0 - math.exp(-2 * x)) / math.sqrt(2 * math.pi * x), rel=1e-14)
-        assert bessel_i_scaled(-0.5, x) == pytest.approx(
+        assert series_i_scaled(-0.5, x) == pytest.approx(
             (1.0 + math.exp(-2 * x)) / math.sqrt(2 * math.pi * x), rel=1e-14)
 
 
 @pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 15.0, 30.0])
 @pytest.mark.parametrize("nu", [0.5, 1, 1.5, 2, 2.5, 3, 3.5])
 def test_three_term_recurrence(nu, x):
-    # I_{nu-1}(x) - I_{nu+1}(x) = (2 nu / x) I_nu(x)
-    lhs = bessel_i(nu - 1, x) - bessel_i(nu + 1, x)
-    rhs = 2 * nu / x * bessel_i(nu, x)
+    # I_{nu-1}(x) - I_{nu+1}(x) = (2 nu / x) I_nu(x), scaled by e^{-x}
+    lhs = series_i_scaled(nu - 1, x) - series_i_scaled(nu + 1, x)
+    rhs = 2 * nu / x * series_i_scaled(nu, x)
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -93,12 +117,47 @@ def test_scaled_large_argument_asymptote():
     # ive(nu, x) ~ 1/sqrt(2 pi x) for large x, independent of nu
     for nu in (0, 1, 2.5):
         x = 1e5
-        assert bessel_i_scaled(nu, x) == pytest.approx(
+        assert series_i_scaled(nu, x) == pytest.approx(
             1.0 / math.sqrt(2 * math.pi * x), rel=1e-2)
 
 
 def test_known_values():
-    assert bessel_i(0, 1.0) == pytest.approx(1.2660658777520082, rel=1e-15)
-    assert bessel_i(1, 1.0) == pytest.approx(0.565159103992485, rel=1e-15)
-    assert bessel_i(0, math.sqrt(0.75)) == pytest.approx(
+    assert series_i_scaled(0, 1.0) * math.e == pytest.approx(
+        1.2660658777520082, rel=1e-15)
+    assert series_i_scaled(1, 1.0) * math.e == pytest.approx(
+        0.565159103992485, rel=1e-15)
+    x = math.sqrt(0.75)
+    assert series_i_scaled(0, x) * math.exp(x) == pytest.approx(
         1.1964743299133564, rel=1e-14)
+
+
+def kernel_sums_vs_ive(lam, u):
+    """(B_j (P/r)^{j/2}, ive(j, xi)) for j = 0..3 at c = t = 1."""
+    point = KernelPoint(ModelParams(c=1.0, lam=lam, dim=2), 1.0, u)
+    *sums, xi = _kernel_sums_scaled(point)
+    root = 2.0 * xi / (lam * lam)  # sqrt(P / r)
+    return ([b * root ** j for j, b in enumerate(sums)],
+            [special.ive(j, xi) for j in range(4)])
+
+
+@pytest.mark.parametrize("xi", XI_GRID)
+def test_kernel_sums_match_scipy(xi):
+    # xi = lam at u = 0; xi = 0 needs the edge u = ct instead
+    lam, u = (xi, 0.0) if xi else (1.0, 1.0)
+    got, want = kernel_sums_vs_ive(lam, u)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=0)
+
+
+def test_kernel_sums_grid_as_one_array_call():
+    lam = max(XI_GRID)
+    u = np.sqrt(1.0 - (np.array(XI_GRID) / lam) ** 2)
+    got, want = kernel_sums_vs_ive(lam, u)
+    for g, w in zip(got, want):
+        assert g.shape == u.shape
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+    # the array call equals one call per point
+    for i, ui in enumerate(u):
+        one, _ = kernel_sums_vs_ive(lam, float(ui))
+        for g, o in zip(got, one):
+            assert g[i] == pytest.approx(float(o), rel=1e-14, abs=0)

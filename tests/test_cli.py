@@ -129,6 +129,17 @@ def test_density_dim1_conditionals_only(tmp_path):
     assert code == 1
 
 
+def test_density_many_switch_conditional(tmp_path):
+    # the n=400 amplitude 400!/(199! 200! 2^399) no longer overflows
+    out = tmp_path / "d.csv"
+    assert run_cli("density", "--dim", "2", "--points", "21",
+                   "--conditionals", "400", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    vals = [float(row["p_cond_n400"]) for row in rows]
+    assert all(math.isfinite(v) for v in vals)
+    assert vals[0] > vals[1] > vals[10] > 0.0 == vals[-1]
+
+
 def test_density_dim4_rejected(tmp_path):
     assert run_cli("density", "--dim", "4",
                    "--out", str(tmp_path / "x.csv")) == 1

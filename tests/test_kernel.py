@@ -15,6 +15,7 @@ P_OTHER = ModelParams(c=0.7, lam=1.3, dim=2)
 
 # central-difference step for derivative cross-checks
 H = 1e-4
+ALLOWED = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 2)}
 
 
 def g(params, t, u):
@@ -123,6 +124,40 @@ def test_large_intensity_stays_finite_scaled_route():
     val = density_u(params, 1.0, 0.3)
     assert math.isfinite(val)
     assert val > 0
+
+
+def test_unscaled_kernel_never_nan_at_large_intensity():
+    # lam*t = 1000: e^{xi} overflows, once gave nan from inf - inf and 0 * inf
+    params = ModelParams(c=1.0, lam=1000.0, dim=2)
+    res = kernel_identity_residual(KernelPoint(params, 1.0, 0.1))
+    assert res == 0.0 or math.isinf(res)
+    assert kernel_derivative(KernelPoint(params, 1.0, 0.0), 0, 1) == 0.0
+    u = np.array([0.0, 0.1, 0.5, 1.0])
+    g_u = kernel_derivative(KernelPoint(params, 1.0, u), 0, 1)
+    assert g_u[0] == 0.0 and np.all(np.isneginf(g_u[1:3]))
+    assert g_u[3] == pytest.approx(-params.lam ** 2 / 2, rel=1e-14)
+    points = KernelPoint(params, 1.0, u)
+    assert np.all(np.isposinf(kernel_derivative(points)[:3]))
+    assert not np.isnan(kernel_identity_residual(points)).any()
+
+
+def test_array_points_match_scalar_points():
+    u = np.linspace(0.0, P_OTHER.c * 1.3, 9)
+    point = KernelPoint(P_OTHER, 1.3, u)
+    assert point.xi.shape == u.shape
+    for orders in sorted(ALLOWED):
+        vals = kernel_derivative(point, *orders)
+        assert vals.shape == u.shape
+        for ui, v in zip(u, vals):
+            assert kernel_derivative(KernelPoint(P_OTHER, 1.3, float(ui)),
+                                     *orders) == pytest.approx(v, rel=1e-14)
+
+
+@pytest.mark.parametrize("t_order", [0, 1, 2, 3])
+def test_kernel_integral_overflows_to_inf(t_order):
+    params = ModelParams(c=1.0, lam=800.0, dim=2)
+    for m in (0, 2) if t_order < 3 else (0,):
+        assert kernel_integral(params, 1.0, m, t_order) == math.inf
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])

@@ -55,6 +55,10 @@ def test_density_edge_values():
 def test_density_outside_support_zero():
     assert density_u(P2, 1.0, 1.5) == 0.0
     assert density_u(P3, 1.0, -0.1) == 0.0
+    for call in (density_u, density_u_from_coefficients,
+                 lambda p, t, u: conditional_density_u(p, 3, t, u)):
+        with pytest.raises(ValueError, match="NaN"):
+            call(P2, 1.0, np.array([0.5, float("nan")]))
 
 
 def test_density_validation():
@@ -148,6 +152,41 @@ def test_mixture_identity(params, t):
         u = frac * params.c * t
         assert mixture_density(params, t, u) == pytest.approx(
             density_u(params, t, u), abs=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mixture_identity_at_large_lambda_t(dim):
+    # lam*t = 100: the Poisson mass sits near n = 100, far past n = 60
+    params = ModelParams(c=1.0, lam=100.0, dim=dim)
+    u = np.array([0.05, 0.2, 0.5, 0.8, 0.95])
+    got = mixture_density(params, 1.0, u)
+    np.testing.assert_allclose(got, density_u(params, 1.0, u), rtol=1e-9)
+    assert mixture_density(params, 1.0, 0.5) == pytest.approx(
+        density_u(params, 1.0, 0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam", [1.0, 100.0, 1000.0])
+def test_array_calls_match_scalar_calls(dim, lam):
+    params = ModelParams(c=1.0, lam=lam, dim=dim)
+    u = np.linspace(0.0, 1.0, 1001)
+    forms = [lambda x: density_u(params, 1.0, x),
+             lambda x: density_u_from_coefficients(params, 1.0, x),
+             lambda x: conditional_density_u(params, 5, 1.0, x)]
+    grids = [u, u, u]
+    if dim == 2:
+        forms.append(lambda x: density_u_closed_form(params, 1.0, x))
+        grids.append(u[:-1])  # 0/0 at the edge
+    for form, grid in zip(forms, grids):
+        vals = form(grid)
+        assert vals.shape == grid.shape
+        one = [form(float(x)) for x in grid]
+        assert all(isinstance(v, float) for v in one)
+        np.testing.assert_allclose(vals, one, rtol=1e-14, atol=0)
+    # points off the support are 0 in an array as they are one by one
+    off = np.array([-0.5, 0.3, 1.5])
+    np.testing.assert_array_equal(
+        density_u(params, 1.0, off) == 0.0, [True, False, True])
 
 
 # --- conditional laws ------------------------------------------------------
