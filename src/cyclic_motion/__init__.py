@@ -14,7 +14,7 @@ characteristic-function recursions, and the diffusive limit.
 from .bessel import (KernelPoint, bessel_i_scaled, kernel_derivative,
                      kernel_identity_residual, kernel_integral)
 from .laws import (ConditionalLaw, SingularStratumError, StratumMass,
-                   ac_mass, cdf_u, conditional_cdf_u, conditional_density_u,
+                   ac_mass, cdf_u, conditional_density_u,
                    conditional_mean_catalan, conditional_mean_ratio,
                    conditional_mean_u, density_u, density_u_closed_form,
                    density_u_from_coefficients, mean_u, mixture_density,
@@ -38,7 +38,7 @@ __all__ = [
     "KernelPoint", "bessel_i_scaled", "kernel_derivative",
     "kernel_identity_residual", "kernel_integral",
     "ConditionalLaw", "SingularStratumError", "StratumMass", "ac_mass",
-    "cdf_u", "conditional_cdf_u", "conditional_density_u",
+    "cdf_u", "conditional_density_u",
     "conditional_mean_catalan", "conditional_mean_ratio",
     "conditional_mean_u", "density_u", "density_u_closed_form",
     "density_u_from_coefficients", "mean_u", "mixture_density", "moment_u",

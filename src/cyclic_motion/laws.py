@@ -13,9 +13,9 @@ The density has three equivalent representations, all implemented:
 * `density_u_closed_form` — an I0/I1 expression, valid on the open
   interval only (0/0 at the edge).
 
-Conditional laws given N(t)=n (n >= dim) are exact polynomials in u;
-their CDFs are integrated term by term, so no quadrature is needed on
-the Kolmogorov-Smirnov hot path.
+Conditional laws given N(t)=n (n >= dim) are exact polynomials in u
+with finite-sum CDFs, and `cdf_u` is the Poisson mixture of those CDFs:
+nothing here integrates numerically.
 """
 
 from __future__ import annotations
@@ -24,15 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .bessel import (KernelPoint, bessel_i_scaled, kernel_derivative,
                      like_input, scaled_series)
 from .model import ModelParams, face_label, require_horizon, VERTEX
 from .simulate import _poisson_table
-
-_QUAD_EPSABS = 1e-10
-_EDGE_SPLIT = 1.0 - 1e-6  # adaptive quadrature split point as fraction of ct
 
 
 class SingularStratumError(ValueError):
@@ -217,22 +213,25 @@ def conditional_density_u(params: ModelParams, n: int, t: float, u):
 
 
 def _cond_cdf_coeffs(params: ModelParams, n: int) -> np.ndarray:
-    """Coefficients gamma_i with CDF = sum_i gamma_i v^{2i+1}, v = u/(ct)."""
-    amp, j, b = _cond_poly(params, n)
-    # density = amp * (1 + b v^2) * sum_i C(j,i) (-1)^i v^{2i}
-    base = np.array([float(math.comb(j, i)) * (-1) ** i
-                     for i in range(j + 1)])
-    dens = np.concatenate([base, [0.0]])
-    dens[1:] += b * base
-    powers = 2 * np.arange(j + 2) + 1
-    return amp * dens / powers
+    """Coefficients c_k with CDF = v * sum_k c_k y^k, v = u/(ct), y = 1 - v^2.
+
+    The CDF is (I_{v^2}(1/2, j+1) + w I_{v^2}(3/2, j+1)) / (1+w) with
+    (j, b) from `_cond_poly` and w = b/(2j+3); as a finite sum (DLMF
+    8.17) c_k = C(2k,k)/4^k > 0 for k <= j and c_{j+1} = -w (2j+1) c_j
+    / (1+w).  No terms cancel, and c_0 = 1 makes the CDF 1 at v = 1.
+    """
+    _, j, b = _cond_poly(params, n)
+    k = np.arange(1, j + 1)
+    alpha = np.cumprod(np.concatenate([[1.0], (2 * k - 1) / (2 * k)]))
+    w = b / (2 * j + 3)
+    return np.append(alpha, -w * (2 * j + 1) * alpha[-1] / (1 + w))
 
 
 class ConditionalLaw:
     """The law of U(t) given N(t)=n in dims 1-3 (n >= dim).
 
-    Bundles the polynomial density with its exact term-by-term CDF;
-    `cdf` accepts arrays (used directly by the KS tests).
+    Bundles the polynomial density with its closed-form CDF; `cdf`
+    accepts arrays (used directly by the KS tests).
     """
 
     def __init__(self, params: ModelParams, n: int, horizon: float):
@@ -246,37 +245,31 @@ class ConditionalLaw:
 
     def cdf(self, u):
         ct = self.params.c * self.horizon
-        v = np.clip(np.asarray(u, dtype=float) / ct, 0.0, 1.0)
-        v2 = v * v
-        total = np.zeros_like(v)
-        for gamma in self._coeffs[::-1]:
-            total = total * v2 + gamma
-        return like_input(u, np.clip(total * v, 0.0, 1.0))
+
+        def horner(x):
+            v = x / ct
+            y = (1.0 - v) * (1.0 + v)
+            total = np.zeros_like(v)
+            for coeff in self._coeffs[::-1]:
+                total = total * y + coeff
+            return v * total
+
+        return _on_support(self.params, self.horizon, np.clip(u, 0.0, ct),
+                           horner)
 
 
-def conditional_cdf_u(params: ModelParams, n: int, t: float, u) -> float:
-    return ConditionalLaw(params, n, t).cdf(u)
+def cdf_u(params: ModelParams, t: float, u):
+    """CDF of the a.c. part of U(t): its mass below u, not renormalized.
 
-
-def cdf_u(params: ModelParams, t: float, u: float,
-          n: int | None = None) -> float:
-    """CDF of the a.c. part of U(t) (mass below u; not renormalized).
-
-    With ``n`` given, the conditional CDF instead (normalized to 1).
-    The unconditional integral uses adaptive quadrature split near the
-    edge; cdf_u(ct) equals `ac_mass` within quadrature tolerance.
+    The Poisson mixture of the conditional CDFs over the terms that
+    `mixture_density` sums, so it is 0 below 0 and `ac_mass` from ct
+    on.  Takes a scalar or an array u and returns a float or an array.
     """
-    if n is not None:
-        return conditional_cdf_u(params, n, t, u)
-    ct = params.c * t
-    hi = min(max(u, 0.0), ct)
-    if hi <= 0:
-        return 0.0
-    split = ct * _EDGE_SPLIT
-    pts = [split] if hi > split else None
-    val, _ = integrate.quad(lambda x: density_u(params, t, x), 0.0, hi,
-                            epsabs=_QUAD_EPSABS, limit=200, points=pts)
-    return val
+    def mixture(v):
+        return _poisson_mixture(
+            params, t, lambda n: ConditionalLaw(params, n, t).cdf(v))
+
+    return _on_support(params, t, np.clip(u, 0.0, params.c * t), mixture)
 
 
 def mean_u(params: ModelParams, t: float) -> float:
@@ -363,15 +356,20 @@ def conditional_mean_catalan(n: int) -> float:
         / (2 ** (2 * k + 1) * (k + 2))
 
 
-def mixture_density(params: ModelParams, t: float, u):
-    """sum_n P(N=n) conditional_density(n, u): reconstructs density_u.
-
-    The sum stops where the sampler's Poisson table does, at the first n
-    with P(N > n) < 2**-60.  Takes a scalar or an array u and returns a
-    float or an array.
-    """
+def _poisson_mixture(params: ModelParams, t: float, term):
+    """sum_n P(N=n) term(n) from n = dim to where the sampler's Poisson
+    table stops, at the first n with P(N > n) < 2**-60."""
     require_horizon(t, "t")
     lt = params.lam * t
     lo, cdf = _poisson_table(lt)
-    return sum(poisson_pmf(n, lt) * conditional_density_u(params, n, t, u)
+    return sum(poisson_pmf(n, lt) * term(n)
                for n in range(params.dim, lo + cdf.size))
+
+
+def mixture_density(params: ModelParams, t: float, u):
+    """sum_n P(N=n) conditional_density(n, u): reconstructs density_u.
+
+    Takes a scalar or an array u and returns a float or an array.
+    """
+    return _poisson_mixture(
+        params, t, lambda n: conditional_density_u(params, n, t, u))

@@ -74,20 +74,10 @@ class Direction:
     def sign(self) -> int:
         return 1 if self.index <= self.dim else -1
 
-    def vector(self) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[self.axis] = float(self.sign)
-        return v
 
-
-def cycle_successor(d: Direction, dim: int | None = None) -> Direction:
+def cycle_successor(d: Direction) -> Direction:
     """Next direction in the cycle, wrapping 2d -> 1."""
-    dim = d.dim if dim is None else dim
-    return Direction(d.index % (2 * dim) + 1, dim)
-
-
-def direction_vector(index: int, dim: int) -> np.ndarray:
-    return Direction(index, dim).vector()
+    return Direction(d.index % (2 * d.dim) + 1, d.dim)
 
 
 VERTEX = "vertex"

@@ -32,7 +32,8 @@ import numpy as np
 from scipy import special
 
 from . import rng
-from .model import Direction, ModelParams, classify_stratum, require_horizon
+from .model import (Direction, ModelParams, classify_stratum,
+                    require_horizon, stratum_labels)
 
 # Algorithm id of `simulate_ensemble`, written into every output: the
 # samples of a given seed change whenever it does.
@@ -100,9 +101,13 @@ class SampleSet:
     final_direction: np.ndarray
 
     @cached_property
-    def strata(self) -> list[str]:
-        return [classify_stratum(int(n), self.params.dim)
-                for n in self.n_events]
+    def _stratum_codes(self) -> np.ndarray:
+        """Index of each outcome's stratum in `stratum_labels`."""
+        return np.minimum(self.n_events, self.params.dim)
+
+    @cached_property
+    def strata(self) -> np.ndarray:
+        return np.array(stratum_labels(self.params.dim))[self._stratum_codes]
 
     def __len__(self) -> int:
         return len(self.u)
@@ -115,13 +120,13 @@ class SampleSet:
             n_events=int(self.n_events[i]),
             initial_direction=Direction(int(self.initial_direction[i]), d),
             final_direction=Direction(int(self.final_direction[i]), d),
-            stratum=self.strata[i])
+            stratum=str(self.strata[i]))
 
     def stratum_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for s in self.strata:
-            counts[s] = counts.get(s, 0) + 1
-        return counts
+        counts = np.bincount(self._stratum_codes,
+                             minlength=self.params.dim + 1)
+        return {label: int(k) for label, k
+                in zip(stratum_labels(self.params.dim), counts) if k}
 
 
 def sample_path(params: ModelParams, horizon: float,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from cyclic_motion import laws
 from cyclic_motion.laws import (ConditionalLaw, SingularStratumError, ac_mass,
@@ -56,9 +56,12 @@ def test_density_outside_support_zero():
     assert density_u(P2, 1.0, 1.5) == 0.0
     assert density_u(P3, 1.0, -0.1) == 0.0
     for call in (density_u, density_u_from_coefficients,
-                 lambda p, t, u: conditional_density_u(p, 3, t, u)):
+                 lambda p, t, u: conditional_density_u(p, 3, t, u),
+                 lambda p, t, u: ConditionalLaw(p, 3, t).cdf(u), cdf_u):
         with pytest.raises(ValueError, match="NaN"):
             call(P2, 1.0, np.array([0.5, float("nan")]))
+        with pytest.raises(ValueError, match="NaN"):
+            call(P2, 1.0, float("nan"))
 
 
 def test_density_validation():
@@ -75,6 +78,7 @@ def test_non_finite_horizon_rejected(t):
                  lambda: density_u_closed_form(P2, t, 0.5),
                  lambda: conditional_density_u(P2, 3, t, 0.5),
                  lambda: ConditionalLaw(P2, 3, t),
+                 lambda: cdf_u(P2, t, 0.5),
                  lambda: singular_masses(P2, t),
                  lambda: mean_u(P2, t),
                  lambda: moment_u(P2, 2, t)):
@@ -241,6 +245,34 @@ def test_conditional_cdf_matches_quadrature(dim, n):
         assert law.cdf(u) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 6, 100, 400, 2000])
+def test_conditional_cdf_matches_betainc(dim, n):
+    params = ModelParams(c=0.8, lam=1.0, dim=dim)
+    t = 1.3
+    ct = params.c * t
+    law = ConditionalLaw(params, n, t)
+    _, j, b = laws._cond_poly(params, n)
+    w = b / (2 * j + 3)
+    v = np.linspace(0.0, 1.0, 10_001)
+    want = (special.betainc(0.5, j + 1, v * v)
+            + w * special.betainc(1.5, j + 1, v * v)) / (1 + w)
+    assert np.max(np.abs(law.cdf(v * ct) - want)) < 1e-12
+    assert law.cdf(ct) == 1.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lt", [0.5, 1.0, 2.0, 5.0, 100.0])
+def test_cdf_u_matches_quadrature(dim, lt):
+    params = ModelParams(c=1.0, lam=lt, dim=dim)
+    us = np.array([0.0, 0.1, 0.4, 0.75, 0.95, 1.0])
+    got = cdf_u(params, 1.0, us)
+    for u, g in zip(us, got):
+        want, _ = integrate.quad(lambda x: density_u(params, 1.0, x), 0.0, u,
+                                 epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert g == pytest.approx(want, abs=1e-10)
+
+
 def test_conditional_cdf_properties():
     law = ConditionalLaw(P3, 5, 1.0)
     assert law.cdf(0.0) == 0.0
@@ -267,7 +299,7 @@ def test_cross_dimension_conditional_identities():
 
 
 def test_unconditional_cdf_with_conditioning_argument():
-    assert cdf_u(P2, 1.0, 0.4, n=2) == pytest.approx(0.4)
+    assert ConditionalLaw(P2, 2, 1.0).cdf(0.4) == pytest.approx(0.4)
     assert cdf_u(P2, 1.0, 0.0) == 0.0
     assert cdf_u(P2, 1.0, -0.3) == 0.0
 

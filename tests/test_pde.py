@@ -37,8 +37,7 @@ def test_grid_spec_validation_and_levels():
 
 def test_residual_report_order_fit():
     rr = ResidualReport(name="exact_h2", h_values=[0.04, 0.02, 0.01],
-                        max_abs=[1.6e-4, 4e-5, 1e-5], rms=[1e-4, 2.5e-5,
-                                                           6.25e-6])
+                        max_abs=[1.6e-4, 4e-5, 1e-5])
     assert rr.order == pytest.approx(2.0, abs=1e-12)
     assert rr.converged()
     assert not rr.converged(target=4.0)
@@ -226,7 +225,7 @@ def test_cf_recursion_guard():
 # --- limit and normalization ----------------------------------------------
 
 def test_heat_limit_smoke():
-    rep = heat_limit_check(2, 0.5, 1.0, (6.0, 12.0), 40_000, 9)
+    rep = heat_limit_check(2, 1.0, (6.0, 12.0), 40_000, 9)
     assert rep.passed, rep.detail
     assert rep.name == "heat_limit_dim2"
 
