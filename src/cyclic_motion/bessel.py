@@ -17,7 +17,7 @@ edge u = ct is a removable limit (only finitely many terms survive).
 array code path.  Each term carries e^{-xi}, so the sums stay finite
 for every lam*t; an unscaled kernel derivative is +-inf where its value
 overflows.  The modified Bessel functions themselves are scipy's AMOS
-routines: `scipy.special.iv`, and `ive` under the name `bessel_i_scaled`.
+routine ``ive``, under the name `bessel_i_scaled`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import iv
 from scipy.special import ive as bessel_i_scaled
 
 from .model import ModelParams, require_horizon
@@ -203,42 +202,88 @@ def kernel_identity_residual(point: KernelPoint):
 
 
 _INTEGRAL_ORDERS = {0, 1, 2, 3}
+MAX_MOMENT = 1000  # largest m that kernel_integral takes
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _term(log_scale: float, nu: float, x: float,
+          shift: float) -> tuple[float, float]:
+    """(sign, log|e^log_scale (F - 1 + shift)|) for F = 0F1(; nu+1; x^2/4).
+
+    F = Gamma(nu+1) (2/x)^nu I_nu(x) >= 1.  Where F is far past the
+    shift (log F > 700), log F comes from ``ive`` and the shift is
+    dropped.  Elsewhere F - 1 = sum_{k>=1} z^k / (k! (nu+1)_k), z = x^2/4,
+    is summed term by term: every term is positive, so nothing cancels
+    at small x, and the terms stay below e^700.
+    """
+    scaled = float(bessel_i_scaled(nu, x))
+    if scaled > 0.0:
+        log_f = (math.lgamma(nu + 1.0) + nu * math.log(2.0 / x)
+                 + math.log(scaled) + x)
+        if log_f > 700.0:
+            return 1.0, log_scale + log_f
+    z = 0.25 * x * x
+    term, f_minus_one, k = 1.0, 0.0, 0
+    while term > _REL_TOL * f_minus_one:
+        k += 1
+        term *= z / (k * (nu + k))
+        f_minus_one += term
+    d = f_minus_one + shift
+    return (math.copysign(1.0, d),
+            log_scale + math.log(abs(d)) if d else -math.inf)
+
+
+def _sum_exp(terms) -> float:
+    """sum of sign * e^log over (sign, log) pairs, +-inf where it overflows."""
+    top = max(log for _, log in terms)
+    if top == -math.inf:
+        return 0.0
+    total = sum(sign * math.exp(log - top) for sign, log in terms)
+    if total == 0.0:
+        return 0.0
+    log = top + math.log(abs(total))
+    return math.copysign(math.exp(log) if log < _LOG_MAX else math.inf, total)
 
 
 def kernel_integral(params: ModelParams, t: float, m: int,
                     t_order: int = 0) -> float:
     """Closed form of the integral of u^m d^{t_order}g/dt^{t_order} over [0, ct].
 
-    Supported: any m >= 0 with t_order in {0,1,2}, and m = 0 with
-    t_order = 3.  The closed forms are Bessel expressions of (half-)
-    integer order; tests check them against adaptive quadrature.  Where
-    I_nu(lam*t) overflows (lam*t beyond ~700) the value is inf.
+    Supported: 0 <= m <= `MAX_MOMENT` with t_order in {0,1,2}, and m = 0
+    with t_order = 3.  With x = lam*t, p = (m+1)/2 and the Bessel ratio
+    F_nu = Gamma(nu+1) (2/x)^nu I_nu(x) = 0F1(; nu+1; x^2/4), they are
+
+    * t_order 0: (ct)^(m+1) F_p / (m+1);
+    * t_order 1: c (ct)^m (F_{p-1} - 1);
+    * t_order 2: lam^2 (ct)^(m+1) (F_p/(m+1) - 1/2)
+      + m c^2 (ct)^(m-1) (F_{p-1} - 1);
+    * t_order 3: lam^2 c (F_{-1/2} - 1 - x^2/8).
+
+    Each term is formed in log space, so no Gamma(p), I_p(x) or power
+    of ct over- or underflows on its own: the value is finite wherever
+    the integral is a float and +-inf where it overflows (lam*t beyond
+    ~700 at small m).  Tests check the forms against quadrature.
     """
-    if m < 0 or t_order not in _INTEGRAL_ORDERS:
+    if not 0 <= m <= MAX_MOMENT or t_order not in _INTEGRAL_ORDERS:
         raise ValueError(f"unsupported kernel_integral pair (m={m}, t_order={t_order})")
     if t_order == 3 and m != 0:
         raise ValueError("t_order=3 is only available for m=0")
     require_horizon(t, "t")
     lam, c = params.lam, params.c
-    lt = lam * t
-    ct = c * t
-    a_big = 2.0 * c * c * t / lam
-    gam = math.gamma(0.5 * (m + 1))
-    i_hi = float(iv(0.5 * (m + 1), lt))
-    i_lo = float(iv(0.5 * (m - 1), lt))
-    half_pow_hi = a_big ** (0.5 * (m + 1))
+    x = lam * t
+    log_c, log_lam = math.log(c), math.log(lam)
+    log_ct = log_c + math.log(t)
+    p = 0.5 * (m + 1)
     if t_order == 0:
-        return 0.5 * gam * half_pow_hi * i_hi
-    if t_order == 1:
-        return 0.5 * lam * gam * half_pow_hi * i_lo - c * ct ** m
-    if t_order == 2:
-        val = -0.5 * lam * lam * ct ** (m + 1) \
-            + 0.5 * lam * lam * gam * half_pow_hi * i_hi
+        terms = [_term((m + 1) * log_ct - math.log(m + 1), p, x, 1.0)]
+    elif t_order == 1:
+        terms = [_term(log_c + m * log_ct, p - 1, x, 0.0)]
+    elif t_order == 2:
+        terms = [_term(2 * log_lam + (m + 1) * log_ct - math.log(m + 1),
+                       p, x, 0.5 * (1 - m))]
         if m > 0:
-            half_pow_lo = a_big ** (0.5 * (m - 1))
-            val += -m * c * c * ct ** (m - 1) \
-                + m * gam * c * c * half_pow_lo * i_lo
-        return val
-    # c lam^2 cosh(lt), with cosh(x) = sqrt(pi x / 2) I_{-1/2}(x)
-    return lam * lam * c * gam * math.sqrt(0.5 * lt) * i_lo \
-        - lam * lam * c - lam ** 4 * c * t * t / 8.0
+            terms.append(_term(math.log(m) + 2 * log_c + (m - 1) * log_ct,
+                               p - 1, x, 0.0))
+    else:
+        terms = [_term(2 * log_lam + log_c, -0.5, x, -0.125 * x * x)]
+    return _sum_exp(terms)

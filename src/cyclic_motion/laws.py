@@ -172,29 +172,31 @@ def density_u_closed_form(params: ModelParams, t: float, u):
         + (lam * t * p_fac - 2.0 * s) / p_fac * i1 / np.sqrt(p_fac)))
 
 
-def _cond_poly(params: ModelParams, n: int):
-    """(amplitude, j, b): given N=n, V = U/(ct) has density
-    amplitude * (1 - v^2)^j * (1 + b v^2) on [0, 1].
-
-    Each amplitude is a ratio of exact integers, rounded once, so it
-    stays finite for every n.
-    """
+def _cond_shape(params: ModelParams, n: int) -> tuple[int, float]:
+    """(j, b): given N=n, V = U/(ct) has a density proportional to
+    (1 - v^2)^j * (1 + b v^2) on [0, 1]."""
     if params.dim not in (1, 2, 3):
         raise ValueError("conditional laws cover dims 1, 2, 3")
     if n < params.dim:
         raise SingularStratumError(
             f"N={n} < dim={params.dim}: the motion is on a shell stratum "
             "and has no density in u")
-    f = math.factorial
     if n % 2 == 1:
         k = (n - 1) // 2
-        if params.dim == 1:
-            return f(2 * k + 1) / (f(k) ** 2 * 4 ** k), k, 0.0
-        return f(2 * k + 1) / (f(k - 1) * f(k + 1) * 4 ** k), k - 1, 1.0
+        return (k, 0.0) if params.dim == 1 else (k - 1, 1.0)
     k = (n - 2) // 2
-    if params.dim in (1, 2):
-        return f(2 * k + 2) / (f(k) * f(k + 1) * 2 ** (2 * k + 1)), k, 0.0
-    return f(2 * k + 2) / (f(k + 2) * f(k - 1) * 2 ** (2 * k + 1)), k - 1, 3.0
+    return (k, 0.0) if params.dim in (1, 2) else (k - 1, 3.0)
+
+
+def _cond_poly(params: ModelParams, n: int):
+    """(amplitude, j, b): given N=n, V = U/(ct) has density
+    amplitude * (1 - v^2)^j * (1 + b v^2) on [0, 1].
+
+    The amplitude n C(n-1, j) / 2^(n-1) is a ratio of exact integers,
+    rounded once, so it stays finite for every n.
+    """
+    j, b = _cond_shape(params, n)
+    return n * math.comb(n - 1, j) / 2 ** (n - 1), j, b
 
 
 def conditional_density_u(params: ModelParams, n: int, t: float, u):
@@ -216,15 +218,31 @@ def _cond_cdf_coeffs(params: ModelParams, n: int) -> np.ndarray:
     """Coefficients c_k with CDF = v * sum_k c_k y^k, v = u/(ct), y = 1 - v^2.
 
     The CDF is (I_{v^2}(1/2, j+1) + w I_{v^2}(3/2, j+1)) / (1+w) with
-    (j, b) from `_cond_poly` and w = b/(2j+3); as a finite sum (DLMF
+    (j, b) from `_cond_shape` and w = b/(2j+3); as a finite sum (DLMF
     8.17) c_k = C(2k,k)/4^k > 0 for k <= j and c_{j+1} = -w (2j+1) c_j
     / (1+w).  No terms cancel, and c_0 = 1 makes the CDF 1 at v = 1.
     """
-    _, j, b = _cond_poly(params, n)
+    j, b = _cond_shape(params, n)
     k = np.arange(1, j + 1)
     alpha = np.cumprod(np.concatenate([[1.0], (2 * k - 1) / (2 * k)]))
     w = b / (2 * j + 3)
     return np.append(alpha, -w * (2 * j + 1) * alpha[-1] / (1 + w))
+
+
+def _cdf_horner(params: ModelParams, t: float, u, coeffs: np.ndarray):
+    """v * sum_k coeffs[k] y^k, v = u/(ct), y = 1 - v^2, at u clipped
+    to [0, ct]."""
+    ct = params.c * t
+
+    def horner(x):
+        v = x / ct
+        y = (1.0 - v) * (1.0 + v)
+        total = np.zeros_like(v)
+        for coeff in coeffs[::-1]:
+            total = total * y + coeff
+        return v * total
+
+    return _on_support(params, t, np.clip(u, 0.0, ct), horner)
 
 
 class ConditionalLaw:
@@ -244,18 +262,7 @@ class ConditionalLaw:
         return conditional_density_u(self.params, self.n, self.horizon, u)
 
     def cdf(self, u):
-        ct = self.params.c * self.horizon
-
-        def horner(x):
-            v = x / ct
-            y = (1.0 - v) * (1.0 + v)
-            total = np.zeros_like(v)
-            for coeff in self._coeffs[::-1]:
-                total = total * y + coeff
-            return v * total
-
-        return _on_support(self.params, self.horizon, np.clip(u, 0.0, ct),
-                           horner)
+        return _cdf_horner(self.params, self.horizon, u, self._coeffs)
 
 
 def cdf_u(params: ModelParams, t: float, u):
@@ -263,13 +270,16 @@ def cdf_u(params: ModelParams, t: float, u):
 
     The Poisson mixture of the conditional CDFs over the terms that
     `mixture_density` sums, so it is 0 below 0 and `ac_mass` from ct
-    on.  Takes a scalar or an array u and returns a float or an array.
+    on.  The weighted coefficient arrays of the conditional CDFs are
+    summed into one polynomial in y = 1 - v^2, evaluated by one Horner
+    loop.  Takes a scalar or an array u and returns a float or an array.
     """
-    def mixture(v):
-        return _poisson_mixture(
-            params, t, lambda n: ConditionalLaw(params, n, t).cdf(v))
-
-    return _on_support(params, t, np.clip(u, 0.0, params.c * t), mixture)
+    terms = _poisson_terms(params, t)
+    coeffs = np.zeros(max((n for n, _ in terms), default=0) // 2 + 2)
+    for n, weight in terms:
+        c_n = _cond_cdf_coeffs(params, n)
+        coeffs[:c_n.size] += weight * c_n
+    return _cdf_horner(params, t, u, coeffs)
 
 
 def mean_u(params: ModelParams, t: float) -> float:
@@ -356,20 +366,24 @@ def conditional_mean_catalan(n: int) -> float:
         / (2 ** (2 * k + 1) * (k + 2))
 
 
-def _poisson_mixture(params: ModelParams, t: float, term):
-    """sum_n P(N=n) term(n) from n = dim to where the sampler's Poisson
-    table stops, at the first n with P(N > n) < 2**-60."""
+def _poisson_terms(params: ModelParams, t: float) -> list[tuple[int, float]]:
+    """(n, P(N=n)) from n = dim to where the sampler's Poisson table
+    stops, at the first n with P(N > n) < 2**-60."""
     require_horizon(t, "t")
     lt = params.lam * t
     lo, cdf = _poisson_table(lt)
-    return sum(poisson_pmf(n, lt) * term(n)
-               for n in range(params.dim, lo + cdf.size))
+    return [(n, poisson_pmf(n, lt)) for n in range(params.dim, lo + cdf.size)]
 
 
 def mixture_density(params: ModelParams, t: float, u):
     """sum_n P(N=n) conditional_density(n, u): reconstructs density_u.
 
-    Takes a scalar or an array u and returns a float or an array.
+    Takes a scalar or an array u and returns a float or an array (zeros
+    where the Poisson table ends before n = dim).
     """
-    return _poisson_mixture(
-        params, t, lambda n: conditional_density_u(params, n, t, u))
+    def mixture(v):
+        return sum((weight * conditional_density_u(params, n, t, v)
+                    for n, weight in _poisson_terms(params, t)),
+                   np.zeros_like(v))
+
+    return _on_support(params, t, u, mixture)

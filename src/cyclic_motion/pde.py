@@ -28,6 +28,10 @@ density whenever p is the true density of U.  The point-field residual
 plateaus because ``laws.density_u`` is not the law of the simulated U
 (the cause shared by the failing conditional-law checks), not because of
 the 1/(4u) coarea factor.
+
+`density_moment` is the one quadrature oracle here; it imports
+`scipy.integrate` when first called, so importing this module loads
+numpy and `scipy.special` only.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import laws, simulate
 from .model import ModelParams
@@ -353,6 +356,7 @@ def heat_limit_check(dim: int, t: float, c_schedule, count: int,
 
 def density_moment(params: ModelParams, t: float, m: int = 0) -> float:
     """The quadrature oracle: integral of u^m density_u(u) over (0, ct)."""
+    from scipy import integrate  # here, not at the top: ~0.6 s of start-up
     ct = params.c * t
     val, _ = integrate.quad(
         lambda x: x ** m * laws.density_u(params, t, x), 0.0, ct,

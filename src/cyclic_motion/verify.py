@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from . import laws, pde, simulate, stats
 from .bessel import KernelPoint, kernel_identity_residual
@@ -119,6 +118,7 @@ def conditional_laws(seed: int, count: int = 100_000) -> list[TestReport]:
 def conditional_means_3d(seed: int, count: int = 100_000) -> list[TestReport]:
     """Simulated 3D conditional means vs the closed-form table, plus a
     quadrature cross-check of the analytic values for n <= 12."""
+    from scipy import integrate  # here, not at the top: ~0.6 s of start-up
     reports = []
     params = ModelParams(c=1.0, lam=1.0, dim=3)
     t = 1.0

@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cyclic_motion
 from cyclic_motion import laws
 from cyclic_motion.cli import main
 from cyclic_motion.model import ModelParams
@@ -265,3 +269,18 @@ def test_density_stdout(capsys):
              if ln and not ln.startswith("#")]
     assert lines[0].startswith("u,p_unconditional")
     assert len(lines) == 4
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    # A fresh interpreter: this test process already holds scipy.integrate
+    # (pytest's IntegrationWarning filter imports it).
+    src = os.path.dirname(os.path.dirname(cyclic_motion.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import cyclic_motion.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert "scipy.special" in loaded
+    for heavy in ("scipy.stats", "scipy.integrate", "scipy.optimize"):
+        assert heavy not in loaded

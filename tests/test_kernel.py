@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
-from cyclic_motion.bessel import (KernelPoint, kernel_derivative,
+from cyclic_motion.bessel import (MAX_MOMENT, KernelPoint, kernel_derivative,
                                   kernel_identity_residual, kernel_integral)
 from cyclic_motion.model import ModelParams
 
@@ -196,6 +196,45 @@ def test_kernel_integral_frozen_values():
     assert got == pytest.approx(1.1752011936438014, rel=1e-13)  # sinh(1)
     got1 = kernel_integral(P11, 1.0, 0, 1)
     assert got1 == pytest.approx(math.cosh(1.0) - 1.0, rel=1e-13)
+
+
+def test_kernel_integral_large_m_in_log_space():
+    # lam*t = 800, m = 300: (2c^2t/lam)^151 underflows and I_151.5(800)
+    # overflows, but the integral is ~1.6e209.  Check it against quadrature
+    # of u^m I_0(xi) / value, with every factor in log space.
+    params = ModelParams(c=1.0, lam=800.0, dim=2)
+    m = 300
+    got = kernel_integral(params, 1.0, m, 0)
+    assert math.isfinite(got)
+    log_got = math.log(got)
+
+    def ratio(u):
+        xi = 800.0 * math.sqrt(max(0.0, (1.0 - u) * (1.0 + u)))
+        return math.exp(m * math.log(u) + math.log(special.ive(0, xi)) + xi
+                        - log_got) if u > 0 else 0.0
+
+    one, _ = integrate.quad(ratio, 0.0, 1.0, points=[0.9, 0.99],
+                            epsabs=1e-12, epsrel=1e-12, limit=400)
+    assert one == pytest.approx(1.0, rel=1e-9)
+    for t_order in (1, 2):
+        assert math.isfinite(kernel_integral(params, 1.0, m, t_order))
+
+
+def test_kernel_integral_m_range():
+    # lam*t = 1, m = 2000 used to overflow Gamma(1000.5); m is capped
+    with pytest.raises(ValueError):
+        kernel_integral(P11, 1.0, 2000, 0)
+    with pytest.raises(ValueError):
+        kernel_integral(P11, 1.0, MAX_MOMENT + 1, 1)
+    # at the cap: ~ (ct)^(m+1)/(m+1) for small lam*t, finite or inf beyond
+    m = MAX_MOMENT
+    assert kernel_integral(P11, 1.0, m, 0) == pytest.approx(
+        1.0 / (m + 1), rel=1e-3)
+    for lam in (1e-8, 1.0, 1e3, 1e5, 1e8):
+        params = ModelParams(c=1.0, lam=lam, dim=2)
+        for t_order in (0, 1, 2):
+            value = kernel_integral(params, 1.0, m, t_order)
+            assert not math.isnan(value) and value >= 0.0
 
 
 def test_kernel_integral_validation():

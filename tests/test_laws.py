@@ -169,6 +169,16 @@ def test_mixture_identity_at_large_lambda_t(dim):
         density_u(params, 1.0, 0.5), rel=1e-9)
 
 
+def test_mixture_density_without_terms_is_float_zero():
+    # lam*t = 1e-7: the Poisson table ends at n = 2 < dim = 3
+    params = ModelParams(c=1.0, lam=1e-7, dim=3)
+    got = mixture_density(params, 1.0, np.array([0.1, 0.2]))
+    assert isinstance(got, np.ndarray) and got.dtype == float
+    assert got.shape == (2,) and not got.any()
+    scalar = mixture_density(params, 1.0, 0.1)
+    assert isinstance(scalar, float) and scalar == 0.0
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("lam", [1.0, 100.0, 1000.0])
 def test_array_calls_match_scalar_calls(dim, lam):
@@ -271,6 +281,19 @@ def test_cdf_u_matches_quadrature(dim, lt):
         want, _ = integrate.quad(lambda x: density_u(params, 1.0, x), 0.0, u,
                                  epsabs=1e-12, epsrel=1e-12, limit=200)
         assert g == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("lt", [1.0, 100.0, 1000.0])
+def test_cdf_u_is_the_per_term_mixture(dim, lt):
+    # one summed polynomial against the P(N=n)-weighted conditional CDFs
+    params = ModelParams(c=1.0, lam=lt, dim=dim)
+    us = np.linspace(-0.1, 1.1, 1001)
+    want = sum(weight * ConditionalLaw(params, n, 1.0).cdf(us)
+               for n, weight in laws._poisson_terms(params, 1.0))
+    got = cdf_u(params, 1.0, us)
+    assert np.max(np.abs(got - want)) < 1e-14
+    assert cdf_u(params, 1.0, float(us[417])) == got[417]
 
 
 def test_conditional_cdf_properties():

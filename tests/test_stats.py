@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from cyclic_motion import rng
 from cyclic_motion.stats import (TestReport, chi_square_masses,
@@ -116,6 +117,20 @@ def test_chi_square_missing_cells_count_as_zero():
     # observed {a: 3000}, expected (2997, 3): chi2 = 9/2997 + 9/3
     rep = chi_square_masses({"a": 3000}, {"a": 0.999, "b": 0.001})
     assert rep.statistic == pytest.approx(9.0 / 2997.0 + 3.0, rel=1e-12)
+
+
+def test_chi_square_p_value_is_scipy_stats_chi2_sf():
+    # The p-value comes from scipy.special.chdtrc, so the package need
+    # not import scipy.stats; it must equal chi2.sf bit for bit.
+    for dof in (1, 2, 3, 5, 8, 13, 21, 34, 55):
+        cells = [f"c{k}" for k in range(dof + 1)]
+        expected = {cell: 1.0 / (dof + 1) for cell in cells}
+        for shift in (0, 1, 3, 10, 30, 100, 300, 900):
+            observed = {cell: 3000 + (-1) ** k * shift * (k % 3 + 1)
+                        for k, cell in enumerate(cells)}
+            rep = chi_square_masses(observed, expected)
+            assert rep.detail == f"dof={dof}"
+            assert rep.p_value == float(chi2.sf(rep.statistic, dof))
 
 
 def test_moment_compare_null_calibration():
