@@ -21,8 +21,8 @@ from .laws import (ConditionalLaw, SingularStratumError, StratumMass,
                    moment_u, singular_masses)
 from .model import (Direction, ModelParams, classify_stratum,
                     cycle_successor, face_label, stratum_labels)
-from .pde import (GridSpec, ResidualReport, cf_recursion_check,
-                  conditional_cf_quadrature, heat_limit_check,
+from .pde import (GridSpec, ResidualReport, average_cf, cf_recursion_check,
+                  conditional_cf, heat_limit_check,
                   klein_gordon_residual, normalization_check,
                   planar_fourth_order_residual)
 from .simulate import (MotionOutcome, MotionPath, SampleSet,
@@ -44,7 +44,7 @@ __all__ = [
     "density_u_from_coefficients", "mean_u", "mixture_density", "moment_u",
     "singular_masses", "Direction", "ModelParams", "classify_stratum",
     "cycle_successor", "face_label", "stratum_labels", "GridSpec",
-    "ResidualReport", "cf_recursion_check", "conditional_cf_quadrature",
+    "ResidualReport", "average_cf", "cf_recursion_check", "conditional_cf",
     "heat_limit_check", "klein_gordon_residual", "normalization_check",
     "planar_fourth_order_residual", "MotionOutcome", "MotionPath",
     "SampleSet", "empirical_char_function", "evolve", "sample_path",

@@ -172,20 +172,28 @@ def density_u_closed_form(params: ModelParams, t: float, u):
         + (lam * t * p_fac - 2.0 * s) / p_fac * i1 / np.sqrt(p_fac)))
 
 
-def _cond_shape(params: ModelParams, n: int) -> tuple[int, float]:
-    """(j, b): given N=n, V = U/(ct) has a density proportional to
-    (1 - v^2)^j * (1 + b v^2) on [0, 1]."""
+def _require_cond_dim(params: ModelParams) -> None:
     if params.dim not in (1, 2, 3):
         raise ValueError("conditional laws cover dims 1, 2, 3")
-    if n < params.dim:
+
+
+def _cond_shape(params: ModelParams, n):
+    """(j, b): given N=n, V = U/(ct) has a density proportional to
+    (1 - v^2)^j * (1 + b v^2) on [0, 1].  ``n`` is an int or an
+    integer array.
+
+    Odd n: j = (n-1)/2, less 1 with b = 1 in dims 2 and 3.  Even n:
+    j = (n-2)/2, less 1 with b = 3 in dim 3.
+    """
+    _require_cond_dim(params)
+    low = np.min(n, initial=params.dim)
+    if low < params.dim:
         raise SingularStratumError(
-            f"N={n} < dim={params.dim}: the motion is on a shell stratum "
+            f"N={low} < dim={params.dim}: the motion is on a shell stratum "
             "and has no density in u")
-    if n % 2 == 1:
-        k = (n - 1) // 2
-        return (k, 0.0) if params.dim == 1 else (k - 1, 1.0)
-    k = (n - 2) // 2
-    return (k, 0.0) if params.dim in (1, 2) else (k - 1, 3.0)
+    odd = n % 2
+    shifted = params.dim > 2 - odd
+    return (n - 2 + odd) // 2 - shifted, shifted * (3.0 - 2.0 * odd)
 
 
 def _cond_poly(params: ModelParams, n: int):
@@ -214,19 +222,26 @@ def conditional_density_u(params: ModelParams, n: int, t: float, u):
     return _on_support(params, t, u, poly)
 
 
-def _cond_cdf_coeffs(params: ModelParams, n: int) -> np.ndarray:
-    """Coefficients c_k with CDF = v * sum_k c_k y^k, v = u/(ct), y = 1 - v^2.
+def _cdf_coeffs(params: ModelParams, ns, weights) -> np.ndarray:
+    """Coefficients c_k of sum_n weight_n CDF_n = v * sum_k c_k y^k,
+    v = u/(ct), y = 1 - v^2, for integer arrays ``ns`` (n >= dim).
 
-    The CDF is (I_{v^2}(1/2, j+1) + w I_{v^2}(3/2, j+1)) / (1+w) with
+    One CDF is (I_{v^2}(1/2, j+1) + w I_{v^2}(3/2, j+1)) / (1+w) with
     (j, b) from `_cond_shape` and w = b/(2j+3); as a finite sum (DLMF
-    8.17) c_k = C(2k,k)/4^k > 0 for k <= j and c_{j+1} = -w (2j+1) c_j
-    / (1+w).  No terms cancel, and c_0 = 1 makes the CDF 1 at v = 1.
+    8.17) its c_k = alpha_k = C(2k,k)/4^k > 0 for k <= j and c_{j+1} =
+    -w (2j+1) alpha_j / (1+w).  No terms cancel, and c_0 = 1 makes it 1
+    at v = 1.  So the mixture's c_k is alpha_k P(j >= k) plus the
+    weighted c_{j+1} landing on k: no loop over n.
     """
-    j, b = _cond_shape(params, n)
-    k = np.arange(1, j + 1)
+    j, b = _cond_shape(params, ns)
+    size = j.max(initial=0) + 1
+    k = np.arange(1, size)
     alpha = np.cumprod(np.concatenate([[1.0], (2 * k - 1) / (2 * k)]))
     w = b / (2 * j + 3)
-    return np.append(alpha, -w * (2 * j + 1) * alpha[-1] / (1 + w))
+    last = -w * (2 * j + 1) * alpha[j] / (1 + w)
+    at_least = np.cumsum(np.bincount(j, weights, size)[::-1])[::-1]
+    return (np.append(alpha * at_least, 0.0)
+            + np.bincount(j + 1, weights * last, size + 1))
 
 
 def _cdf_horner(params: ModelParams, t: float, u, coeffs: np.ndarray):
@@ -256,7 +271,7 @@ class ConditionalLaw:
         self.params = params
         self.n = n
         self.horizon = require_horizon(horizon, "t")
-        self._coeffs = _cond_cdf_coeffs(params, n)
+        self._coeffs = _cdf_coeffs(params, np.array([n]), np.ones(1))
 
     def density(self, u):
         return conditional_density_u(self.params, self.n, self.horizon, u)
@@ -270,16 +285,12 @@ def cdf_u(params: ModelParams, t: float, u):
 
     The Poisson mixture of the conditional CDFs over the terms that
     `mixture_density` sums, so it is 0 below 0 and `ac_mass` from ct
-    on.  The weighted coefficient arrays of the conditional CDFs are
-    summed into one polynomial in y = 1 - v^2, evaluated by one Horner
-    loop.  Takes a scalar or an array u and returns a float or an array.
+    on: one polynomial in y = 1 - v^2 (`_cdf_coeffs`), evaluated by one
+    Horner loop.  Takes a scalar or an array u and returns a float or an array.
     """
-    terms = _poisson_terms(params, t)
-    coeffs = np.zeros(max((n for n, _ in terms), default=0) // 2 + 2)
-    for n, weight in terms:
-        c_n = _cond_cdf_coeffs(params, n)
-        coeffs[:c_n.size] += weight * c_n
-    return _cdf_horner(params, t, u, coeffs)
+    ns, weights = np.reshape(_poisson_terms(params, t), (-1, 2)).T
+    return _cdf_horner(params, t, u,
+                       _cdf_coeffs(params, ns.astype(int), weights))
 
 
 def mean_u(params: ModelParams, t: float) -> float:
@@ -368,7 +379,9 @@ def conditional_mean_catalan(n: int) -> float:
 
 def _poisson_terms(params: ModelParams, t: float) -> list[tuple[int, float]]:
     """(n, P(N=n)) from n = dim to where the sampler's Poisson table
-    stops, at the first n with P(N > n) < 2**-60."""
+    stops, at the first n with P(N > n) < 2**-60.  Dims outside 1-3
+    raise even when that list would be empty."""
+    _require_cond_dim(params)
     require_horizon(t, "t")
     lt = params.lam * t
     lo, cdf = _poisson_table(lt)
@@ -379,7 +392,7 @@ def mixture_density(params: ModelParams, t: float, u):
     """sum_n P(N=n) conditional_density(n, u): reconstructs density_u.
 
     Takes a scalar or an array u and returns a float or an array (zeros
-    where the Poisson table ends before n = dim).
+    where the Poisson table ends before n = dim).  Dims 1-3 only.
     """
     def mixture(v):
         return sum((weight * conditional_density_u(params, n, t, v)

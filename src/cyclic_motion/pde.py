@@ -10,8 +10,8 @@ Checks implemented:
   conversion of the layer density) and, as a positive control, on the
   layer parametrization h(x,y,t) = p(x+y, t);
 * characteristic-function recursions d F_n/dt = F_{n-1} + ic theta F_n
-  for the order-statistics time integrals, via nested Gauss-Legendre
-  quadrature;
+  for the order-statistics time integrals, on the exact conditional CF
+  (a divided difference of exp, as a matrix exponential) in any dim;
 * the diffusive (heat) limit lam = c^2, c -> inf, of the per-coordinate
   position variance;
 * normalization of the interior density against the shell masses.
@@ -29,25 +29,22 @@ plateaus because ``laws.density_u`` is not the law of the simulated U
 (the cause shared by the failing conditional-law checks), not because of
 the 1/(4u) coarea factor.
 
-`density_moment` is the one quadrature oracle here; it imports
-`scipy.integrate` when first called, so importing this module loads
-numpy and `scipy.special` only.
+`density_moment` is the one quadrature oracle here.  It imports
+`scipy.integrate`, and `conditional_cf` imports `scipy.linalg`, when
+first called, so importing this module loads numpy and `scipy.special`
+only.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import laws, simulate
-from .model import ModelParams
+from .model import Direction, ModelParams
 from .stats import TestReport
-
-_COS4 = (1.0, 0.0, -1.0, 0.0)
-_SIN4 = (0.0, 1.0, 0.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -234,94 +231,63 @@ def planar_fourth_order_residual(params: ModelParams, grid: GridSpec,
                           max_abs=max_abs)
 
 
-def cf_theta(k: int, j: int, alpha: float, beta: float) -> float:
-    """Projection theta_k = alpha cos((k-j)pi/2) - beta sin((k-j)pi/2)."""
-    m = (k - j) % 4
-    return alpha * _COS4[m] - beta * _SIN4[m]
+def cf_theta(k: int, j: int, omega) -> float:
+    """theta_k = <omega, direction of the k-th segment> for initial
+    direction j (k = 1 is j itself); ``len(omega)`` is the dimension."""
+    dim = len(omega)
+    d = Direction((j + k - 2) % (2 * dim) + 1, dim)
+    return d.sign * omega[d.axis]
 
 
-_GL_NODES = 48
+def conditional_cf(params: ModelParams, n: int, j: int, omega,
+                   t: float) -> complex:
+    """G_n = E[exp(i <omega, X(t)>) | N(t)=n, initial direction j].
 
-
-def _gl_cache():
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    return nodes, weights
-
-
-_GL_X, _GL_W = _gl_cache()
-
-
-def conditional_cf_quadrature(params: ModelParams, n: int, j: int,
-                              alpha: float, beta: float, t: float) -> complex:
-    """G_n for initial direction j: the normalized order-statistics
-    integral of exp(ic sum_k (s_k - s_{k-1}) theta_k) over the simplex.
-
-    n=0 is the bare exponential, n=1 a single Gauss-Legendre integral,
-    n=2 an iterated double integral.  Larger n is unsupported
-    (combinatorial growth; Monte Carlo covers it).
+    The segment lengths are t Dirichlet(1, ..., 1), so by the
+    Hermite-Genocchi formula G_n = n! e[z_1..z_{n+1}], the divided
+    difference of exp at z_k = i c t theta_k.  That is the corner entry
+    of expm(diag(z) + diag(1..n, k=1)); the superdiagonal 1..n carries
+    the n! (with ones, the entry is lost to rounding by n ~ 20).
     """
-    if params.dim != 2:
-        raise ValueError("characteristic-function quadrature is planar")
-    if not 1 <= j <= 4:
-        raise ValueError("initial direction j must be in 1..4")
-    if n == 0:
-        return cmath.exp(1j * params.c * t * cf_theta(1, j, alpha, beta))
-    c = params.c
-    if n == 1:
-        th1 = cf_theta(1, j, alpha, beta)
-        th2 = cf_theta(2, j, alpha, beta)
-        s = 0.5 * t * (_GL_X + 1.0)
-        vals = np.exp(1j * c * (s * th1 + (t - s) * th2))
-        # 1!/t times the integral; the 0.5*t Jacobian leaves a bare 0.5
-        return complex(np.sum(_GL_W * vals) * 0.5)
-    if n == 2:
-        th1 = cf_theta(1, j, alpha, beta)
-        th2 = cf_theta(2, j, alpha, beta)
-        th3 = cf_theta(3, j, alpha, beta)
-        s1 = 0.5 * t * (_GL_X + 1.0)
-        w1 = _GL_W * 0.5 * t
-        total = 0.0 + 0.0j
-        for s1_i, w1_i in zip(s1, w1):
-            half = 0.5 * (t - s1_i)
-            s2 = s1_i + half * (_GL_X + 1.0)
-            inner = np.sum(_GL_W * half
-                           * np.exp(1j * c * (s1_i * th1 + (s2 - s1_i) * th2
-                                              + (t - s2) * th3)))
-            total += w1_i * inner
-        return complex(total * 2.0 / t ** 2)
-    raise ValueError("quadrature supports n <= 2 only")
+    from scipy.linalg import expm  # here, not at the top: start-up time
+    if len(omega) != params.dim:
+        raise ValueError(f"omega must have dim={params.dim} components")
+    Direction(j, params.dim)  # rejects j outside 1..2d
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    z = [1j * params.c * t * cf_theta(k, j, omega) for k in range(1, n + 2)]
+    return complex(expm(np.diag(z) + np.diag(np.arange(1.0, n + 1), 1))[0, n])
 
 
-def average_cf_quadrature(params: ModelParams, n: int, alpha: float,
-                          beta: float, t: float) -> complex:
+def average_cf(params: ModelParams, n: int, omega, t: float) -> complex:
     """G_n averaged over the uniform initial direction."""
-    return sum(conditional_cf_quadrature(params, n, j, alpha, beta, t)
-               for j in (1, 2, 3, 4)) / 4.0
+    return sum(conditional_cf(params, n, j, omega, t)
+               for j in range(1, params.n_directions + 1)) / params.n_directions
 
 
-def cf_recursion_check(params: ModelParams, n: int, j: int, alpha: float,
-                       beta: float, t: float,
+def cf_recursion_check(params: ModelParams, n: int, j: int, omega, t: float,
                        h_values=(0.02, 0.01, 0.005)) -> ResidualReport:
-    """FD check of d F_n/dt = F_{n-1} + i c theta_{n+1} F_n.
+    """FD check of d F_n/dt = F_{n-1} + i c theta_{n+1} F_n (n >= 1).
 
     F_n = t^n/n! G_n are the unnormalized order-statistics integrals;
-    the t-derivative is central-differenced from quadrature values, so
+    the t-derivative is central-differenced from `conditional_cf`, so
     the residual shrinks at O(h^2).
     """
-    if n not in (1, 2):
-        raise ValueError("recursion check supports n in {1, 2}")
+    if n < 1:
+        raise ValueError("the recursion needs n >= 1")
 
     def f_n(m: int, tt: float) -> complex:
-        return tt ** m / math.factorial(m) * conditional_cf_quadrature(
-            params, m, j, alpha, beta, tt)
+        return tt ** m / math.factorial(m) * conditional_cf(
+            params, m, j, omega, tt)
 
-    th = cf_theta(n + 1, j, alpha, beta)
+    th = cf_theta(n + 1, j, omega)
     max_abs = []
     for h in h_values:
         dfdt = (f_n(n, t + h) - f_n(n, t - h)) / (2 * h)
         r = abs(dfdt - f_n(n - 1, t) - 1j * params.c * th * f_n(n, t))
         max_abs.append(r)
-    return ResidualReport(name=f"cf_recursion_n{n}_j{j}_a{alpha:g}_b{beta:g}",
+    tag = "_".join(f"{name}{w:g}" for name, w in zip("abcdefgh", omega))
+    return ResidualReport(name=f"cf_recursion_n{n}_j{j}_{tag}",
                           h_values=list(h_values), max_abs=max_abs)
 
 

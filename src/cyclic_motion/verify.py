@@ -259,14 +259,14 @@ def pde_residuals(seed: int = 0) -> list[TestReport]:
 
 def cf_recursions(seed: int, count: int = 100_000) -> list[TestReport]:
     """Characteristic-function recursion residuals (O(h^2)) for every
-    initial direction, plus quadrature-vs-Monte-Carlo CF agreement."""
+    initial direction, plus exact-vs-Monte-Carlo CF agreement."""
     reports = []
     params = ModelParams(c=1.0, lam=1.0, dim=2)
     t = 1.0
     for n in (1, 2):
         for j in (1, 2, 3, 4):
             for a, b in _ANGLES:
-                rr = pde.cf_recursion_check(params, n, j, a, b, t)
+                rr = pde.cf_recursion_check(params, n, j, (a, b), t)
                 reports.append(_residual_report(rr))
     for n in (0, 1, 2):
         s = simulate.simulate_ensemble(params, t, count, seed + n,
@@ -274,14 +274,14 @@ def cf_recursions(seed: int, count: int = 100_000) -> list[TestReport]:
         for a, b in ((1.0, 0.0), (0.5, 0.5)):
             phases = np.exp(1j * (a * s.positions[:, 0]
                                   + b * s.positions[:, 1]))
-            target = pde.average_cf_quadrature(params, n, a, b, t)
+            target = pde.average_cf(params, n, (a, b), t)
             z = max(abs(stats.z_score(phases.real, target.real)),
                     abs(stats.z_score(phases.imag, target.imag)))
             reports.append(TestReport(
                 name=f"cf_quad_vs_mc_n{n}_a{a:g}_b{b:g}", statistic=z,
                 p_value=None, tolerance=3.0, passed=bool(z <= 3.0),
                 sample_size=count,
-                detail=f"quadrature={target:.6f} "
+                detail=f"exact={target:.6f} "
                        f"mc={np.mean(phases):.6f}"))
     return reports
 

@@ -282,5 +282,6 @@ def test_cli_import_loads_no_heavy_scipy():
                           text=True, timeout=120, check=True)
     loaded = set(proc.stdout.split())
     assert "scipy.special" in loaded
-    for heavy in ("scipy.stats", "scipy.integrate", "scipy.optimize"):
+    for heavy in ("scipy.stats", "scipy.integrate", "scipy.optimize",
+                  "scipy.linalg", "scipy.sparse"):
         assert heavy not in loaded

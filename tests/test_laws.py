@@ -179,6 +179,18 @@ def test_mixture_density_without_terms_is_float_zero():
     assert isinstance(scalar, float) and scalar == 0.0
 
 
+@pytest.mark.parametrize("dim", [4, 5, 8])
+def test_mixtures_reject_dims_above_3_without_terms(dim):
+    # lam*t = 1e-7: the Poisson table ends before n = dim, yet the dim
+    # is refused as it is at lam*t = 1
+    for lam in (1e-7, 1.0):
+        params = ModelParams(c=1.0, lam=lam, dim=dim)
+        for law in (cdf_u, mixture_density):
+            for u in (0.1, np.array([0.1, 0.5])):
+                with pytest.raises(ValueError, match="dims 1, 2, 3"):
+                    law(params, 1.0, u)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("lam", [1.0, 100.0, 1000.0])
 def test_array_calls_match_scalar_calls(dim, lam):

@@ -1,4 +1,4 @@
-"""PDE residuals, CF quadrature, heat limit, and grid utilities."""
+"""PDE residuals, the exact CF, heat limit, and grid utilities."""
 
 import cmath
 import math
@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cyclic_motion import pde
+from cyclic_motion import pde, simulate, stats
 from cyclic_motion.model import ModelParams
-from cyclic_motion.pde import (GridSpec, ResidualReport,
-                               average_cf_quadrature, cf_recursion_check,
-                               cf_theta, conditional_cf_quadrature,
+from cyclic_motion.pde import (GridSpec, ResidualReport, average_cf,
+                               cf_recursion_check, cf_theta, conditional_cf,
                                heat_limit_check, klein_gordon_residual,
                                normalization_check,
                                planar_fourth_order_residual)
@@ -137,52 +136,59 @@ def test_stencil_weights_on_exponential():
 # --- characteristic functions ---------------------------------------------
 
 def test_cf_theta_tables():
-    # theta_k cycles through (alpha, -beta, -alpha, beta) as k-j walks
-    # the direction cycle
-    assert cf_theta(1, 1, 1.0, 0.5) == 1.0
-    assert cf_theta(2, 1, 1.0, 0.5) == -0.5
-    assert cf_theta(3, 1, 1.0, 0.5) == -1.0
-    assert cf_theta(4, 1, 1.0, 0.5) == 0.5
-    assert cf_theta(5, 1, 1.0, 0.5) == 1.0  # period 4
-    assert cf_theta(1, 2, 1.0, 0.5) == 0.5
-    assert cf_theta(1, 3, 1.0, 0.5) == -1.0
+    # theta_k walks the model's cycle +e1, +e2, -e1, -e2 from direction j
+    om = (1.0, 0.5)
+    assert cf_theta(1, 1, om) == 1.0
+    assert cf_theta(2, 1, om) == 0.5
+    assert cf_theta(3, 1, om) == -1.0
+    assert cf_theta(4, 1, om) == -0.5
+    assert cf_theta(5, 1, om) == 1.0  # period 4
+    assert cf_theta(1, 2, om) == 0.5
+    assert cf_theta(1, 3, om) == -1.0
+    # dim 3: +e1, +e2, +e3, -e1, -e2, -e3
+    om3 = (0.7, 0.3, -0.5)
+    assert [cf_theta(k, 2, om3) for k in range(1, 8)] == \
+        [0.3, -0.5, -0.7, -0.3, 0.5, 0.7, 0.3]
 
 
 def test_cf_quadrature_frozen_values():
-    assert average_cf_quadrature(P2, 1, 1.0, 0.0, 1.0) == pytest.approx(
+    assert average_cf(P2, 1, (1.0, 0.0), 1.0) == pytest.approx(
         math.sin(1.0), abs=1e-12)
-    assert average_cf_quadrature(P2, 1, 0.5, 0.5, 1.0) == pytest.approx(
+    assert average_cf(P2, 1, (0.5, 0.5), 1.0) == pytest.approx(
         0.9182168195493894, abs=1e-12)
-    assert average_cf_quadrature(P2, 2, 1.0, 0.0, 1.0) == pytest.approx(
+    assert average_cf(P2, 2, (1.0, 0.0), 1.0) == pytest.approx(
         0.9193953882637205, abs=1e-12)
-    assert average_cf_quadrature(P2, 2, 0.5, 0.5, 1.0) == pytest.approx(
+    assert average_cf(P2, 2, (0.5, 0.5), 1.0) == pytest.approx(
         0.958851077208406, abs=1e-12)
-    got = conditional_cf_quadrature(P2, 2, 3, 0.5, 0.5, 1.0)
-    want = 0.9588510772084061 + 0.1625370306360666j
+    # j=3 runs -e1, -e2, +e1: thetas (-0.5, -0.5, 0.5)
+    got = conditional_cf(P2, 2, 3, (0.5, 0.5), 1.0)
+    want = 0.9588510772084061 - 0.1625370306360666j
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_cf_quadrature_n0_n1_exact():
-    # n=0: bare exponential; n=1, j=2 at (0.5, 0.5): theta_1 = theta_2
-    # = 0.5, so the integrand is constant and G_1 = e^{i c t / 2}
-    assert conditional_cf_quadrature(P2, 0, 1, 1.0, 0.0, 1.0) == \
+    # n=0: bare exponential; n=1, j=1 at (0.5, 0.5): theta_1 = theta_2
+    # = 0.5 (+e1 then +e2), so the integrand is constant and
+    # G_1 = e^{i c t / 2}
+    assert conditional_cf(P2, 0, 1, (1.0, 0.0), 1.0) == \
         pytest.approx(cmath.exp(1j), abs=1e-15)
-    got = conditional_cf_quadrature(P2, 1, 2, 0.5, 0.5, 1.0)
+    got = conditional_cf(P2, 1, 1, (0.5, 0.5), 1.0)
     assert got == pytest.approx(cmath.exp(0.5j), abs=1e-13)
 
 
 def test_cf_quadrature_zero_angles_give_one():
-    for n in (0, 1, 2):
-        for j in (1, 2, 3, 4):
-            assert conditional_cf_quadrature(P2, n, j, 0.0, 0.0, 1.0) == \
-                pytest.approx(1.0, abs=1e-14)
+    for params in (P2, P3):
+        for n in (0, 1, 2, 10):
+            for j in range(1, params.n_directions + 1):
+                got = conditional_cf(params, n, j, (0.0,) * params.dim, 1.0)
+                assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def test_cf_quadrature_matches_dblquad():
     # independent oracle: scipy adaptive double quadrature of the n=2
     # simplex integral for one direction
     c, t, j, al, be = 1.0, 1.0, 1, 0.7, 0.3
-    th = [cf_theta(k, j, al, be) for k in (1, 2, 3)]
+    th = [cf_theta(k, j, (al, be)) for k in (1, 2, 3)]
 
     def integrand_re(s2, s1):
         ph = c * (s1 * th[0] + (s2 - s1) * th[1] + (t - s2) * th[2])
@@ -197,29 +203,83 @@ def test_cf_quadrature_matches_dblquad():
     im, _ = integrate.dblquad(integrand_im, 0, t, lambda s1: s1,
                               lambda s1: t, epsabs=1e-12)
     want = (re + 1j * im) * 2.0 / t ** 2
-    got = conditional_cf_quadrature(P2, 2, j, al, be, t)
+    got = conditional_cf(P2, 2, j, (al, be), t)
     assert got == pytest.approx(want, abs=1e-11)
+
+
+def _series_cf(z, terms=80):
+    """G_n = sum_m n! h_m(z) / (n+m)!, h_m the complete homogeneous
+    symmetric polynomial of degree m in z_1..z_{n+1}."""
+    h = np.zeros(terms, dtype=complex)
+    h[0] = 1.0
+    for zk in z:
+        for m in range(1, terms):
+            h[m] += zk * h[m - 1]
+    n = len(z) - 1
+    return np.sum(h / np.cumprod([1.0] + [n + m for m in range(1, terms)]))
+
+
+@pytest.mark.parametrize("params,omega", [
+    (ModelParams(c=1.0, lam=1.0, dim=1), (0.7,)),
+    (P2, (0.7, 0.3)),
+    (P3, (0.7, 0.3, -0.5)),
+    (ModelParams(c=1.0, lam=1.0, dim=8), (0.7, 0.3, -0.5, 0.9, -0.1, 0.2,
+                                          -0.8, 0.4))])
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 20, 40])
+def test_conditional_cf_matches_series(params, omega, n):
+    # the superdiagonal 1..n keeps the corner entry exact; with ones
+    # times n! the error is 2e-4 at n=20 and 1e8 at n=40
+    for t in (1.0, 3.0):
+        for j in range(1, params.n_directions + 1):
+            z = [1j * params.c * t * cf_theta(k, j, omega)
+                 for k in range(1, n + 2)]
+            got = conditional_cf(params, n, j, omega, t)
+            assert abs(got - _series_cf(z)) < 1e-12, (t, j)
+
+
+@pytest.mark.parametrize("params,omega", [(P2, (0.7, 0.3)),
+                                          (P3, (0.7, 0.3, -0.5))])
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_conditional_cf_matches_simulation_per_direction(params, omega, n):
+    # per initial direction, against class-sum paths with exactly n
+    # switches; a reversed cycle flips the sign of the imaginary parts
+    s = simulate.simulate_ensemble(params, 1.0, 240_000, 4100 + n,
+                                   conditioning=n)
+    phases = np.exp(1j * (s.positions @ np.asarray(omega)))
+    for j in range(1, params.n_directions + 1):
+        sample = phases[s.initial_direction == j]
+        want = conditional_cf(params, n, j, omega, 1.0)
+        assert abs(stats.z_score(sample.real, want.real)) <= 3.0, j
+        assert abs(stats.z_score(sample.imag, want.imag)) <= 3.0, j
 
 
 def test_cf_quadrature_guards():
     with pytest.raises(ValueError):
-        conditional_cf_quadrature(P2, 3, 1, 1.0, 0.0, 1.0)
+        conditional_cf(P2, -1, 1, (1.0, 0.0), 1.0)
     with pytest.raises(ValueError):
-        conditional_cf_quadrature(P2, 1, 5, 1.0, 0.0, 1.0)
+        conditional_cf(P2, 1, 5, (1.0, 0.0), 1.0)
     with pytest.raises(ValueError):
-        conditional_cf_quadrature(P3, 1, 1, 1.0, 0.0, 1.0)
+        conditional_cf(P3, 1, 1, (1.0, 0.0), 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("j", [1, 4])
 def test_cf_recursion_second_order(n, j):
-    rr = cf_recursion_check(P2, n, j, 0.5, 0.5, 1.0)
+    rr = cf_recursion_check(P2, n, j, (0.5, 0.5), 1.0)
+    assert rr.converged(2.0, 0.3), rr.line()
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("j", [1, 5])
+def test_cf_recursion_second_order_dim3(n, j):
+    rr = cf_recursion_check(P3, n, j, (0.7, 0.3, -0.5), 1.0)
+    assert rr.name == f"cf_recursion_n{n}_j{j}_a0.7_b0.3_c-0.5"
     assert rr.converged(2.0, 0.3), rr.line()
 
 
 def test_cf_recursion_guard():
     with pytest.raises(ValueError):
-        cf_recursion_check(P2, 3, 1, 1.0, 0.0, 1.0)
+        cf_recursion_check(P2, 0, 1, (1.0, 0.0), 1.0)
 
 
 # --- limit and normalization ----------------------------------------------
