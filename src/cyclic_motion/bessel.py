@@ -32,11 +32,23 @@ from .model import ModelParams, require_horizon
 
 _REL_TOL = 1e-17
 _BLOCK = 32  # series terms per array pass
+# Largest lam*t of the Bessel layer (the sampler's ceiling too): scipy's
+# ``ive`` returns NaN past x ~ 1e9, and the kernel series runs over
+# O(sqrt(lam*t)) terms per point.
+MAX_LAMBDA_T = 1e8
 
 
 def like_input(u, values):
     """``values`` as a float when ``u`` is a scalar, else as an array."""
     return float(values) if np.ndim(u) == 0 else values
+
+
+def require_lambda_t(lam: float, t: float) -> float:
+    """lam*t, or ValueError above `MAX_LAMBDA_T`."""
+    lt = lam * t
+    if lt > MAX_LAMBDA_T:
+        raise ValueError(f"lam*t={lt:g} above the supported {MAX_LAMBDA_T:g}")
+    return lt
 
 
 def _check_u(ct: float, u) -> np.ndarray:
@@ -64,8 +76,8 @@ class KernelPoint:
     u: float | np.ndarray
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        if not (self.t >= 0 and math.isfinite(self.t)):
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
         _check_u(self.params.c * self.t, self.u)
 
     @property
@@ -95,6 +107,7 @@ def scaled_series(lam: float, c: float, t: float, u,
     summed relative to the peak and normalised by sum_k b_k = ive(0, xi):
     a peak term taken from logs would lose ~xi ulps (1e-10 at xi = 1e5).
     """
+    require_lambda_t(lam, t)
     ct = c * t
     u = _check_u(ct, u)
     xi = (lam / c) * np.sqrt(np.maximum(0.0, (ct - u) * (ct + u)))
@@ -206,22 +219,26 @@ MAX_MOMENT = 1000  # largest m that kernel_integral takes
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _term(log_scale: float, nu: float, x: float,
-          shift: float) -> tuple[float, float]:
-    """(sign, log|e^log_scale (F - 1 + shift)|) for F = 0F1(; nu+1; x^2/4).
+def _term(log_scale: float, nu: float, x: float, shift: float,
+          scaled: bool = False) -> tuple[float, float]:
+    """(sign, log|e^log_scale (F - 1 + shift)|) for F = 0F1(; nu+1; x^2/4),
+    times e^{-x} when ``scaled``.
 
     F = Gamma(nu+1) (2/x)^nu I_nu(x) >= 1.  Where F is far past the
-    shift (log F > 700), log F comes from ``ive`` and the shift is
-    dropped.  Elsewhere F - 1 = sum_{k>=1} z^k / (k! (nu+1)_k), z = x^2/4,
-    is summed term by term: every term is positive, so nothing cancels
-    at small x, and the terms stay below e^700.
+    shift (log F > 700), log(e^{-x} F) comes from ``ive`` and the shift
+    is dropped; a scaled term never adds x back, so it loses nothing to
+    the size of x.  log F <= x for nu >= -1/2 (F <= cosh x), so that
+    takes x > 700.  Elsewhere F - 1 = sum_{k>=1} z^k / (k! (nu+1)_k),
+    z = x^2/4, is summed term by term: every term is positive, so
+    nothing cancels at small x (none is left at x = 0), and the terms
+    stay below e^700.
     """
-    scaled = float(bessel_i_scaled(nu, x))
-    if scaled > 0.0:
+    ive = float(bessel_i_scaled(nu, x)) if x > 700.0 else 0.0
+    if ive > 0.0:
         log_f = (math.lgamma(nu + 1.0) + nu * math.log(2.0 / x)
-                 + math.log(scaled) + x)
-        if log_f > 700.0:
-            return 1.0, log_scale + log_f
+                 + math.log(ive))
+        if log_f + x > 700.0:
+            return 1.0, log_scale + (log_f if scaled else log_f + x)
     z = 0.25 * x * x
     term, f_minus_one, k = 1.0, 0.0, 0
     while term > _REL_TOL * f_minus_one:
@@ -230,7 +247,8 @@ def _term(log_scale: float, nu: float, x: float,
         f_minus_one += term
     d = f_minus_one + shift
     return (math.copysign(1.0, d),
-            log_scale + math.log(abs(d)) if d else -math.inf)
+            log_scale + math.log(abs(d)) - (x if scaled else 0.0)
+            if d else -math.inf)
 
 
 def _sum_exp(terms) -> float:
@@ -270,7 +288,7 @@ def kernel_integral(params: ModelParams, t: float, m: int,
         raise ValueError("t_order=3 is only available for m=0")
     require_horizon(t, "t")
     lam, c = params.lam, params.c
-    x = lam * t
+    x = require_lambda_t(lam, t)
     log_c, log_lam = math.log(c), math.log(lam)
     log_ct = log_c + math.log(t)
     p = 0.5 * (m + 1)

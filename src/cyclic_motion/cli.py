@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, laws, simulate, verify
-from .laws import SingularStratumError
 from .model import ModelParams, require_horizon
 
 EXIT_OK = 0
@@ -143,13 +142,8 @@ def cmd_density(config: RunConfig) -> int:
         print("density: dim 1 tabulates conditional laws only; "
               "pass --conditionals", file=sys.stderr)
         return EXIT_USAGE
-    cond_laws = {}
-    for n in config.conditionals:
-        try:
-            cond_laws[n] = laws.ConditionalLaw(params, n, config.t)
-        except SingularStratumError as exc:
-            print(f"density: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    cond_laws = {n: laws.ConditionalLaw(params, n, config.t)
+                 for n in config.conditionals}
     ct = params.c * config.t
     masses = laws.singular_masses(params, config.t)
     extra = {}
@@ -273,11 +267,14 @@ def main(argv=None) -> int:
         print(f"{config.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if config.command == "simulate":
-            return cmd_simulate(config)
-        if config.command == "density":
-            return cmd_density(config)
-        return cmd_verify(config)
+        if config.command == "verify":
+            return cmd_verify(config)
+        command = cmd_simulate if config.command == "simulate" else cmd_density
+        try:
+            return command(config)
+        except ValueError as exc:  # a parameter outside a supported range
+            print(f"{config.command}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     except OSError as exc:
         print(f"{config.command}: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

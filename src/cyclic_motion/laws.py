@@ -13,9 +13,14 @@ The density has three equivalent representations, all implemented:
 * `density_u_closed_form` — an I0/I1 expression, valid on the open
   interval only (0/0 at the edge).
 
-Conditional laws given N(t)=n (n >= dim) are exact polynomials in u
-with finite-sum CDFs, and `cdf_u` is the Poisson mixture of those CDFs:
-nothing here integrates numerically.
+Conditional laws given N(t)=n (n >= dim) are exact polynomials in
+y = 1 - (u/ct)^2 with finite-sum CDFs.  A law and any weighted sum of
+laws are one set of coefficient rows (`_Mixture`, built with
+`np.bincount`) evaluated by one Horner loop (`_horner`):
+`ConditionalLaw` holds the rows of one n, and `mixture_density` and
+`cdf_u` evaluate the rows of the Poisson mixture.  Nothing here loops over n or integrates
+numerically.  The means and moments are sums of non-negative terms, so
+nothing cancels at small lam*t.
 """
 
 from __future__ import annotations
@@ -24,11 +29,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
-from .bessel import (KernelPoint, bessel_i_scaled, kernel_derivative,
-                     like_input, scaled_series)
+from .bessel import (MAX_MOMENT, KernelPoint, _sum_exp, _term,
+                     bessel_i_scaled, kernel_derivative, like_input,
+                     require_lambda_t, scaled_series)
 from .model import ModelParams, face_label, require_horizon, VERTEX
 from .simulate import _poisson_table
+
+# Largest lam*t that `cdf_u` and `mixture_density` take (the sampler
+# takes up to `simulate.MAX_MEAN_EVENTS`): their polynomials have degree
+# about lam*t/2, so time and memory grow linearly with it.
+MAX_MIXTURE_EVENTS = 1e6
+# Largest n of a conditional law, for the same reason; it covers every
+# n of the Poisson table at MAX_MIXTURE_EVENTS.
+MAX_SWITCHES = 1 << 20
 
 
 class SingularStratumError(ValueError):
@@ -41,7 +56,8 @@ class SingularStratumError(ValueError):
 
 
 def poisson_pmf(n: int, mu: float) -> float:
-    return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
+    """P(N=n) for N ~ Poisson(mu): a float for an int n, else an array."""
+    return like_input(n, np.exp(-mu + xlogy(n, mu) - gammaln(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -158,6 +174,7 @@ def density_u_closed_form(params: ModelParams, t: float, u):
         raise ValueError("the I0/I1 closed form is planar (dim 2) only")
     require_horizon(t, "t")
     lam, c = params.lam, params.c
+    lt = require_lambda_t(lam, t)
     ct = c * t
     v = np.asarray(u, dtype=float)
     if not np.all((v >= 0) & (v < ct)):
@@ -167,9 +184,9 @@ def density_u_closed_form(params: ModelParams, t: float, u):
     s = ct * ct + v * v
     i0 = bessel_i_scaled(0, xi)
     i1 = bessel_i_scaled(1, xi)
-    return like_input(u, np.exp(xi - lam * t) * (
+    return like_input(u, np.exp(xi - lt) * (
         lam / c * s / p_fac * i0
-        + (lam * t * p_fac - 2.0 * s) / p_fac * i1 / np.sqrt(p_fac)))
+        + (lt * p_fac - 2.0 * s) / p_fac * i1 / np.sqrt(p_fac)))
 
 
 def _require_cond_dim(params: ModelParams) -> None:
@@ -191,20 +208,89 @@ def _cond_shape(params: ModelParams, n):
         raise SingularStratumError(
             f"N={low} < dim={params.dim}: the motion is on a shell stratum "
             "and has no density in u")
+    high = np.max(n, initial=0)
+    if high > MAX_SWITCHES:
+        raise ValueError(f"N={high} above the supported {MAX_SWITCHES}")
     odd = n % 2
     shifted = params.dim > 2 - odd
     return (n - 2 + odd) // 2 - shifted, shifted * (3.0 - 2.0 * odd)
 
 
-def _cond_poly(params: ModelParams, n: int):
-    """(amplitude, j, b): given N=n, V = U/(ct) has density
-    amplitude * (1 - v^2)^j * (1 + b v^2) on [0, 1].
+def _horner(ct: float, x: np.ndarray, rows: np.ndarray, low: int = 0):
+    """(v, y^low sum_k rows[:, k] y^k) at v = x/ct, y = 1 - v^2: one
+    Horner pass for all rows, each result shaped like x."""
+    v = x / ct
+    y = np.ravel((1.0 - v) * (1.0 + v))
+    total = np.zeros((len(rows), y.size))
+    for col in rows.T[::-1]:
+        total = total * y + col[:, None]
+    return v, (total * y ** low).reshape((len(rows),) + v.shape)
 
-    The amplitude n C(n-1, j) / 2^(n-1) is a ratio of exact integers,
-    rounded once, so it stays finite for every n.
+
+class _Mixture:
+    """sum_n weight_n law_n over integer arrays ``ns`` (n >= dim), held as
+    coefficient rows in y = 1 - v^2, v = u/(ct):
+
+        ct * density = y^low (sum_k a_k y^k + v^2 sum_k b_k y^k),
+        CDF = v sum_k c_k y^k.
+
+    Given N=n, V has the density amp (1 - v^2)^j (1 + b v^2) with (j, b)
+    from `_cond_shape`, w = b/(2j+3), alpha_k = C(2k,k)/4^k and amp =
+    (2j+1) alpha_j/(1+w), its normaliser, so a_j and b_j gain weight amp
+    and weight amp b: no density coefficient is negative.  The CDF is
+    (I_{v^2}(1/2, j+1) + w I_{v^2}(3/2, j+1))/(1+w), as a finite sum (DLMF
+    8.17) c_k = alpha_k for k <= j and c_{j+1} = -w amp; so the sum's c_k
+    is alpha_k P(j >= k) plus the weighted c_{j+1} landing on k.  alpha
+    is one cumulative product and each row one `np.bincount`: no loop
+    over n.
     """
-    j, b = _cond_shape(params, n)
-    return n * math.comb(n - 1, j) / 2 ** (n - 1), j, b
+
+    def __init__(self, params: ModelParams, horizon: float, ns, weights):
+        self.params = params
+        self.horizon = require_horizon(horizon, "t")
+        j, b = _cond_shape(params, ns)
+        size = j.max(initial=0) + 1
+        k = np.arange(1, size)
+        alpha = np.cumprod(np.concatenate([[1.0], (2 * k - 1) / (2 * k)]))
+        w = b / (2 * j + 3)
+        amp = weights * (2 * j + 1) * alpha[j] / (1 + w)
+        dens = np.stack([np.bincount(j, amp, size),
+                         np.bincount(j, amp * b, size)])
+        # Leading columns of weight 0 (underflowed Poisson terms) leave
+        # the Horner loop as the factor y^low.
+        self._low = np.flatnonzero(dens[0])[0] if dens.any() else 0
+        self._dens = dens[:, self._low:]
+        at_least = np.cumsum(np.bincount(j, weights, size)[::-1])[::-1]
+        self._cdf = (np.append(alpha * at_least, 0.0)
+                     + np.bincount(j + 1, -w * amp, size + 1))[None]
+
+    def density(self, u):
+        ct = self.params.c * self.horizon
+
+        def poly(x):
+            v, (a, b) = _horner(ct, x, self._dens, self._low)
+            return (a + v * v * b) / ct
+
+        return _on_support(self.params, self.horizon, u, poly)
+
+    def cdf(self, u):
+        ct = self.params.c * self.horizon
+
+        def poly(x):
+            v, (total,) = _horner(ct, x, self._cdf)
+            return v * total
+
+        return _on_support(self.params, self.horizon, np.clip(u, 0.0, ct),
+                           poly)
+
+
+class ConditionalLaw(_Mixture):
+    """The law of U(t) given N(t)=n in dims 1-3 (n >= dim): a one-term
+    `_Mixture` (the KS tests call its `cdf` on arrays)."""
+
+    def __init__(self, params: ModelParams, n: int, horizon: float):
+        super().__init__(params, horizon, np.array([n]), np.ones(1))
+        self.n = n
 
 
 def conditional_density_u(params: ModelParams, n: int, t: float, u):
@@ -212,72 +298,7 @@ def conditional_density_u(params: ModelParams, n: int, t: float, u):
 
     Takes a scalar or an array u and returns a float or an array.
     """
-    amp, j, b = _cond_poly(params, n)
-    ct = params.c * t
-
-    def poly(v):
-        v = v / ct
-        return amp / ct * ((1.0 - v) * (1.0 + v)) ** j * (1.0 + b * v * v)
-
-    return _on_support(params, t, u, poly)
-
-
-def _cdf_coeffs(params: ModelParams, ns, weights) -> np.ndarray:
-    """Coefficients c_k of sum_n weight_n CDF_n = v * sum_k c_k y^k,
-    v = u/(ct), y = 1 - v^2, for integer arrays ``ns`` (n >= dim).
-
-    One CDF is (I_{v^2}(1/2, j+1) + w I_{v^2}(3/2, j+1)) / (1+w) with
-    (j, b) from `_cond_shape` and w = b/(2j+3); as a finite sum (DLMF
-    8.17) its c_k = alpha_k = C(2k,k)/4^k > 0 for k <= j and c_{j+1} =
-    -w (2j+1) alpha_j / (1+w).  No terms cancel, and c_0 = 1 makes it 1
-    at v = 1.  So the mixture's c_k is alpha_k P(j >= k) plus the
-    weighted c_{j+1} landing on k: no loop over n.
-    """
-    j, b = _cond_shape(params, ns)
-    size = j.max(initial=0) + 1
-    k = np.arange(1, size)
-    alpha = np.cumprod(np.concatenate([[1.0], (2 * k - 1) / (2 * k)]))
-    w = b / (2 * j + 3)
-    last = -w * (2 * j + 1) * alpha[j] / (1 + w)
-    at_least = np.cumsum(np.bincount(j, weights, size)[::-1])[::-1]
-    return (np.append(alpha * at_least, 0.0)
-            + np.bincount(j + 1, weights * last, size + 1))
-
-
-def _cdf_horner(params: ModelParams, t: float, u, coeffs: np.ndarray):
-    """v * sum_k coeffs[k] y^k, v = u/(ct), y = 1 - v^2, at u clipped
-    to [0, ct]."""
-    ct = params.c * t
-
-    def horner(x):
-        v = x / ct
-        y = (1.0 - v) * (1.0 + v)
-        total = np.zeros_like(v)
-        for coeff in coeffs[::-1]:
-            total = total * y + coeff
-        return v * total
-
-    return _on_support(params, t, np.clip(u, 0.0, ct), horner)
-
-
-class ConditionalLaw:
-    """The law of U(t) given N(t)=n in dims 1-3 (n >= dim).
-
-    Bundles the polynomial density with its closed-form CDF; `cdf`
-    accepts arrays (used directly by the KS tests).
-    """
-
-    def __init__(self, params: ModelParams, n: int, horizon: float):
-        self.params = params
-        self.n = n
-        self.horizon = require_horizon(horizon, "t")
-        self._coeffs = _cdf_coeffs(params, np.array([n]), np.ones(1))
-
-    def density(self, u):
-        return conditional_density_u(self.params, self.n, self.horizon, u)
-
-    def cdf(self, u):
-        return _cdf_horner(self.params, self.horizon, u, self._coeffs)
+    return ConditionalLaw(params, n, t).density(u)
 
 
 def cdf_u(params: ModelParams, t: float, u):
@@ -285,53 +306,59 @@ def cdf_u(params: ModelParams, t: float, u):
 
     The Poisson mixture of the conditional CDFs over the terms that
     `mixture_density` sums, so it is 0 below 0 and `ac_mass` from ct
-    on: one polynomial in y = 1 - v^2 (`_cdf_coeffs`), evaluated by one
-    Horner loop.  Takes a scalar or an array u and returns a float or an array.
+    on.  Takes a scalar or an array u and returns a float or an array.
     """
-    ns, weights = np.reshape(_poisson_terms(params, t), (-1, 2)).T
-    return _cdf_horner(params, t, u,
-                       _cdf_coeffs(params, ns.astype(int), weights))
+    return _Mixture(params, t, *_poisson_terms(params, t)).cdf(u)
 
 
 def mean_u(params: ModelParams, t: float) -> float:
-    """E U(t) in dim 2, singular part included (overflow-safe)."""
+    """E U(t) in dim 2, singular part included.
+
+    E U = ct (I_0 + I_1)(x) e^{-x} + (2c/lam) e^{-x} (I_0(x) - 1) with
+    x = lam t: the Bessel values scaled, I_0 - 1 summed as its positive
+    series, so nothing cancels at small lam t and nothing overflows at
+    large lam t.
+    """
     if params.dim != 2:
         raise ValueError("the closed-form mean is planar (dim 2) only")
     require_horizon(t, "t")
     lam, c = params.lam, params.c
-    lt = lam * t
-    ct = c * t
-    return float((ct + 2 * c / lam) * bessel_i_scaled(0, lt)
-                 + ct * bessel_i_scaled(1, lt) - 2 * c / lam * math.exp(-lt))
+    lt = require_lambda_t(lam, t)
+    _, log_tail = _term(math.log(2.0 * c / lam), 0.0, lt, 0.0, scaled=True)
+    return float(c * t * (bessel_i_scaled(0, lt) + bessel_i_scaled(1, lt))
+                 + math.exp(log_tail))
 
 
 def moment_u(params: ModelParams, m: int, t: float) -> float:
-    """E U(t)^m in dim 2 by the closed moment formula (m >= 0).
+    """E U(t)^m in dim 2 by the closed moment formula (0 <= m <= `MAX_MOMENT`).
 
-    The formula already absorbs the singular contribution
-    (ct)^m e^{-lam t}(1 + lam t); Bessel factors are evaluated in
-    scaled space.  m=0 reproduces 1 and m=1 reproduces `mean_u` to
-    rounding.
+    With x = lam t, p = (m+1)/2, nu = (m-1)/2 and F_nu = Gamma(nu+1)
+    (2/x)^nu I_nu(x) (as in `kernel_integral`), E U^m is
+
+        e^{-x} [lam (ct)^(m+1) F_p / ((m+1) c) + (ct)^m F_nu
+                + (2 m c / lam) (ct)^(m-1) (F_nu - 1)],
+
+    singular part included.  All three terms are >= 0 and F_nu - 1 is
+    summed as its positive series, so nothing cancels at small lam t;
+    each term is formed in log space, so nothing over- or underflows on
+    its own.  m=0 reproduces 1 and m=1 reproduces `mean_u` to rounding.
     """
     if params.dim != 2:
         raise ValueError("closed-form moments are planar (dim 2) only")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    if not 0 <= m <= MAX_MOMENT:
+        raise ValueError(f"m must be in 0..{MAX_MOMENT}, got {m}")
     require_horizon(t, "t")
     lam, c = params.lam, params.c
-    lt = lam * t
-    ct = c * t
-    a_big = 2.0 * c * c * t / lam
-    gam = math.gamma(0.5 * (m + 1))
-    ive_hi = bessel_i_scaled(0.5 * (m + 1), lt)
-    ive_lo = bessel_i_scaled(0.5 * (m - 1), lt)
-    pow_hi = a_big ** (0.5 * (m + 1))
-    total = 0.5 * lam * gam * pow_hi * ive_hi \
-        + gam * ive_lo * (0.5 * lam * pow_hi
-                          + 2.0 * m * c * c / lam * a_big ** (0.5 * (m - 1)))
+    lt = require_lambda_t(lam, t)
+    log_ct = math.log(c * t)
+    p, nu = 0.5 * (m + 1), 0.5 * (m - 1)
+    terms = [_term(math.log(lam / c) + (m + 1) * log_ct - math.log(m + 1),
+                   p, lt, 1.0, scaled=True),
+             _term(m * log_ct, nu, lt, 1.0, scaled=True)]
     if m > 0:
-        total -= 2.0 / lam * m * c * c * ct ** (m - 1) * math.exp(-lt)
-    return float(total / c)
+        terms.append(_term(math.log(2.0 * m * c / lam) + (m - 1) * log_ct,
+                           nu, lt, 0.0, scaled=True))
+    return _sum_exp(terms)
 
 
 def conditional_mean_u(n: int) -> float:
@@ -377,15 +404,28 @@ def conditional_mean_catalan(n: int) -> float:
         / (2 ** (2 * k + 1) * (k + 2))
 
 
-def _poisson_terms(params: ModelParams, t: float) -> list[tuple[int, float]]:
-    """(n, P(N=n)) from n = dim to where the sampler's Poisson table
+def _poisson_terms(params: ModelParams,
+                   t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ns, P(N=ns)) for n = dim up to where the sampler's Poisson table
     stops, at the first n with P(N > n) < 2**-60.  Dims outside 1-3
-    raise even when that list would be empty."""
+    raise even when the arrays would be empty, and so does lam*t above
+    `MAX_MIXTURE_EVENTS`."""
     _require_cond_dim(params)
     require_horizon(t, "t")
     lt = params.lam * t
+    if lt > MAX_MIXTURE_EVENTS:
+        raise ValueError(f"lam*t={lt:g} above the supported "
+                         f"{MAX_MIXTURE_EVENTS:g} of the Poisson mixtures")
     lo, cdf = _poisson_table(lt)
-    return [(n, poisson_pmf(n, lt)) for n in range(params.dim, lo + cdf.size)]
+    # Products of the term ratios k/lt and lt/k away from the mode, over
+    # the table (its tails hold < 2**-59): 4e-15 at lt = 1e5, where
+    # lgamma's rounding gives 3e-10.
+    k = np.arange(min(params.dim, lo), lo + cdf.size)
+    mode = min(int(lt), k[-1])
+    down = np.cumprod(k[(k > k[0]) & (k <= mode)][::-1] / lt)[::-1]
+    ratios = np.concatenate([down, [1.0], np.cumprod(lt / k[k > mode])])
+    keep = k >= params.dim
+    return k[keep], ratios[keep] / ratios.sum()
 
 
 def mixture_density(params: ModelParams, t: float, u):
@@ -394,9 +434,4 @@ def mixture_density(params: ModelParams, t: float, u):
     Takes a scalar or an array u and returns a float or an array (zeros
     where the Poisson table ends before n = dim).  Dims 1-3 only.
     """
-    def mixture(v):
-        return sum((weight * conditional_density_u(params, n, t, v)
-                    for n, weight in _poisson_terms(params, t)),
-                   np.zeros_like(v))
-
-    return _on_support(params, t, u, mixture)
+    return _Mixture(params, t, *_poisson_terms(params, t)).density(u)

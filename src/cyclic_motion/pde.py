@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laws, simulate
-from .model import Direction, ModelParams
+from .model import Direction, ModelParams, require_horizon
 from .stats import TestReport
 
 
@@ -231,6 +231,11 @@ def planar_fourth_order_residual(params: ModelParams, grid: GridSpec,
                           max_abs=max_abs)
 
 
+# Largest n of `conditional_cf`: its expm is (n+1) x (n+1), so time
+# grows like n^3 (0.3 s at n = 400, 4 s at n = 1000) and memory like n^2.
+MAX_CF_SWITCHES = 500
+
+
 def cf_theta(k: int, j: int, omega) -> float:
     """theta_k = <omega, direction of the k-th segment> for initial
     direction j (k = 1 is j itself); ``len(omega)`` is the dimension."""
@@ -250,11 +255,14 @@ def conditional_cf(params: ModelParams, n: int, j: int, omega,
     the n! (with ones, the entry is lost to rounding by n ~ 20).
     """
     from scipy.linalg import expm  # here, not at the top: start-up time
+    t = require_horizon(t, "t")
     if len(omega) != params.dim:
         raise ValueError(f"omega must have dim={params.dim} components")
+    if not np.all(np.isfinite(omega)):
+        raise ValueError(f"omega must be finite, got {tuple(omega)}")
     Direction(j, params.dim)  # rejects j outside 1..2d
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= MAX_CF_SWITCHES:
+        raise ValueError(f"n must be in 0..{MAX_CF_SWITCHES}, got {n}")
     z = [1j * params.c * t * cf_theta(k, j, omega) for k in range(1, n + 2)]
     return complex(expm(np.diag(z) + np.diag(np.arange(1.0, n + 1), 1))[0, n])
 

@@ -149,9 +149,11 @@ def test_density_dim4_rejected(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 1
 
 
-def test_density_conditional_below_dim_rejected(tmp_path):
+def test_density_conditional_below_dim_rejected(tmp_path, capsys):
     assert run_cli("density", "--dim", "3", "--conditionals", "2",
                    "--out", str(tmp_path / "x.csv")) == 1
+    assert capsys.readouterr().err.startswith("density: N=2 < dim=3")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_bad_arguments_exit_1(tmp_path, capsys):
@@ -184,6 +186,33 @@ def test_non_finite_horizon_exit_1(tmp_path, capsys, command, horizon):
     assert run_cli(command, "--t", horizon, "--seed", "1",
                    "--out", str(tmp_path / "x.csv")) == 1
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_density_at_vanishing_lambda_t(tmp_path):
+    # lam*t underflows to 0: P(N=0) = 1 and nothing is left for the
+    # a.c. part; the moments are those of the point mass at ct
+    out = tmp_path / "d.csv"
+    assert run_cli("density", "--dim", "2", "--lambda", "1e-300",
+                   "--t", "1e-300", "--points", "3", "--out", str(out)) == 0
+    headers, rows = read_csv(out)
+    assert headers["ac_mass"] == "0.0"
+    assert headers["singular_mass_vertex"] == "1.0"
+    assert float(headers["mean_u"]) == 1e-300
+    assert len(rows) == 3
+    assert run_cli("density", "--dim", "2", "--lambda", "1e-16",
+                   "--points", "3", "--out", str(out)) == 0
+    headers, _ = read_csv(out)
+    assert float(headers["mean_u"]) == pytest.approx(1.0, rel=1e-15)
+    assert float(headers["moment2_u"]) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("command", ["simulate", "density"])
+def test_lambda_t_above_the_supported_range_exit_1(tmp_path, capsys, command):
+    size = ("--count", "1") if command == "simulate" else ("--points", "3")
+    assert run_cli(command, "--lambda", "1e9", *size, "--seed", "1",
+                   "--out", str(tmp_path / "x.csv")) == 1
+    assert "above the supported" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

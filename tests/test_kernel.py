@@ -34,6 +34,18 @@ def test_kernel_point_validation():
     assert edge.xi == 0.0
 
 
+@pytest.mark.parametrize("t", [float("inf"), float("nan")])
+def test_kernel_point_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="finite"):
+        KernelPoint(P11, t, 0.1)
+
+
+def test_kernel_point_at_t_zero():
+    origin = KernelPoint(P11, 0.0, 0.0)
+    assert origin.p_factor == 0.0
+    assert kernel_derivative(origin) == 1.0
+
+
 def test_unsupported_orders_rejected():
     pt = KernelPoint(P11, 1.0, 0.5)
     for bad in ((4, 0), (0, 3), (1, 1), (2, 2), (2, 1), (3, 2)):

@@ -1,12 +1,14 @@
 """Radius laws: frozen oracle values, identities, and consistency."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from cyclic_motion import laws
+from cyclic_motion import laws, verify
+from cyclic_motion.bessel import MAX_MOMENT
 from cyclic_motion.laws import (ConditionalLaw, SingularStratumError, ac_mass,
                                 cdf_u, conditional_density_u,
                                 conditional_mean_catalan,
@@ -274,7 +276,7 @@ def test_conditional_cdf_matches_betainc(dim, n):
     t = 1.3
     ct = params.c * t
     law = ConditionalLaw(params, n, t)
-    _, j, b = laws._cond_poly(params, n)
+    j, b = laws._cond_shape(params, n)
     w = b / (2 * j + 3)
     v = np.linspace(0.0, 1.0, 10_001)
     want = (special.betainc(0.5, j + 1, v * v)
@@ -302,10 +304,26 @@ def test_cdf_u_is_the_per_term_mixture(dim, lt):
     params = ModelParams(c=1.0, lam=lt, dim=dim)
     us = np.linspace(-0.1, 1.1, 1001)
     want = sum(weight * ConditionalLaw(params, n, 1.0).cdf(us)
-               for n, weight in laws._poisson_terms(params, 1.0))
+               for n, weight in zip(*laws._poisson_terms(params, 1.0)))
     got = cdf_u(params, 1.0, us)
     assert np.max(np.abs(got - want)) < 1e-14
     assert cdf_u(params, 1.0, float(us[417])) == got[417]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("lt", [1.0, 100.0, 1000.0])
+def test_mixture_density_is_the_per_term_mixture(dim, lt):
+    # one set of summed rows against the P(N=n)-weighted conditional
+    # densities, each a row set of its own
+    params = ModelParams(c=1.0, lam=lt, dim=dim)
+    us = np.linspace(-0.1, 1.1, 1001)
+    want = sum(weight * ConditionalLaw(params, n, 1.0).density(us)
+               for n, weight in zip(*laws._poisson_terms(params, 1.0)))
+    got = mixture_density(params, 1.0, us)
+    big = want > 1e-250
+    np.testing.assert_allclose(got[big], want[big], rtol=1e-13, atol=0)
+    assert np.all(got[~big] < 1e-240)
+    assert mixture_density(params, 1.0, float(us[417])) == got[417]
 
 
 def test_conditional_cdf_properties():
@@ -383,6 +401,69 @@ def test_moment_vs_quadrature_oracle():
             lambda x: x ** m * density_u(P2, t, x), 0.0, 1.0,
             points=[1.0 - 1e-6], epsabs=1e-12, epsrel=1e-12, limit=200)
         assert moment_u(P2, m, t) == pytest.approx(quad + sing, abs=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.1, 1e-3, 1e-6, 1e-8])
+def test_moments_at_small_lambda_t_match_oracle(lam):
+    # three non-negative terms: nothing cancels as lam*t -> 0, so
+    # E U^2 stays at or below (ct)^2
+    params = ModelParams(c=1.0, lam=lam, dim=2)
+    for m in (0, 1, 2, 4):
+        want = verify._moment_oracle(params, 1.0, m)
+        assert moment_u(params, m, 1.0) == pytest.approx(want, rel=1e-14)
+    assert mean_u(params, 1.0) == pytest.approx(
+        verify._moment_oracle(params, 1.0, 1), rel=1e-14)
+    assert moment_u(params, 2, 1.0) <= 1.0 + 4e-16
+
+
+def test_moments_stay_finite_at_extreme_arguments():
+    # every term is formed in log space: no overflow as lam -> 0 or for
+    # m up to MAX_MOMENT
+    tiny = ModelParams(c=1.0, lam=1e-300, dim=2)
+    assert moment_u(tiny, 2, 1.0) == 1.0
+    assert mean_u(tiny, 1.0) == 1.0
+    assert mean_u(ModelParams(c=1.0, lam=1e-16, dim=2), 1.0) == \
+        pytest.approx(1.0, rel=1e-15)
+    assert 0.0 < moment_u(P2, 400, 1.0) < 1.0
+    assert 0.0 < moment_u(P2, MAX_MOMENT, 1.0) < moment_u(P2, 400, 1.0)
+    with pytest.raises(ValueError):
+        moment_u(P2, MAX_MOMENT + 1, 1.0)
+
+
+@pytest.mark.parametrize("lt", [1e3, 1e5, 1e8])
+def test_first_moment_is_the_mean_at_large_lambda_t(lt):
+    # every term is scaled by e^{-lam t} before its log is taken, so the
+    # size of lam*t costs no digits
+    params = ModelParams(c=1.0, lam=lt, dim=2)
+    assert moment_u(params, 1, 1.0) == pytest.approx(mean_u(params, 1.0),
+                                                     rel=1e-14)
+    assert moment_u(params, 0, 1.0) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_poisson_pmf_forms():
+    assert laws.poisson_pmf(0, 0.0) == 1.0
+    assert laws.poisson_pmf(3, 0.0) == 0.0
+    assert isinstance(laws.poisson_pmf(2, 1.5), float)
+    ns = np.arange(40)
+    got = laws.poisson_pmf(ns, 7.5)
+    want = [math.exp(-7.5) * 7.5 ** n / math.factorial(n) for n in ns]
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_poisson_terms_are_exact_term_ratios():
+    # P(N=n)/P(N=1000) at lam*t = 1000 as exact rationals; lgamma's
+    # rounding alone is 1e-12 there
+    params = ModelParams(c=1.0, lam=1000.0, dim=2)
+    ns, weights = laws._poisson_terms(params, 1.0)
+    mode = weights[ns == 1000][0]
+    for n, weight in zip(ns[(ns >= 800) & (ns <= 1200)][::9],
+                         weights[(ns >= 800) & (ns <= 1200)][::9]):
+        exact = (Fraction(1000) ** (int(n) - 1000)
+                 * Fraction(math.factorial(1000), math.factorial(int(n))))
+        assert weight / mode == pytest.approx(float(exact), rel=1e-13)
+    # the table's tails hold < 2**-59, so the terms from n = dim sum to
+    # the a.c. mass
+    assert weights.sum() == pytest.approx(ac_mass(params, 1.0), abs=1e-15)
 
 
 def test_mean_short_time_limit():

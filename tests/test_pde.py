@@ -262,6 +262,27 @@ def test_cf_quadrature_guards():
         conditional_cf(P3, 1, 1, (1.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0, 0.0])
+def test_cf_rejects_bad_horizon(t):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        conditional_cf(P2, 2, 1, (1.0, 0.0), t)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        average_cf(P2, 2, (1.0, 0.0), t)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        cf_recursion_check(P2, 2, 1, (1.0, 0.0), t)
+
+
+@pytest.mark.parametrize("omega", [(float("nan"), 0.0), (0.5, float("inf")),
+                                   (float("-inf"), 1.0)])
+def test_cf_rejects_non_finite_omega(omega):
+    with pytest.raises(ValueError, match="omega must be finite"):
+        conditional_cf(P2, 2, 1, omega, 1.0)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        average_cf(P2, 2, omega, 1.0)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        cf_recursion_check(P2, 2, 1, omega, 1.0)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("j", [1, 4])
 def test_cf_recursion_second_order(n, j):
