@@ -1,0 +1,86 @@
+"""Byte pins of `simulate_ensemble` output under sampler `classsum-1`.
+
+Each case hashes the raw bytes of `u`, `n_events`, `positions`,
+`initial_direction` and `final_direction`, so any change of the kernel
+that moves one bit (a signed zero included: the CSV writes ``-0.0``)
+fails here.  The cases cover dims 1, 2, 3 and 8, lam*t 1, 16 and 1024
+(at 16 one block mixes classes with m <= 3 and m > 3; at 4 in dim 1,
+rows with m = 0 sit next to rows with m > 3) and conditioning
+n = 0, 6 and 40; the large case spans more than one row block and ends
+in a partial one, and it is rerun with a small block size, since block
+size and layout must not change a byte.
+
+The digests hold for one numpy build: its SIMD log, cos and sqrt could
+differ in the last bit on another CPU.  A new `SAMPLER_ID` is the only
+reason to change them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from cyclic_motion import simulate
+from cyclic_motion.model import ModelParams
+
+FIELDS = ("u", "n_events", "positions", "initial_direction",
+          "final_direction")
+
+# (dim, lam, horizon, count, seed, conditioning) -> sha256
+CASES = {
+    (1, 1.0, 1.0, 3000, 11, None):
+        "e0e986706dc472ef5fad9324dfc50a87898f610391e01a9a029fe26c6da7a9b3",
+    (2, 16.0, 1.0, 20_000, 12, None):
+        "e7f7e9a0d9e81a5445b7962360a973b903ecea8f08ef5798b04bb1057a52f699",
+    (3, 1.0, 1.0, 3000, 13, 6):
+        "943b00af818d66aaffefeb6d8ac131004521cc0ae17dcf015e272c3d77ad91e0",
+    (3, 512.0, 2.0, 3000, 14, None):
+        "87c22573513e8205e64fd3a2eb9719357a30a10f8ebfd7f75ed47ad8afb53489",
+    (8, 16.0, 1.0, 3000, 15, None):
+        "eaf790bd830d06b66707b309524696e012fe2b95c611f57cd32aa27eb285d5de",
+    (8, 1024.0, 1.0, 3000, 16, None):
+        "d70fe65637a7073c55513c8dc71b792bb9056a4cc09d0ecdd423b96521ce2d74",
+    (2, 1.0, 1.0, 3000, 17, 0):
+        "130b701ebe7654b5ef4dec92b94a815420bff008426b196584b6c387d1741ab3",
+    (2, 1.0, 1.0, 3000, 18, 40):
+        "c3852ba64f8c215f8f8a06a7db8c1327c81d77fbe4b60dcda94e4554592f7478",
+    (8, 1.0, 1.0, 3000, 19, 40):
+        "953a52b852355278e9c88f09504c466b08899dd34f276d5218f5ace491902c52",
+    # lam*t = 4 in dim 1: rows with m = 0 share blocks with rows m > 3
+    (1, 4.0, 1.0, 3000, 20, None):
+        "14a480a1787089f330fd1609a48fe89749d5755c8d0209144ac2b7f0a5390b28",
+}
+
+
+def digest(s: simulate.SampleSet) -> str:
+    h = hashlib.sha256()
+    for name in FIELDS:
+        h.update(np.ascontiguousarray(getattr(s, name)).tobytes())
+    return h.hexdigest()
+
+
+def _run(case):
+    dim, lam, horizon, count, seed, n = case
+    return simulate.simulate_ensemble(ModelParams(c=0.75, lam=lam, dim=dim),
+                                      horizon, count, seed, conditioning=n)
+
+
+def test_sampler_id_is_pinned():
+    assert simulate.SAMPLER_ID == "classsum-1"
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=str)
+def test_ensemble_bytes_are_pinned(case):
+    assert digest(_run(case)) == CASES[case]
+
+
+def test_large_case_spans_blocks():
+    case = (2, 16.0, 1.0, 20_000, 12, None)
+    assert simulate._BLOCK_ROWS < case[3] < 2 * simulate._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1000, 4096])
+def test_block_size_changes_no_byte(monkeypatch, rows):
+    case = (2, 16.0, 1.0, 20_000, 12, None)
+    monkeypatch.setattr(simulate, "_BLOCK_ROWS", rows)
+    assert digest(_run(case)) == CASES[case]
