@@ -44,6 +44,8 @@ MAX_MIXTURE_EVENTS = 1e6
 # Largest n of a conditional law, for the same reason; it covers every
 # n of the Poisson table at MAX_MIXTURE_EVENTS.
 MAX_SWITCHES = 1 << 20
+# Block values per row that `_horner` holds at once (points x blocks).
+_HORNER_ENTRIES = 1 << 16
 
 
 class SingularStratumError(ValueError):
@@ -217,14 +219,39 @@ def _cond_shape(params: ModelParams, n):
 
 
 def _horner(ct: float, x: np.ndarray, rows: np.ndarray, low: int = 0):
-    """(v, y^low sum_k rows[:, k] y^k) at v = x/ct, y = 1 - v^2: one
-    Horner pass for all rows, each result shaped like x."""
+    """(v, y^low sum_k rows[:, k] y^k) at v = x/ct, y = 1 - v^2, each
+    result shaped like x.
+
+    Two-level Horner: the K columns go in about sqrt(K)/2 blocks of
+    equal width (zero-padded at the top); one Horner pass over the
+    columns evaluates every block at once, and one over the blocks, in
+    y^width, chains them.  The loop runs about 2.5 sqrt(K) times, not K;
+    rows under 16 columns stay one plain Horner pass.  Every step is
+    elementwise, so a point's value does not depend on the other
+    points.  Points go in chunks of `_HORNER_ENTRIES` / blocks.
+    """
     v = x / ct
     y = np.ravel((1.0 - v) * (1.0 + v))
-    total = np.zeros((len(rows), y.size))
-    for col in rows.T[::-1]:
-        total = total * y + col[:, None]
-    return v, (total * y ** low).reshape((len(rows),) + v.shape)
+    count, size = rows.shape
+    blocks = max(1, math.isqrt(size) // 2)
+    width = -(-size // blocks)
+    coeffs = np.zeros((count, blocks * width))
+    coeffs[:, :size] = rows
+    coeffs = coeffs.reshape(count, blocks, width, 1)
+    total = np.zeros((count, y.size))
+    step = max(1, _HORNER_ENTRIES // blocks)
+    for first in range(0, y.size, step):
+        part = y[first:first + step]
+        acc = np.zeros((count, blocks, part.size))
+        for k in range(width - 1, -1, -1):
+            acc *= part
+            acc += coeffs[:, :, k]
+        chained = total[:, first:first + step]
+        shift = part ** width
+        for b in range(blocks - 1, -1, -1):
+            chained *= shift
+            chained += acc[:, b]
+    return v, (total * y ** low).reshape((count,) + v.shape)
 
 
 class _Mixture:
@@ -420,12 +447,30 @@ def _poisson_terms(params: ModelParams,
     # Products of the term ratios k/lt and lt/k away from the mode, over
     # the table (its tails hold < 2**-59): 4e-15 at lt = 1e5, where
     # lgamma's rounding gives 3e-10.
-    k = np.arange(min(params.dim, lo), lo + cdf.size)
-    mode = min(int(lt), k[-1])
-    down = np.cumprod(k[(k > k[0]) & (k <= mode)][::-1] / lt)[::-1]
-    ratios = np.concatenate([down, [1.0], np.cumprod(lt / k[k > mode])])
+    first, last = min(params.dim, lo), lo + cdf.size - 1
+    mode = min(int(lt), last)
+    down = _normal_cumprod(np.arange(mode, first, -1) / lt)[::-1]
+    ratios = np.concatenate([down, [1.0],
+                             np.cumprod(lt / np.arange(mode + 1, last + 1))])
+    k = np.arange(last + 1 - ratios.size, last + 1)
     keep = k >= params.dim
     return k[keep], ratios[keep] / ratios.sum()
+
+
+def _normal_cumprod(r: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    """``np.cumprod(r)`` for factors r <= 1, cut after the first chunk
+    that ends below the normal range (2**-1022): the products left only
+    shrink, weigh nothing next to the leading 1, and subnormal arithmetic
+    is slow (the left Poisson tail at lam*t = 1e6 has 1e6 terms)."""
+    parts, run = [], 1.0
+    for start in range(0, r.size, chunk):
+        seg = r[start:start + chunk].copy()
+        seg[0] *= run
+        parts.append(np.cumprod(seg))
+        run = parts[-1][-1]
+        if run < np.finfo(float).tiny:
+            break
+    return np.concatenate(parts) if parts else r
 
 
 def mixture_density(params: ModelParams, t: float, u):

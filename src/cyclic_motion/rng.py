@@ -52,8 +52,8 @@ def mix64(z: int) -> int:
     return z
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser applied to a uint64 array in place."""
     z ^= z >> _SHIFT_30
     z *= _U_MIX1
     z ^= z >> _SHIFT_27
@@ -71,9 +71,9 @@ def substream_keys(seed: int, start: int, count: int) -> np.ndarray:
     """Keys of substreams ``start .. start+count-1`` as a uint64 array."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        keys = _mix64_vec(idx * _U_GOLDEN)
+        keys = _mix64_inplace(idx * _U_GOLDEN)
         keys ^= np.uint64(seed & _MASK)
-        return _mix64_vec(keys)
+        return _mix64_inplace(keys)
 
 
 def stream_value(key: int, j: int) -> int:
@@ -84,15 +84,22 @@ def stream_value(key: int, j: int) -> int:
 def uniform_column(keys: np.ndarray, j) -> np.ndarray:
     """Value ``j`` of every substream in ``keys``, mapped to (0, 1).
 
-    ``j`` is one slot for every key, or an integer array holding one
-    slot per key.  The top 53 bits are used and the result is offset by
-    half an ulp so that 0 and 1 are never returned; ``-log(u)`` is
-    always finite.
+    ``j`` is one slot for every key or an integer array of slots that
+    broadcasts against ``keys``; the result has the broadcast shape.
+    A block of slots for the same keys is one call with ``keys``
+    broadcast to the block's shape (``np.broadcast_to`` makes no copy).
+    The top 53 bits are used and the result is offset by half an ulp
+    so that 0 and 1 are never returned; ``-log(u)`` is always finite.
     """
     with np.errstate(over="ignore"):
-        offset = (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _U_GOLDEN
-        z = _mix64_vec(keys + offset)
-    return ((z >> _SHIFT_11).astype(np.float64) + 0.5) * _TO_UNIT
+        z = keys + (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _U_GOLDEN
+        _mix64_inplace(z)
+    z >>= _SHIFT_11
+    # z < 2**53: the signed view converts exactly, and faster
+    u = z.view(np.int64).astype(np.float64)
+    u += 0.5
+    u *= _TO_UNIT
+    return u
 
 
 def uniform_value(key: int, j: int) -> float:

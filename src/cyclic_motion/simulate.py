@@ -41,10 +41,16 @@ SAMPLER_ID = "classsum-1"
 # Largest supported lam*t of an unconditioned ensemble (the Poisson
 # inversion table holds about 20 sqrt(lam*t) entries).
 MAX_MEAN_EVENTS = 1e8
+# Largest supported conditioning n: n + 1 fits int64 and every class
+# size converts to float exactly.
+MAX_CONDITIONING = 2 ** 53
 
 _BLOCK_ROWS = 1 << 14
 _TAIL = 2.0 ** -60
 _EXP_TERMS = 3  # Gamma(m) with m <= 3 is a sum of m exponentials
+# A class whose lanes fill this share of a block's rows is drawn over
+# all the rows, masked; below it, lane by lane.
+_DENSE_SHARE = 0.5
 # Substream slots: initial direction, Poisson draw, then _EXP_TERMS
 # exponential slots per class, then 3 slots per class per rejection
 # attempt (a Box-Muller pair and the acceptance uniform).
@@ -195,7 +201,10 @@ def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
     k = np.arange(max(0, int(mu - half)), int(mu + half) + 1)
     cdf = special.pdtr(k, mu)
     first = int(np.searchsorted(cdf, _TAIL))
-    last = int(np.argmax(special.pdtrc(k, mu) < _TAIL))
+    # Below floor(mu) lies below the median (>= mu - ln 2), where
+    # P(N > k) >= 1/2: the upper tail is searched from floor(mu) on.
+    above = int(np.searchsorted(k, math.floor(mu)))
+    last = above + int(np.argmax(special.pdtrc(k[above:], mu) < _TAIL))
     cdf = cdf[first:last + 1]
     cdf[-1] = 1.0
     return int(k[first]), cdf
@@ -211,34 +220,92 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     Marsaglia-Tsang (2000) rejection method with a Box-Muller normal;
     attempt a of class q reads the three slots from
     ``_SLOT_EXP + _EXP_TERMS*2d + 3*(2d*a + q)``.
+
+    Each exponential term and the first rejection attempt is drawn
+    densely for the classes where at least `_DENSE_SHARE` of the rows
+    need it, over all their rows, and masks keep the lanes that count;
+    the other lanes, and the rejected ones (about 2%), are drawn one
+    entry per lane.  Either way a lane reads the same slots and does
+    the same float operations, so the split changes no byte.
     """
-    two_d = m.shape[0]
+    two_d, rows = m.shape
     g = np.zeros(m.shape)
-    for q in range(two_d):
-        small = m[q] <= _EXP_TERMS
-        for k in range(_EXP_TERMS):
-            rows = np.flatnonzero(small & (m[q] > k))
-            if rows.size == 0:
-                break
-            g[q, rows] -= np.log(rng.uniform_column(
-                keys[rows], _SLOT_EXP + _EXP_TERMS * q + k))
-    q, i = np.nonzero(m > _EXP_TERMS)
-    shape = m[q, i] - 1.0 / 3.0
+    flat = g.reshape(-1)  # a view: lane (q, i) is entry q*rows + i
+    small = m <= _EXP_TERMS
+    for k in range(_EXP_TERMS):
+        lanes = small & (m > k)
+        need = np.count_nonzero(lanes, axis=1)
+        slot = _SLOT_EXP + _EXP_TERMS * np.arange(two_d) + k
+        dense = np.flatnonzero(need >= _DENSE_SHARE * rows)
+        e = np.log(rng.uniform_column(np.broadcast_to(keys, (dense.size, rows)),
+                                      slot[dense, None]))
+        e *= lanes[dense]  # a masked lane subtracts -0.0: no change
+        g[dense] -= e
+        sparse = np.flatnonzero((need > 0) & (need < _DENSE_SHARE * rows))
+        r, i = np.divmod(np.flatnonzero(lanes[sparse]), rows)
+        q = sparse[r]
+        flat[q * rows + i] -= np.log(rng.uniform_column(keys[i], slot[q]))
+    lanes = m > _EXP_TERMS
+    # m[q] does not grow with q, so the dense classes come first.
+    dense = np.count_nonzero(np.count_nonzero(lanes, axis=1)
+                             >= _DENSE_SHARE * rows)
+    first = _SLOT_EXP + _EXP_TERMS * two_d + 3 * np.arange(two_d)
+    # Masked lanes get a harmless shape, so they raise no warning.
+    shape = np.maximum(m[:dense], _EXP_TERMS + 1) - 1.0 / 3.0
+    v, accept = _tsang_attempt(np.broadcast_to(keys, shape.shape),
+                               first[:dense, None], shape,
+                               1.0 / np.sqrt(9.0 * shape))
+    accept &= lanes[:dense]
+    v *= shape
+    np.copyto(g[:dense], v, where=accept)
+    # Lanes left: rejected dense ones from attempt 1, sparse ones from 0.
+    lanes[:dense] &= ~accept
+    f = np.flatnonzero(lanes)
+    q, i = np.divmod(f, rows)
+    slot = first[q] + 3 * two_d * (q < dense)
+    shape = m.reshape(-1)[f] - 1.0 / 3.0
     spread = 1.0 / np.sqrt(9.0 * shape)
-    slot = _SLOT_EXP + _EXP_TERMS * two_d + 3 * q
-    while i.size:
-        kk = keys[i]
-        x = (np.sqrt(-2.0 * np.log(rng.uniform_column(kk, slot)))
-             * np.cos(2.0 * np.pi * rng.uniform_column(kk, slot + 1)))
-        v = (1.0 + spread * x) ** 3
-        with np.errstate(invalid="ignore", divide="ignore"):
-            accept = (v > 0) & (np.log(rng.uniform_column(kk, slot + 2))
-                                < 0.5 * x * x + shape * (1.0 - v + np.log(v)))
-        g[q[accept], i[accept]] = shape[accept] * v[accept]
+    while f.size:
+        v, accept = _tsang_attempt(keys[i], slot, shape, spread)
+        flat[f[accept]] = shape[accept] * v[accept]
         reject = ~accept
-        i, q, shape, spread = i[reject], q[reject], shape[reject], spread[reject]
+        f, i, shape, spread = f[reject], i[reject], shape[reject], spread[reject]
         slot = slot[reject] + 3 * two_d
     return g
+
+
+def _tsang_attempt(keys, slot, shape, spread):
+    """One Marsaglia-Tsang attempt per lane: ``(v, accept)``, the variate
+    being ``shape * v``.  Reads slots ``slot .. slot+2``; every argument
+    broadcasts to the lanes' shape."""
+    x = np.log(rng.uniform_column(keys, slot))
+    x *= -2.0
+    np.sqrt(x, out=x)
+    c = rng.uniform_column(keys, slot + 1)
+    c *= 2.0 * np.pi
+    x *= np.cos(c, out=c)
+    v = spread * x
+    v += 1.0
+    v **= 3
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bound = 1.0 - v
+        bound += np.log(v)
+    bound *= shape
+    x *= 0.5 * x
+    bound += x
+    accept = np.log(rng.uniform_column(keys, slot + 2)) < bound
+    accept &= v > 0
+    return v, accept
+
+
+def _l1(x: np.ndarray) -> np.ndarray:
+    """sum_a |x[a]| over the rows of x, added in the order numpy sums a
+    row of ``dim`` floats (``np.abs(pos).sum(axis=1)``): left to right,
+    and as the pairwise tree ((0+1)+(2+3))+((4+5)+(6+7)) for 8 terms."""
+    a = np.abs(x)
+    if len(a) == 8:
+        return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    return a.sum(axis=0)
 
 
 def simulate_ensemble(params: ModelParams, horizon: float, count: int,
@@ -252,37 +319,47 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     t = require_horizon(horizon)
     if conditioning is not None and conditioning < 0:
         raise ValueError("conditioning must be >= 0")
+    if conditioning is not None and conditioning > MAX_CONDITIONING:
+        raise ValueError(f"conditioning n={conditioning} above the "
+                         f"supported 2**53")
     dim, two_d = params.dim, params.n_directions
     if conditioning is None:
         lo, cdf = _poisson_table(params.lam * t)
+    ct = params.c * t
     classes = np.arange(two_d)
+    axes = np.arange(dim)[:, None]
     n_events = np.empty(count, dtype=np.int64)
     j0 = np.empty(count, dtype=np.int64)
     pos = np.empty((count, dim))
+    u = np.empty(count)
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
-        keys = rng.substream_keys(seed, start, stop - start)
+        rows = stop - start
+        keys = rng.substream_keys(seed, start, rows)
         j = (rng.uniform_column(keys, _SLOT_DIRECTION) * two_d).astype(np.int64)
         if conditioning is None:
             n = lo + np.searchsorted(cdf, rng.uniform_column(keys, _SLOT_POISSON))
         else:
-            n = np.full(keys.size, int(conditioning), dtype=np.int64)
+            n = np.full(rows, int(conditioning), dtype=np.int64)
         # Segment k runs along class k mod 2d; class q holds m_q segments.
         segs = n + 1
         g = _class_gammas(keys, segs // two_d
                           + (classes[:, None] < segs % two_d))
-        # Class q runs along cycle direction (j + q) mod 2d.
-        dirs = j + classes[:, None]
-        dirs[dirs >= two_d] -= two_d
-        h = np.empty_like(g)
-        h[dirs, np.arange(keys.size)] = g
-        pos[start:stop] = params.c * t * ((h[:dim] - h[dim:])
-                                          / g.sum(axis=0)).T
+        # diff[r] is class r minus its opposite class r + d (mod 2d).
+        diff = np.empty_like(g)
+        np.subtract(g[:dim], g[dim:], out=diff[:dim])
+        np.subtract(g[dim:], g[:dim], out=diff[dim:])
+        # Class q runs along cycle direction (j + q) mod 2d, so axis a
+        # reads diff[(a - j) mod 2d]: flat entries wrap modulo 2d*rows.
+        x = diff.reshape(-1).take(axes * rows + (np.arange(rows) - j * rows),
+                                  mode="wrap")
+        x /= g.sum(axis=0)
+        x *= ct
+        # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
+        u[start:stop] = np.where(n < dim, ct, _l1(x))
+        pos[start:stop] = x.T
         n_events[start:stop] = n
         j0[start:stop] = j + 1
-    ct = params.c * t
-    # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
-    u = np.where(n_events < dim, ct, np.abs(pos).sum(axis=1))
     final = (j0 - 1 + n_events) % two_d + 1
     return SampleSet(params=params, horizon=t, conditioning=conditioning,
                      seed=seed, u=u, n_events=n_events, positions=pos,

@@ -216,6 +216,15 @@ def test_lambda_t_above_the_supported_range_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("n", ["9223372036854775807", "99999999999999999999"])
+def test_condition_n_above_the_supported_range_exit_1(tmp_path, capsys, n):
+    # n + 1 would overflow int64 and turn every output into NaN
+    assert run_cli("simulate", "--condition-n", n, "--count", "1",
+                   "--seed", "1", "--out", str(tmp_path / "x.csv")) == 1
+    assert "above the supported" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_io_error_exit_2(tmp_path):
     assert run_cli("simulate", "--seed", "1", "--count", "10",
                    "--out", str(tmp_path / "no_dir" / "x.csv")) == 2

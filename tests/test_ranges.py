@@ -46,6 +46,9 @@ ROWS = [
      lambda n: pde.conditional_cf(P2, n, 1, (0.7, 0.3), 1.0)),
     ("simulate_ensemble", simulate.MAX_MEAN_EVENTS,
      lambda lt: simulate.simulate_ensemble(_lt(lt), 1.0, 1, 1).u),
+    ("simulate_ensemble conditioning", simulate.MAX_CONDITIONING,
+     lambda n: simulate.simulate_ensemble(P1, 1.0, 1, 1,
+                                          conditioning=n).positions),
 ]
 
 

@@ -16,7 +16,7 @@ def test_mix64_zero_fixed_point():
 def test_mix64_matches_vector_path():
     values = np.array([1, 2, 2 ** 63, 0xDEADBEEF, 12345678901234567],
                       dtype=np.uint64)
-    vec = rng._mix64_vec(values)
+    vec = rng._mix64_inplace(values.copy())
     for v, m in zip(values.tolist(), vec.tolist()):
         assert rng.mix64(int(v)) == int(m)
 
@@ -98,3 +98,14 @@ def test_exponential_mean():
     draws = np.array([stream.exponential(rate) for _ in range(20_000)])
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 1.0 / rate) < 4 * se
+
+
+def test_uniform_column_broadcast_slots():
+    # a (slots, keys) block in one call equals one call per slot
+    keys = rng.substream_keys(42, 0, 16)
+    slots = np.array([[0], [3], [9]])
+    block = rng.uniform_column(np.broadcast_to(keys, (3, 16)), slots)
+    assert block.shape == (3, 16)
+    for row, j in zip(block, slots[:, 0]):
+        assert row.tobytes() == rng.uniform_column(keys, int(j)).tobytes()
+    assert rng.uniform_column(keys, slots).tobytes() == block.tobytes()
