@@ -16,7 +16,7 @@ The density has three equivalent representations, all implemented:
 Conditional laws given N(t)=n (n >= dim) are exact polynomials in
 y = 1 - (u/ct)^2 with finite-sum CDFs.  A law and any weighted sum of
 laws are one set of coefficient rows (`_Mixture`, built with
-`np.bincount`) evaluated by one Horner loop (`_horner`):
+`np.bincount`) evaluated by one two-level Horner pass (`_horner`):
 `ConditionalLaw` holds the rows of one n, and `mixture_density` and
 `cdf_u` evaluate the rows of the Poisson mixture.  Nothing here loops over n or integrates
 numerically.  The means and moments are sums of non-negative terms, so
@@ -434,7 +434,9 @@ def conditional_mean_catalan(n: int) -> float:
 def _poisson_terms(params: ModelParams,
                    t: float) -> tuple[np.ndarray, np.ndarray]:
     """(ns, P(N=ns)) for n = dim up to where the sampler's Poisson table
-    stops, at the first n with P(N > n) < 2**-60.  Dims outside 1-3
+    stops, at the first n with P(N > n) < 2**-60.  At large lam*t the
+    terms start higher, where P(N=n)/P(N=mode) is about to leave the
+    normal range (`_normal_cumprod`).  Dims outside 1-3
     raise even when the arrays would be empty, and so does lam*t above
     `MAX_MIXTURE_EVENTS`."""
     _require_cond_dim(params)

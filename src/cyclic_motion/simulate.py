@@ -20,6 +20,16 @@ reads a fixed slot of substream i (layout in `rng`), so replication i
 depends only on (seed, i) and ensembles are bit-reproducible under any
 batching.  Rows are processed in blocks of `_BLOCK_ROWS`, so temporary
 arrays do not grow with the count.
+
+A block is a few large array operations.  N comes from a branch-free
+binary search of the Poisson table.  The exponential terms and the
+first Gamma rejection attempt are drawn densely, over all rows of each
+class that enough rows need, with masks keeping the lanes that count;
+only the rejected lanes (about 2%) and the classes few rows need go to
+the sparse, one-entry-per-lane loop.  Positions are one gather from the
+block's table of class pair differences.  A lane does the same float
+operations on the same slots on either path, so block size and layout
+change no byte of the output (`tests/test_sampler_digest.py` pins it).
 """
 
 from __future__ import annotations
@@ -210,6 +220,19 @@ def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
     return int(k[first]), cdf
 
 
+def _search(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(table, u)`` for a sorted table padded with inf
+    to a power of two: a branch-free binary search, one gather and one
+    compare per level over all of u.  numpy's search takes a branch per
+    level and value, and mispredicts half of them."""
+    k = np.zeros(u.shape, dtype=np.int64)
+    half = table.size
+    while half > 1:
+        half //= 2
+        k += half * (table[k + (half - 1)] < u)
+    return k
+
+
 def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gamma(m[q, i]) variates for class q of replication i (0 where m is 0).
 
@@ -235,6 +258,8 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     for k in range(_EXP_TERMS):
         lanes = small & (m > k)
         need = np.count_nonzero(lanes, axis=1)
+        if not need.any():
+            break
         slot = _SLOT_EXP + _EXP_TERMS * np.arange(two_d) + k
         dense = np.flatnonzero(need >= _DENSE_SHARE * rows)
         e = np.log(rng.uniform_column(np.broadcast_to(keys, (dense.size, rows)),
@@ -325,6 +350,8 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     dim, two_d = params.dim, params.n_directions
     if conditioning is None:
         lo, cdf = _poisson_table(params.lam * t)
+        cdf = np.concatenate([cdf, np.full((1 << (cdf.size - 1).bit_length())
+                                           - cdf.size, np.inf)])
     ct = params.c * t
     classes = np.arange(two_d)
     axes = np.arange(dim)[:, None]
@@ -338,7 +365,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         keys = rng.substream_keys(seed, start, rows)
         j = (rng.uniform_column(keys, _SLOT_DIRECTION) * two_d).astype(np.int64)
         if conditioning is None:
-            n = lo + np.searchsorted(cdf, rng.uniform_column(keys, _SLOT_POISSON))
+            n = lo + _search(cdf, rng.uniform_column(keys, _SLOT_POISSON))
         else:
             n = np.full(rows, int(conditioning), dtype=np.int64)
         # Segment k runs along class k mod 2d; class q holds m_q segments.
