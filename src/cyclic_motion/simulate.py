@@ -350,6 +350,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     dim, two_d = params.dim, params.n_directions
     if conditioning is None:
         lo, cdf = _poisson_table(params.lam * t)
+        # `_search` wants the table padded with inf to a power of two.
         cdf = np.concatenate([cdf, np.full((1 << (cdf.size - 1).bit_length())
                                            - cdf.size, np.inf)])
     ct = params.c * t
