@@ -459,12 +459,12 @@ def _poisson_terms(params: ModelParams,
     return k[keep], ratios[keep] / ratios.sum()
 
 
-def _normal_cumprod(r: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def _normal_cumprod(r: np.ndarray) -> np.ndarray:
     """``np.cumprod(r)`` for factors r <= 1, cut after the first chunk
     that ends below the normal range (2**-1022): the products left only
     shrink, weigh nothing next to the leading 1, and subnormal arithmetic
     is slow (the left Poisson tail at lam*t = 1e6 has 1e6 terms)."""
-    parts, run = [], 1.0
+    parts, run, chunk = [], 1.0, 4096
     for start in range(0, r.size, chunk):
         seg = r[start:start + chunk].copy()
         seg[0] *= run
