@@ -21,13 +21,12 @@ depends only on (seed, i) and ensembles are bit-reproducible under any
 batching.  Rows are processed in blocks of `_BLOCK_ROWS`, so temporary
 arrays do not grow with the count.
 
-A block is a few large array operations.  N comes from a branch-free
-binary search of the Poisson table.  The exponential terms and the
-first Gamma rejection attempt are drawn densely, over all rows of each
-class that enough rows need, with masks keeping the lanes that count;
-only the rejected lanes (about 2%) and the classes few rows need go to
-the sparse, one-entry-per-lane loop.  Positions are one gather from the
-block's table of class pair differences.  A lane does the same float
+A block is a few large array operations.  The first Gamma rejection
+attempt is drawn densely, over the classes and rows that need it, and
+the exponential terms over all rows of each class that some row needs,
+with masks keeping the lanes that count; only the rejected lanes
+(about 2%) go to the sparse, one-entry-per-lane loop.  Positions are
+one gather from the block's table of class pair differences.  A lane does the same float
 operations on the same slots on either path, so block size and layout
 change no byte of the output (`tests/test_sampler_digest.py` pins it).
 """
@@ -58,9 +57,6 @@ MAX_CONDITIONING = 2 ** 53
 _BLOCK_ROWS = 1 << 14
 _TAIL = 2.0 ** -60
 _EXP_TERMS = 3  # Gamma(m) with m <= 3 is a sum of m exponentials
-# A class whose lanes fill this share of a block's rows is drawn over
-# all the rows, masked; below it, lane by lane.
-_DENSE_SHARE = 0.5
 # Substream slots: initial direction, Poisson draw, then _EXP_TERMS
 # exponential slots per class, then 3 slots per class per rejection
 # attempt (a Box-Muller pair and the acceptance uniform).
@@ -220,19 +216,6 @@ def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
     return int(k[first]), cdf
 
 
-def _search(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(table, u)`` for a sorted table padded with inf
-    to a power of two: a branch-free binary search, one gather and one
-    compare per level over all of u.  numpy's search takes a branch per
-    level and value, and mispredicts half of them."""
-    k = np.zeros(u.shape, dtype=np.int64)
-    half = table.size
-    while half > 1:
-        half //= 2
-        k += half * (table[k + (half - 1)] < u)
-    return k
-
-
 def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gamma(m[q, i]) variates for class q of replication i (0 where m is 0).
 
@@ -244,58 +227,57 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     attempt a of class q reads the three slots from
     ``_SLOT_EXP + _EXP_TERMS*2d + 3*(2d*a + q)``.
 
-    Each exponential term and the first rejection attempt is drawn
-    densely for the classes where at least `_DENSE_SHARE` of the rows
-    need it, over all their rows, and masks keep the lanes that count;
-    the other lanes, and the rejected ones (about 2%), are drawn one
-    entry per lane.  Either way a lane reads the same slots and does
-    the same float operations, so the split changes no byte.
+    The first rejection attempt is drawn densely, over the classes
+    and the rows that some lane needs, and each exponential term over
+    all rows of the classes that some row needs; masks keep the lanes
+    that count.  Only the rejected lanes (about 2%) are drawn one entry
+    per lane.  Either way a lane reads the same slots and does the same
+    float operations, so the split changes no byte.
     """
     two_d, rows = m.shape
     g = np.zeros(m.shape)
-    flat = g.reshape(-1)  # a view: lane (q, i) is entry q*rows + i
-    small = m <= _EXP_TERMS
-    for k in range(_EXP_TERMS):
-        lanes = small & (m > k)
-        need = np.count_nonzero(lanes, axis=1)
-        if not need.any():
-            break
-        slot = _SLOT_EXP + _EXP_TERMS * np.arange(two_d) + k
-        dense = np.flatnonzero(need >= _DENSE_SHARE * rows)
-        e = np.log(rng.uniform_column(np.broadcast_to(keys, (dense.size, rows)),
-                                      slot[dense, None]))
-        e *= lanes[dense]  # a masked lane subtracts -0.0: no change
-        g[dense] -= e
-        sparse = np.flatnonzero((need > 0) & (need < _DENSE_SHARE * rows))
-        r, i = np.divmod(np.flatnonzero(lanes[sparse]), rows)
-        q = sparse[r]
-        flat[q * rows + i] -= np.log(rng.uniform_column(keys[i], slot[q]))
     lanes = m > _EXP_TERMS
-    # m[q] does not grow with q, so the dense classes come first.
-    dense = np.count_nonzero(np.count_nonzero(lanes, axis=1)
-                             >= _DENSE_SHARE * rows)
-    first = _SLOT_EXP + _EXP_TERMS * two_d + 3 * np.arange(two_d)
+    # m[q, i] does not grow with q: the classes some row needs come
+    # first, and the rows that need some class are those of class 0.
+    dense = int(np.count_nonzero(lanes.any(axis=1)))
+    r = np.flatnonzero(lanes[0])
+    if r.size == rows:
+        r = slice(None)  # every row: views instead of gathers
+    lanes = lanes[:dense, r]
     # Masked lanes get a harmless shape, so they raise no warning.
-    shape = np.maximum(m[:dense], _EXP_TERMS + 1) - 1.0 / 3.0
-    v, accept = _tsang_attempt(np.broadcast_to(keys, shape.shape),
-                               first[:dense, None], shape,
+    shape = np.maximum(m[:dense, r], _EXP_TERMS + 1) - 1.0 / 3.0
+    first = _SLOT_EXP + _EXP_TERMS * two_d + 3 * np.arange(dense)
+    v, accept = _tsang_attempt(np.broadcast_to(keys[r], shape.shape),
+                               first[:, None], shape,
                                1.0 / np.sqrt(9.0 * shape))
-    accept &= lanes[:dense]
+    accept &= lanes
     v *= shape
-    np.copyto(g[:dense], v, where=accept)
-    # Lanes left: rejected dense ones from attempt 1, sparse ones from 0.
-    lanes[:dense] &= ~accept
-    f = np.flatnonzero(lanes)
-    q, i = np.divmod(f, rows)
-    slot = first[q] + 3 * two_d * (q < dense)
-    shape = m.reshape(-1)[f] - 1.0 / 3.0
+    g[:dense, r] = np.where(accept, v, 0.0)
+    # The rejected lanes go on from attempt 1, one entry per lane.
+    q, c = np.divmod(np.flatnonzero(lanes & ~accept), lanes.shape[1])
+    i = np.arange(rows)[r][c]
+    f = q * rows + i
+    slot = first[q] + 3 * two_d
+    shape = shape[q, c]
     spread = 1.0 / np.sqrt(9.0 * shape)
+    flat = g.reshape(-1)  # a view: lane (q, i) is entry q*rows + i
     while f.size:
         v, accept = _tsang_attempt(keys[i], slot, shape, spread)
         flat[f[accept]] = shape[accept] * v[accept]
         reject = ~accept
         f, i, shape, spread = f[reject], i[reject], shape[reject], spread[reject]
         slot = slot[reject] + 3 * two_d
+    small = m <= _EXP_TERMS
+    for k in range(_EXP_TERMS):
+        lanes = small & (m > k)
+        need = np.flatnonzero(lanes.any(axis=1))
+        if need.size == 0:
+            break
+        e = np.log(rng.uniform_column(
+            np.broadcast_to(keys, (need.size, rows)),
+            _SLOT_EXP + _EXP_TERMS * need[:, None] + k))
+        e *= lanes[need]  # a masked lane subtracts -0.0: no change
+        g[need] -= e
     return g
 
 
@@ -323,16 +305,6 @@ def _tsang_attempt(keys, slot, shape, spread):
     return v, accept
 
 
-def _l1(x: np.ndarray) -> np.ndarray:
-    """sum_a |x[a]| over the rows of x, added in the order numpy sums a
-    row of ``dim`` floats (``np.abs(pos).sum(axis=1)``): left to right,
-    and as the pairwise tree ((0+1)+(2+3))+((4+5)+(6+7)) for 8 terms."""
-    a = np.abs(x)
-    if len(a) == 8:
-        return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-    return a.sum(axis=0)
-
-
 def simulate_ensemble(params: ModelParams, horizon: float, count: int,
                       seed: int, conditioning: int | None = None) -> SampleSet:
     """count independent outcomes; replication i depends only on (seed, i).
@@ -350,23 +322,19 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     dim, two_d = params.dim, params.n_directions
     if conditioning is None:
         lo, cdf = _poisson_table(params.lam * t)
-        # `_search` wants the table padded with inf to a power of two.
-        cdf = np.concatenate([cdf, np.full((1 << (cdf.size - 1).bit_length())
-                                           - cdf.size, np.inf)])
     ct = params.c * t
     classes = np.arange(two_d)
     axes = np.arange(dim)[:, None]
     n_events = np.empty(count, dtype=np.int64)
     j0 = np.empty(count, dtype=np.int64)
     pos = np.empty((count, dim))
-    u = np.empty(count)
     for start in range(0, count, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, count)
         rows = stop - start
         keys = rng.substream_keys(seed, start, rows)
         j = (rng.uniform_column(keys, _SLOT_DIRECTION) * two_d).astype(np.int64)
         if conditioning is None:
-            n = lo + _search(cdf, rng.uniform_column(keys, _SLOT_POISSON))
+            n = lo + np.searchsorted(cdf, rng.uniform_column(keys, _SLOT_POISSON))
         else:
             n = np.full(rows, int(conditioning), dtype=np.int64)
         # Segment k runs along class k mod 2d; class q holds m_q segments.
@@ -383,11 +351,11 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
                                   mode="wrap")
         x /= g.sum(axis=0)
         x *= ct
-        # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
-        u[start:stop] = np.where(n < dim, ct, _l1(x))
         pos[start:stop] = x.T
         n_events[start:stop] = n
         j0[start:stop] = j + 1
+    # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
+    u = np.where(n_events < dim, ct, np.abs(pos).sum(axis=1))
     final = (j0 - 1 + n_events) % two_d + 1
     return SampleSet(params=params, horizon=t, conditioning=conditioning,
                      seed=seed, u=u, n_events=n_events, positions=pos,

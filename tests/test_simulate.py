@@ -401,20 +401,3 @@ def test_high_dimension_simulation_runs():
     assert s.positions.shape == (2000, 8)
     assert float(np.max(s.u)) <= 1.0 + 1e-12
     assert np.all((1 <= s.initial_direction) & (s.initial_direction <= 16))
-
-
-def test_branch_free_search_matches_searchsorted():
-    # ties, values just either side of entries, and tables of every
-    # size up to a few powers of two
-    gen = np.random.default_rng(5)
-    for size in list(range(1, 40)) + [511, 512, 513, 2000]:
-        table = np.sort(np.round(gen.random(size), 2))
-        table[-1] = 1.0
-        padded = np.concatenate(
-            [table, np.full((1 << (size - 1).bit_length()) - size, np.inf)])
-        u = np.concatenate([gen.random(200), table[:-1],
-                            np.nextafter(table[:-1], 0.0),
-                            np.nextafter(table[:-1], 1.0)])
-        u = u[(u > 0.0) & (u < 1.0)]
-        assert np.array_equal(simulate._search(padded, u),
-                              np.searchsorted(table, u))
