@@ -21,21 +21,28 @@ depends only on (seed, i) and ensembles are bit-reproducible under any
 batching.  Rows are processed in blocks of `_BLOCK_ROWS`, so temporary
 arrays do not grow with the count.
 
-A block is a few large array operations.  The first Gamma rejection
-attempt is drawn densely, over the classes and rows that need it, and
-the exponential terms over all rows of each class that some row needs,
-with masks keeping the lanes that count; only the rejected lanes
-(about 2%) go to the sparse, one-entry-per-lane loop.  Positions are
-one gather from the block's table of class pair differences.  A lane does the same float
-operations on the same slots on either path, so block size and layout
-change no byte of the output (`tests/test_sampler_digest.py` pins it).
+Blocks run concurrently: the calling thread and up to `_WORKERS` - 1
+threads of a pool created on first use each take every `_WORKERS`-th
+block (numpy drops the GIL inside its array loops), and each block
+writes only its own rows of the output.  A block is a few large array
+operations.  The first Gamma rejection attempt is drawn class by class,
+over the rows that need it, and the exponential terms over all rows of
+each class that some row needs, with masks keeping the lanes that
+count; only the rejected lanes (about 2%) go to the sparse,
+one-entry-per-lane loop.  Positions are one gather from the block's
+table of class pair differences.  A lane does the same float operations
+on the same slots on either path, so the output does not depend on the
+block size, the layout or the number of threads
+(`tests/test_sampler_digest.py` pins it).
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import special
@@ -55,6 +62,11 @@ MAX_MEAN_EVENTS = 1e8
 MAX_CONDITIONING = 2 ** 53
 
 _BLOCK_ROWS = 1 << 14
+# Threads that run the blocks of an ensemble, the calling thread
+# included (the pool holds the others).
+_WORKERS = min(4, (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1))
 _TAIL = 2.0 ** -60
 _EXP_TERMS = 3  # Gamma(m) with m <= 3 is a sum of m exponentials
 # Substream slots: initial direction, Poisson draw, then _EXP_TERMS
@@ -197,23 +209,47 @@ def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
     entry is set to 1) and starts at the first k with
     P(N <= k) >= 2**-60.  `rng` uniforms are >= 2**-54, so inversion
     never lands below ``lo`` and the trimmed table inverts exactly as
-    the full one; it holds O(sqrt(mu)) entries.
+    the full one; it holds O(sqrt(mu)) entries.  Both ends are found by
+    bisection, so `special.pdtr` is evaluated only inside the table.
     """
     if mu > MAX_MEAN_EVENTS:
         raise ValueError(f"lam*t={mu:g} above the supported "
                          f"{MAX_MEAN_EVENTS:g}")
     # Both Poisson tails beyond 10 sqrt(mu) + 60 are far below 2**-60.
     half = 10.0 * math.sqrt(mu) + 60.0
-    k = np.arange(max(0, int(mu - half)), int(mu + half) + 1)
-    cdf = special.pdtr(k, mu)
-    first = int(np.searchsorted(cdf, _TAIL))
-    # Below floor(mu) lies below the median (>= mu - ln 2), where
-    # P(N > k) >= 1/2: the upper tail is searched from floor(mu) on.
-    above = int(np.searchsorted(k, math.floor(mu)))
-    last = above + int(np.argmax(special.pdtrc(k[above:], mu) < _TAIL))
-    cdf = cdf[first:last + 1]
+    # floor(mu) lies below the median (>= mu - ln 2), where both
+    # P(N <= k) and P(N > k) are >= 1/2: it splits the two searches.
+    mid = math.floor(mu)
+    lo = _bisect(lambda k: special.pdtr(k, mu) >= _TAIL,
+                 max(0, int(mu - half)), mid)
+    hi = _bisect(lambda k: special.pdtrc(k, mu) < _TAIL, mid, int(mu + half))
+    cdf = special.pdtr(np.arange(lo, hi + 1), mu)
     cdf[-1] = 1.0
-    return int(k[first]), cdf
+    return lo, cdf
+
+
+def _bisect(pred, lo: int, hi: int) -> int:
+    """The first k in [lo, hi] with ``pred(k)``; pred is monotone and
+    holds at hi."""
+    while lo < hi:
+        k = (lo + hi) // 2
+        if pred(k):
+            hi = k
+        else:
+            lo = k + 1
+    return lo
+
+
+@cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The block pool with ``workers`` threads, created on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="simulate-block")
+
+
+# A forked child has none of the pool's threads, but the pool would count
+# the parent's idle ones and start none: the child builds its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -227,45 +263,49 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     attempt a of class q reads the three slots from
     ``_SLOT_EXP + _EXP_TERMS*2d + 3*(2d*a + q)``.
 
-    The first rejection attempt is drawn densely, over the classes
-    and the rows that some lane needs, and each exponential term over
-    all rows of the classes that some row needs; masks keep the lanes
-    that count.  Only the rejected lanes (about 2%) are drawn one entry
-    per lane.  Either way a lane reads the same slots and does the same
-    float operations, so the split changes no byte.
+    The first rejection attempt is drawn one class at a time, over
+    the rows that some lane needs, and each exponential term over all
+    rows of the classes that some row needs; masks keep the lanes that
+    count.  Only the rejected lanes (about 2%) are drawn one entry per
+    lane.  Either way a lane reads the same slots and does the same
+    float operations, so the split changes no byte.  One class at a
+    time keeps a block's temporaries to a few row-sized arrays, which
+    matters when several blocks run at once.
     """
     two_d, rows = m.shape
     g = np.zeros(m.shape)
     lanes = m > _EXP_TERMS
-    # m[q, i] does not grow with q: the classes some row needs come
-    # first, and the rows that need some class are those of class 0.
-    dense = int(np.count_nonzero(lanes.any(axis=1)))
+    # m[q, i] does not grow with q: the rows that need some class are
+    # those of class 0, and the classes some row needs come first.
     r = np.flatnonzero(lanes[0])
     if r.size == rows:
         r = slice(None)  # every row: views instead of gathers
-    lanes = lanes[:dense, r]
-    # Masked lanes get a harmless shape, so they raise no warning.
-    shape = np.maximum(m[:dense, r], _EXP_TERMS + 1) - 1.0 / 3.0
-    first = _SLOT_EXP + _EXP_TERMS * two_d + 3 * np.arange(dense)
-    v, accept = _tsang_attempt(np.broadcast_to(keys[r], shape.shape),
-                               first[:, None], shape,
-                               1.0 / np.sqrt(9.0 * shape))
-    accept &= lanes
-    v *= shape
-    g[:dense, r] = np.where(accept, v, 0.0)
+    keys_r, m_r = keys[r], m[:, r]
+    first = _SLOT_EXP + _EXP_TERMS * two_d + 3 * np.arange(two_d)
+    reject = np.zeros(m_r.shape, dtype=bool)
+    for q in range(two_d):
+        need = lanes[q, r]
+        if not need.any():
+            break
+        # Masked lanes get a harmless shape, so they raise no warning.
+        shape = np.maximum(m_r[q], _EXP_TERMS + 1) - 1.0 / 3.0
+        v, accept = _tsang_attempt(keys_r, first[q], shape)
+        accept &= need
+        v *= shape
+        g[q, r] = np.where(accept, v, 0.0)
+        reject[q] = need & ~accept
     # The rejected lanes go on from attempt 1, one entry per lane.
-    q, c = np.divmod(np.flatnonzero(lanes & ~accept), lanes.shape[1])
+    q, c = np.divmod(np.flatnonzero(reject), reject.shape[1])
     i = np.arange(rows)[r][c]
     f = q * rows + i
     slot = first[q] + 3 * two_d
-    shape = shape[q, c]
-    spread = 1.0 / np.sqrt(9.0 * shape)
+    shape = m_r[q, c] - 1.0 / 3.0
     flat = g.reshape(-1)  # a view: lane (q, i) is entry q*rows + i
     while f.size:
-        v, accept = _tsang_attempt(keys[i], slot, shape, spread)
+        v, accept = _tsang_attempt(keys[i], slot, shape)
         flat[f[accept]] = shape[accept] * v[accept]
         reject = ~accept
-        f, i, shape, spread = f[reject], i[reject], shape[reject], spread[reject]
+        f, i, shape = f[reject], i[reject], shape[reject]
         slot = slot[reject] + 3 * two_d
     small = m <= _EXP_TERMS
     for k in range(_EXP_TERMS):
@@ -281,7 +321,7 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     return g
 
 
-def _tsang_attempt(keys, slot, shape, spread):
+def _tsang_attempt(keys, slot, shape):
     """One Marsaglia-Tsang attempt per lane: ``(v, accept)``, the variate
     being ``shape * v``.  Reads slots ``slot .. slot+2``; every argument
     broadcasts to the lanes' shape."""
@@ -291,7 +331,8 @@ def _tsang_attempt(keys, slot, shape, spread):
     c = rng.uniform_column(keys, slot + 1)
     c *= 2.0 * np.pi
     x *= np.cos(c, out=c)
-    v = spread * x
+    v = 1.0 / np.sqrt(9.0 * shape)
+    v *= x
     v += 1.0
     v **= 3
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -314,11 +355,18 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     t = require_horizon(horizon)
-    if conditioning is not None and conditioning < 0:
-        raise ValueError("conditioning must be >= 0")
-    if conditioning is not None and conditioning > MAX_CONDITIONING:
-        raise ValueError(f"conditioning n={conditioning} above the "
-                         f"supported 2**53")
+    if conditioning is not None:
+        # int() would truncate 2.7 to 2 and take True as 1.
+        if (isinstance(conditioning, bool)
+                or not isinstance(conditioning, (int, np.integer))):
+            raise ValueError(f"conditioning must be an integer, "
+                             f"got {conditioning!r}")
+        conditioning = int(conditioning)
+        if conditioning < 0:
+            raise ValueError("conditioning must be >= 0")
+        if conditioning > MAX_CONDITIONING:
+            raise ValueError(f"conditioning n={conditioning} above the "
+                             f"supported 2**53")
     dim, two_d = params.dim, params.n_directions
     if conditioning is None:
         lo, cdf = _poisson_table(params.lam * t)
@@ -328,7 +376,9 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     n_events = np.empty(count, dtype=np.int64)
     j0 = np.empty(count, dtype=np.int64)
     pos = np.empty((count, dim))
-    for start in range(0, count, _BLOCK_ROWS):
+    u = np.empty(count)
+
+    def block(start: int) -> None:
         stop = min(start + _BLOCK_ROWS, count)
         rows = stop - start
         keys = rng.substream_keys(seed, start, rows)
@@ -336,7 +386,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         if conditioning is None:
             n = lo + np.searchsorted(cdf, rng.uniform_column(keys, _SLOT_POISSON))
         else:
-            n = np.full(rows, int(conditioning), dtype=np.int64)
+            n = np.full(rows, conditioning, dtype=np.int64)
         # Segment k runs along class k mod 2d; class q holds m_q segments.
         segs = n + 1
         g = _class_gammas(keys, segs // two_d
@@ -352,10 +402,27 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         x /= g.sum(axis=0)
         x *= ct
         pos[start:stop] = x.T
+        # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
+        u[start:stop] = np.where(n < dim, ct,
+                                 np.abs(pos[start:stop]).sum(axis=1))
         n_events[start:stop] = n
         j0[start:stop] = j + 1
-    # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
-    u = np.where(n_events < dim, ct, np.abs(pos).sum(axis=1))
+
+    # Worker w runs every workers-th block; the caller is worker 0.
+    starts = range(0, count, _BLOCK_ROWS)
+    workers = min(_WORKERS, len(starts))
+
+    def run(w: int) -> None:
+        for start in starts[w::workers]:
+            block(start)
+
+    helpers = [_pool(_WORKERS - 1).submit(run, w) for w in range(1, workers)]
+    try:
+        run(0)
+    finally:
+        wait(helpers)  # no thread writes to the output after the return
+    for h in helpers:
+        h.result()  # re-raises a helper's exception
     final = (j0 - 1 + n_events) % two_d + 1
     return SampleSet(params=params, horizon=t, conditioning=conditioning,
                      seed=seed, u=u, n_events=n_events, positions=pos,

@@ -323,3 +323,14 @@ def test_cli_import_loads_no_heavy_scipy():
     for heavy in ("scipy.stats", "scipy.integrate", "scipy.optimize",
                   "scipy.linalg", "scipy.sparse"):
         assert heavy not in loaded
+
+
+def test_cli_import_starts_no_threads():
+    # The block pool of simulate_ensemble is created on first use.
+    src = os.path.dirname(os.path.dirname(cyclic_motion.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import threading, cyclic_motion.cli; "
+            "print(threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["1"]

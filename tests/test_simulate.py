@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from scipy import special
 from scipy.stats import poisson
 
 from cyclic_motion import laws, rng, simulate, stats
@@ -401,3 +402,42 @@ def test_high_dimension_simulation_runs():
     assert s.positions.shape == (2000, 8)
     assert float(np.max(s.u)) <= 1.0 + 1e-12
     assert np.all((1 <= s.initial_direction) & (s.initial_direction <= 16))
+
+
+@pytest.mark.parametrize("n", [2.7, 3.0, True, np.True_, "3", np.float64(3)])
+def test_non_integer_conditioning_rejected(n):
+    with pytest.raises(ValueError, match="integer"):
+        simulate_ensemble(P2, 1.0, 10, 1, conditioning=n)
+
+
+@pytest.mark.parametrize("n", [np.int64(6), np.int32(6), np.uint8(6)])
+def test_numpy_integer_conditioning_accepted(n):
+    s = simulate_ensemble(P3, 1.0, 500, 7, conditioning=n)
+    ref = simulate_ensemble(P3, 1.0, 500, 7, conditioning=6)
+    assert type(s.conditioning) is int and s.conditioning == 6
+    assert np.array_equal(s.positions, ref.positions)
+    assert np.array_equal(s.u, ref.u)
+
+
+def _poisson_table_full_range(mu):
+    """The table as built before its ends were bisected: pdtr over
+    mu +- (10 sqrt(mu) + 60), trimmed at the two 2**-60 tails."""
+    half = 10.0 * math.sqrt(mu) + 60.0
+    k = np.arange(max(0, int(mu - half)), int(mu + half) + 1)
+    cdf = special.pdtr(k, mu)
+    first = int(np.searchsorted(cdf, 2.0 ** -60))
+    above = int(np.searchsorted(k, math.floor(mu)))
+    last = above + int(np.argmax(special.pdtrc(k[above:], mu) < 2.0 ** -60))
+    cdf = cdf[first:last + 1]
+    cdf[-1] = 1.0
+    return int(k[first]), cdf
+
+
+@pytest.mark.parametrize("mu", [1e-300, 1e-30, 1e-8, 1e-3, 0.1, 0.5, 1.0,
+                                2.5, 7.0, 16.0, 64.5, 100.0, 1024.0, 12345.6,
+                                1e5, 1e6, 3.3e7, 1e8])
+def test_poisson_table_bisection_is_byte_identical(mu):
+    lo, cdf = simulate._poisson_table(mu)
+    ref_lo, ref_cdf = _poisson_table_full_range(mu)
+    assert lo == ref_lo
+    assert cdf.tobytes() == ref_cdf.tobytes()
