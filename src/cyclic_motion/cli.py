@@ -27,12 +27,11 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, laws, simulate, verify
-from .model import ModelParams, require_horizon
+from .model import ModelParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,28 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options of one CLI invocation."""
-
-    command: str
-    dim: int = 2
-    lam: float = 1.0
-    c: float = 1.0
-    t: float = 1.0
-    count: int = 1000
-    seed: int | None = None
-    condition_n: int | None = None
-    points: int = 101
-    conditionals: tuple[int, ...] = ()
-    out: str = "-"
-    suite: str = "all"
-    max_dim: int = 5
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(c=self.c, lam=self.lam, dim=self.dim)
 
 
 def _git_describe() -> str:
@@ -92,37 +69,35 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _header_lines(config: RunConfig, **extra) -> list[str]:
+def _header_lines(args: argparse.Namespace, **extra) -> list[str]:
     pairs = {
         "generator": f"cyclic-motion {__version__}",
         "git": _git_describe(),
-        "c": _fmt(config.c),
-        "lambda": _fmt(config.lam),
-        "dim": config.dim,
-        "t": _fmt(config.t),
+        "c": _fmt(args.c),
+        "lambda": _fmt(args.lam),
+        "dim": args.dim,
+        "t": _fmt(args.t),
     }
     pairs.update(extra)
     return [f"# {k}={v}" for k, v in pairs.items()]
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    params = config.model_params()
+def cmd_simulate(args: argparse.Namespace) -> int:
+    params = ModelParams(c=args.c, lam=args.lam, dim=args.dim)
     samples = simulate.simulate_ensemble(
-        params, config.t, config.count, config.seed,
-        conditioning=config.condition_n)
+        params, args.t, args.count, args.seed, conditioning=args.condition_n)
     lines = _header_lines(
-        config, sampler=simulate.SAMPLER_ID, count=config.count,
-        seed=config.seed,
-        condition_n="" if config.condition_n is None else config.condition_n)
+        args, sampler=simulate.SAMPLER_ID, count=args.count, seed=args.seed,
+        condition_n="" if args.condition_n is None else args.condition_n)
     cols = (["replication", "n_events", "u", "stratum"]
             + [f"x{i + 1}" for i in range(params.dim)]
             + ["final_direction"])
     strata = samples.strata
-    with _open_out(config.out) as f:
+    with _open_out(args.out) as f:
         for line in lines:
             f.write(line + "\n")
         f.write(",".join(cols) + "\n")
-        for i in range(config.count):
+        for i in range(args.count):
             row = [str(i), str(int(samples.n_events[i])),
                    _fmt(samples.u[i]), strata[i]]
             row += [_fmt(x) for x in samples.positions[i]]
@@ -131,40 +106,40 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_density(config: RunConfig) -> int:
-    params = config.model_params()
+def cmd_density(args: argparse.Namespace) -> int:
+    params = ModelParams(c=args.c, lam=args.lam, dim=args.dim)
     if params.dim > 3:
-        print(f"density: dim {params.dim} is a simulation-only dimension "
-              "(analytic output requires dim <= 3)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"dim {params.dim} is a simulation-only dimension "
+                         "(analytic output requires dim <= 3)")
     has_unconditional = params.dim in (2, 3)
-    if not has_unconditional and not config.conditionals:
-        print("density: dim 1 tabulates conditional laws only; "
-              "pass --conditionals", file=sys.stderr)
-        return EXIT_USAGE
-    cond_laws = {n: laws.ConditionalLaw(params, n, config.t)
-                 for n in config.conditionals}
-    ct = params.c * config.t
-    masses = laws.singular_masses(params, config.t)
+    if not has_unconditional and not args.conditionals:
+        raise ValueError("dim 1 tabulates conditional laws only; "
+                         "pass --conditionals")
+    if args.points < 1:
+        raise ValueError("points must be >= 1")
+    cond_laws = {n: laws.ConditionalLaw(params, n, args.t)
+                 for n in args.conditionals}
+    ct = params.c * args.t
+    masses = laws.singular_masses(params, args.t)
     extra = {}
     for sm in masses:
         extra[f"singular_mass_{sm.stratum}"] = _fmt(sm.mass)
     extra["singular_mass_total"] = _fmt(sum(sm.mass for sm in masses))
-    extra["ac_mass"] = _fmt(laws.ac_mass(params, config.t))
+    extra["ac_mass"] = _fmt(laws.ac_mass(params, args.t))
     if params.dim == 2:
-        extra["mean_u"] = _fmt(laws.mean_u(params, config.t))
-        extra["moment2_u"] = _fmt(laws.moment_u(params, 2, config.t))
-    lines = _header_lines(config, points=config.points, **extra)
+        extra["mean_u"] = _fmt(laws.mean_u(params, args.t))
+        extra["moment2_u"] = _fmt(laws.moment_u(params, 2, args.t))
+    lines = _header_lines(args, points=args.points, **extra)
     cols = ["u"]
     if has_unconditional:
         cols.append("p_unconditional")
     cols += [f"p_cond_n{n}" for n in sorted(cond_laws)]
-    us = ct * np.arange(config.points) / max(config.points - 1, 1)
+    us = ct * np.arange(args.points) / max(args.points - 1, 1)
     columns = [us]
     if has_unconditional:
-        columns.append(laws.density_u(params, config.t, us))
+        columns.append(laws.density_u(params, args.t, us))
     columns += [cond_laws[n].density(us) for n in sorted(cond_laws)]
-    with _open_out(config.out) as f:
+    with _open_out(args.out) as f:
         for line in lines:
             f.write(line + "\n")
         f.write(",".join(cols) + "\n")
@@ -173,20 +148,19 @@ def cmd_density(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    reports = verify.run_suite(config.suite, config.seed,
-                               max_dim=config.max_dim)
+def cmd_verify(args: argparse.Namespace) -> int:
+    reports = verify.run_suite(args.suite, args.seed, max_dim=args.max_dim)
     for rep in reports:
         print(rep.line())
     doc = {
-        "suite": config.suite,
-        "seed": config.seed,
-        "max_dim": config.max_dim,
+        "suite": args.suite,
+        "seed": args.seed,
+        "max_dim": args.max_dim,
         "git": _git_describe(),
         "sampler": simulate.SAMPLER_ID,
         "reports": [rep.as_dict() for rep in reports],
     }
-    with _open_out(config.out) as f:
+    with _open_out(args.out) as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
     failures = [rep.name for rep in reports if rep.blocking and not rep.passed]
@@ -249,34 +223,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    kwargs = {k: v for k, v in vars(ns).items() if v is not None}
-    config = RunConfig(**kwargs)
+    args = build_parser().parse_args(argv)
+    # Looked up per call, so a wrapper set on this module's cmd_* is used.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        if config.command in ("simulate", "density"):
-            config.model_params()
-            require_horizon(config.t, "t")
-        if config.command == "simulate" and config.count < 1:
-            raise ValueError("count must be >= 1")
-        if config.command == "density" and config.points < 1:
-            raise ValueError("points must be >= 1")
-        if config.command == "verify" and not 4 <= config.max_dim <= 8:
-            raise ValueError("max-dim must be between 4 and 8")
-    except ValueError as exc:
-        print(f"{config.command}: {exc}", file=sys.stderr)
+        return command(args)
+    except ValueError as exc:  # a parameter outside a supported range
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if config.command == "verify":
-            return cmd_verify(config)
-        command = cmd_simulate if config.command == "simulate" else cmd_density
-        try:
-            return command(config)
-        except ValueError as exc:  # a parameter outside a supported range
-            print(f"{config.command}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     except OSError as exc:
-        print(f"{config.command}: I/O error: {exc}", file=sys.stderr)
+        print(f"{args.command}: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

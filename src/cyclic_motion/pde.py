@@ -44,7 +44,12 @@ import numpy as np
 
 from . import laws, simulate
 from .model import Direction, ModelParams, require_horizon
-from .stats import TestReport
+from .stats import TestReport, bound_report
+
+# A residual check evaluates at _N_T horizons and _N_U radii (the planar
+# fourth-order check at t0 and _N_U radii).
+_N_T = 3
+_N_U = 5
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,6 @@ class GridSpec:
     margin: float = 0.2
     h: float = 0.02
     levels: int = 3
-    n_t: int = 3
-    n_u: int = 5
 
     def __post_init__(self):
         if not 0 < self.margin < 0.5:
@@ -104,12 +107,12 @@ class ResidualReport:
 def _kg_points(params: ModelParams, grid: GridSpec):
     """The t values and the u values; every pair of them is a point."""
     h_max = max(grid.h_values)
-    ts = np.linspace(grid.t_start, grid.t_stop, grid.n_t)
+    ts = np.linspace(grid.t_start, grid.t_stop, _N_T)
     t_min = ts.min() - 2 * h_max
     if t_min <= 0:
         raise ValueError("t grid touches t=0 for the widest stencil")
     ct_min = params.c * t_min
-    fracs = np.linspace(grid.margin, 1 - grid.margin, grid.n_u)
+    fracs = np.linspace(grid.margin, 1 - grid.margin, _N_U)
     return ts, fracs * ct_min
 
 
@@ -215,7 +218,7 @@ def planar_fourth_order_residual(params: ModelParams, grid: GridSpec,
     f = _FIELDS[f_field](params)
     t0 = 0.5 * (grid.t_start + grid.t_stop)
     h_max = max(grid.h_values)
-    xs, ys = _fourth_order_points(params, t0, h_max, grid.margin, grid.n_u)
+    xs, ys = _fourth_order_points(params, t0, h_max, grid.margin, _N_U)
     offsets = np.arange(-2, 3)
     max_abs = []
     for h in grid.h_values:
@@ -344,8 +347,6 @@ def normalization_check(params: ModelParams, t: float,
     total = density_moment(params, t)
     expected = laws.ac_mass(params, t)
     err = abs(total - expected)
-    return TestReport(
-        name=f"normalization_dim{params.dim}_lt{params.lam * t:g}",
-        statistic=err, p_value=None, tolerance=tol, passed=bool(err < tol),
-        sample_size=None,
+    return bound_report(
+        f"normalization_dim{params.dim}_lt{params.lam * t:g}", err, tol,
         detail=f"quadrature={total:.10f} expected={expected:.10f}")

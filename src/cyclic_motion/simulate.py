@@ -22,10 +22,10 @@ batching.  Rows are processed in blocks of `_BLOCK_ROWS`, so temporary
 arrays do not grow with the count.
 
 Blocks run concurrently: the calling thread and up to `_WORKERS` - 1
-threads of a pool created on first use each take every `_WORKERS`-th
-block (numpy drops the GIL inside its array loops), and each block
-writes only its own rows of the output.  A block is a few large array
-operations.  The first Gamma rejection attempt is drawn class by class,
+helper threads each take every `_WORKERS`-th block (numpy drops the GIL
+inside its array loops), and each block writes only its own rows of the
+output.  The helpers live only for the duration of the call.  A block is
+a few large array operations.  The first Gamma rejection attempt is drawn class by class,
 over the rows that need it, and the exponential terms over all rows of
 each class that some row needs, with masks keeping the lanes that
 count; only the rejected lanes (about 2%) go to the sparse,
@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -63,7 +63,7 @@ MAX_CONDITIONING = 2 ** 53
 
 _BLOCK_ROWS = 1 << 14
 # Threads that run the blocks of an ensemble, the calling thread
-# included (the pool holds the others).
+# included.
 _WORKERS = min(4, (len(os.sched_getaffinity(0))
                    if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1))
@@ -240,18 +240,6 @@ def _bisect(pred, lo: int, hi: int) -> int:
     return lo
 
 
-@cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The block pool with ``workers`` threads, created on first use."""
-    return ThreadPoolExecutor(workers, thread_name_prefix="simulate-block")
-
-
-# A forked child has none of the pool's threads, but the pool would count
-# the parent's idle ones and start none: the child builds its own.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
 def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gamma(m[q, i]) variates for class q of replication i (0 where m is 0).
 
@@ -416,11 +404,12 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         for start in starts[w::workers]:
             block(start)
 
-    helpers = [_pool(_WORKERS - 1).submit(run, w) for w in range(1, workers)]
-    try:
+    # Threads start on submit; leaving the block joins them, so no
+    # thread writes to the output after the return.
+    with ThreadPoolExecutor(max(workers - 1, 1),
+                            thread_name_prefix="simulate-block") as pool:
+        helpers = [pool.submit(run, w) for w in range(1, workers)]
         run(0)
-    finally:
-        wait(helpers)  # no thread writes to the output after the return
     for h in helpers:
         h.result()  # re-raises a helper's exception
     final = (j0 - 1 + n_events) % two_d + 1

@@ -47,6 +47,17 @@ class TestReport:
                 f"p={p}  tol={self.tolerance:.3g}")
 
 
+def bound_report(name: str, statistic: float, tolerance: float,
+                 detail: str = "", sample_size: int | None = None,
+                 blocking: bool = True) -> TestReport:
+    """A row without a p-value: passes iff ``statistic <= tolerance``
+    (so a NaN statistic fails)."""
+    return TestReport(name=name, statistic=statistic, p_value=None,
+                      tolerance=tolerance, passed=bool(statistic <= tolerance),
+                      sample_size=sample_size, detail=detail,
+                      blocking=blocking)
+
+
 def _require_sorted(values: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 10:

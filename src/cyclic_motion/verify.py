@@ -30,9 +30,6 @@ from .model import ModelParams
 from .rng import Substream
 from .stats import TestReport
 
-SUITE_NAMES = ("distributions", "moments", "pde", "limits", "conjecture",
-               "all")
-
 _ANGLES = ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
 
 
@@ -53,9 +50,8 @@ def boundary_mass_2d(seed: int, count: int = 100_000) -> list[TestReport]:
     p_exp = 2.0 * math.exp(-1.0)
     se = math.sqrt(p_exp * (1.0 - p_exp) / count)
     z = abs(p_hat - p_exp) / se
-    return [TestReport(
-        name="boundary_mass_2d", statistic=z, p_value=None, tolerance=3.0,
-        passed=bool(z <= 3.0), sample_size=count,
+    return [stats.bound_report(
+        "boundary_mass_2d", z, 3.0, sample_size=count,
         detail=f"empirical={p_hat:.5f} expected={p_exp:.5f}")]
 
 
@@ -135,9 +131,8 @@ def conditional_means_3d(seed: int, count: int = 100_000) -> list[TestReport]:
         val, _ = integrate.quad(lambda x: x * law.density(x), 0.0, ct,
                                 epsabs=1e-13, epsrel=1e-13, limit=200)
         worst = max(worst, abs(val - laws.conditional_mean_u(n) * ct))
-    reports.append(TestReport(
-        name="conditional_mean_quadrature_3d", statistic=worst, p_value=None,
-        tolerance=1e-10, passed=bool(worst < 1e-10), sample_size=None,
+    reports.append(stats.bound_report(
+        "conditional_mean_quadrature_3d", worst, 1e-10,
         detail="max |quad - analytic| over n=3..12"))
     return reports
 
@@ -166,9 +161,8 @@ def mean_moments_2d(seed: int, count: int = 100_000) -> list[TestReport]:
     mean = laws.mean_u(params, t)
     oracle = _moment_oracle(params, t, 1)
     err = abs(mean - oracle)
-    reports.append(TestReport(
-        name="mean_vs_quadrature_2d", statistic=err, p_value=None,
-        tolerance=1e-8, passed=bool(err < 1e-8), sample_size=None,
+    reports.append(stats.bound_report(
+        "mean_vs_quadrature_2d", err, 1e-8,
         detail=f"analytic={mean:.12f} oracle={oracle:.12f}"))
     s = simulate.simulate_ensemble(params, t, count, seed)
     reports.append(stats.moment_compare(s.u, mean, 1, name="mean_vs_mc_2d"))
@@ -176,16 +170,14 @@ def mean_moments_2d(seed: int, count: int = 100_000) -> list[TestReport]:
     for m in range(2, 7):
         worst = max(worst, abs(laws.moment_u(params, m, t)
                                - _moment_oracle(params, t, m)))
-    reports.append(TestReport(
-        name="moments_vs_quadrature_2d", statistic=worst, p_value=None,
-        tolerance=1e-8, passed=bool(worst < 1e-8), sample_size=None,
+    reports.append(stats.bound_report(
+        "moments_vs_quadrature_2d", worst, 1e-8,
         detail="max |moment_u - oracle| over m=2..6"))
     e0 = abs(laws.moment_u(params, 0, t) - 1.0)
     e1 = abs(laws.moment_u(params, 1, t) - mean) / mean
     exact = max(e0, e1)
-    reports.append(TestReport(
-        name="moment_edge_cases_2d", statistic=exact, p_value=None,
-        tolerance=1e-12, passed=bool(exact <= 1e-12), sample_size=None,
+    reports.append(stats.bound_report(
+        "moment_edge_cases_2d", exact, 1e-12,
         detail=f"|moment_0 - 1|={e0:.2e} rel|moment_1 - mean|={e1:.2e}"))
     return reports
 
@@ -208,10 +200,9 @@ def representation_agreement(seed: int) -> list[TestReport]:
                 worst = max(worst, float(np.max(np.abs(a - b) / ref)))
         label = ("series vs kernel-coefficient vs Bessel closed form"
                  if forms == 3 else "series vs kernel-coefficient form")
-        reports.append(TestReport(
-            name=f"density_forms_agree_dim{dim}", statistic=worst,
-            p_value=None, tolerance=1e-9, passed=bool(worst < 1e-9),
-            sample_size=1000, detail=label))
+        reports.append(stats.bound_report(
+            f"density_forms_agree_dim{dim}", worst, 1e-9, detail=label,
+            sample_size=1000))
     return reports
 
 
@@ -224,10 +215,9 @@ def mixture_identity(seed: int = 0) -> list[TestReport]:
             us = np.linspace(0.02, 0.98, 25) * params.c * t
             worst = float(np.max(np.abs(laws.mixture_density(params, t, us)
                                         - laws.density_u(params, t, us))))
-            reports.append(TestReport(
-                name=f"mixture_identity_dim{dim}_lt{t:g}", statistic=worst,
-                p_value=None, tolerance=1e-8, passed=bool(worst < 1e-8),
-                sample_size=None, detail="max abs error, 25 interior points"))
+            reports.append(stats.bound_report(
+                f"mixture_identity_dim{dim}_lt{t:g}", worst, 1e-8,
+                detail="max abs error, 25 interior points"))
     return reports
 
 
@@ -250,9 +240,8 @@ def pde_residuals(seed: int = 0) -> list[TestReport]:
     for t, u in ((0.7, 0.2), (1.0, 0.5), (1.3, 1.1), (2.0, 0.3)):
         worst = max(worst, abs(kernel_identity_residual(
             KernelPoint(params2, t, u))))
-    reports.append(TestReport(
-        name="kernel_identity_kgg", statistic=worst, p_value=None,
-        tolerance=1e-10, passed=bool(worst < 1e-10), sample_size=None,
+    reports.append(stats.bound_report(
+        "kernel_identity_kgg", worst, 1e-10,
         detail="analytic residual at 4 kernel points"))
     return reports
 
@@ -277,12 +266,10 @@ def cf_recursions(seed: int, count: int = 100_000) -> list[TestReport]:
             target = pde.average_cf(params, n, (a, b), t)
             z = max(abs(stats.z_score(phases.real, target.real)),
                     abs(stats.z_score(phases.imag, target.imag)))
-            reports.append(TestReport(
-                name=f"cf_quad_vs_mc_n{n}_a{a:g}_b{b:g}", statistic=z,
-                p_value=None, tolerance=3.0, passed=bool(z <= 3.0),
+            reports.append(stats.bound_report(
+                f"cf_quad_vs_mc_n{n}_a{a:g}_b{b:g}", z, 3.0,
                 sample_size=count,
-                detail=f"exact={target:.6f} "
-                       f"mc={np.mean(phases):.6f}"))
+                detail=f"exact={target:.6f} mc={np.mean(phases):.6f}"))
     return reports
 
 
@@ -323,10 +310,7 @@ def equality_conjecture(seed: int, count: int = 100_000,
     """Conjectured higher-dimension pairs U_d = U_{d+1} for d >= 3 at the
     smallest admissible switch count n = d+1 (parity alternates with d,
     extending the proved d = 1, 2 pattern).  Reported as conjecture
-    support, never blocking."""
-    if not 4 <= max_dim <= 8:
-        raise ValueError("max_dim must be between 4 and 8 for the "
-                         "conjecture suite")
+    support, never blocking.  `run_suite` holds max_dim to 4..8."""
     return [
         _u_pair_report(d, d + 1, d + 1, seed + 2 * d, count, blocking=False)
         for d in range(3, max_dim)
@@ -349,13 +333,21 @@ _REGISTRY: tuple[tuple[str, object], ...] = (
     ("distributions", equality_in_law),
     ("conjecture", equality_conjecture),
 )
+# The groups in first-appearance order, then "all".
+SUITE_NAMES = (*dict.fromkeys(group for group, _ in _REGISTRY), "all")
 
 
 def run_suite(suite: str, seed: int, max_dim: int = 5) -> list[TestReport]:
-    """Run a named suite (or ``all``) with per-criterion seed offsets."""
+    """Run a named suite (or ``all``) with per-criterion seed offsets.
+
+    ``max_dim`` (4..8) bounds the conjecture pairs; it is checked before
+    any criterion runs, whatever the suite.
+    """
     if suite not in SUITE_NAMES:
         raise ValueError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    if not 4 <= max_dim <= 8:
+        raise ValueError("max-dim must be between 4 and 8")
     reports: list[TestReport] = []
     for i, (group, fn) in enumerate(_REGISTRY):
         if suite == "all" or group == suite:

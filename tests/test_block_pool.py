@@ -80,7 +80,7 @@ def test_block_error_propagates_and_the_next_call_works(monkeypatch,
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_gets_the_pinned_bytes(monkeypatch):
-    # The parent's pool exists and has an idle thread when the child forks.
+    # The parent has run its blocks on two threads before the child forks.
     monkeypatch.setattr(simulate, "_WORKERS", 2)
     assert digest(_run(LARGE)) == CASES[LARGE]
     pid = os.fork()

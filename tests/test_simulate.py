@@ -1,6 +1,7 @@
 """Path simulation: evolve semantics, shell law, strata, conditioning."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -239,6 +240,14 @@ def test_batch_invariance_across_row_blocks(monkeypatch):
     reblocked = simulate_ensemble(params, 1.0, len(full), 5)
     assert np.array_equal(reblocked.positions, full.positions)
     assert np.array_equal(reblocked.u, full.u)
+
+
+def test_no_block_thread_outlives_the_call(monkeypatch):
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    monkeypatch.setattr(simulate, "_BLOCK_ROWS", 1000)
+    simulate_ensemble(P2, 1.0, 3500, 11)
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith("simulate-block")] == []
 
 
 def test_batching_invariance():

@@ -8,8 +8,8 @@ import pytest
 from scipy.stats import chi2
 
 from cyclic_motion import rng
-from cyclic_motion.stats import (TestReport, chi_square_masses,
-                                 ks_one_sample, ks_two_sample,
+from cyclic_motion.stats import (TestReport, bound_report,
+                                 chi_square_masses, ks_one_sample, ks_two_sample,
                                  moment_compare, z_score)
 
 
@@ -182,3 +182,13 @@ def test_blocking_flag_passthrough():
     rep2 = chi_square_masses({"a": 500, "b": 500}, {"a": 0.5, "b": 0.5},
                              blocking=False)
     assert rep2.blocking is False
+
+
+def test_bound_report_passes_up_to_the_tolerance():
+    rep = bound_report("b", 1e-8, 1e-8, detail="d", sample_size=5)
+    assert rep == TestReport(name="b", statistic=1e-8, p_value=None,
+                             tolerance=1e-8, passed=True, sample_size=5,
+                             detail="d", blocking=True)
+    assert not bound_report("b", 2e-8, 1e-8).passed
+    assert not bound_report("b", math.nan, 1e-8).passed
+    assert bound_report("b", 0.0, 3.0, blocking=False).blocking is False
