@@ -14,9 +14,9 @@ verify
     Run a verification suite and write a JSON report (array of
     ``{name, statistic, p_value, tolerance, pass, ...}`` objects).
 
-Exit codes: 0 success, 1 bad arguments, 2 I/O failure, 3 verification
-failure.  All randomized subcommands require ``--seed``; equal flags
-produce byte-identical output files.
+Exit codes: 0 success, 1 bad arguments (any ``ValueError``), 2 I/O
+failure, 3 verification failure.  All randomized subcommands require
+``--seed``; equal flags produce byte-identical output files.
 """
 
 from __future__ import annotations

@@ -24,12 +24,12 @@ arrays do not grow with the count.
 Blocks run concurrently: the calling thread and up to `_WORKERS` - 1
 helper threads each take every `_WORKERS`-th block (numpy drops the GIL
 inside its array loops), and each block writes only its own rows of the
-output.  The helpers live only for the duration of the call.  A block is
-a few large array operations.  The first Gamma rejection attempt is drawn class by class,
-over the rows that need it, and the exponential terms over all rows of
-each class that some row needs, with masks keeping the lanes that
-count; only the rejected lanes (about 2%) go to the sparse,
-one-entry-per-lane loop.  Positions are one gather from the block's
+output.  The helpers live only for the duration of the call.  A block
+is a few large array operations.  The first Gamma rejection attempt is
+drawn class by class, over the rows that need it, and the exponential
+terms over all rows of each class that some row needs, with masks
+keeping the lanes that count; only the rejected lanes (about 2%) go to
+the sparse, one-entry-per-lane loop.  Positions are one gather from the block's
 table of class pair differences.  A lane does the same float operations
 on the same slots on either path, so the output does not depend on the
 block size, the layout or the number of threads

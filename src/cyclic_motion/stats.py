@@ -48,14 +48,13 @@ class TestReport:
 
 
 def bound_report(name: str, statistic: float, tolerance: float,
-                 detail: str = "", sample_size: int | None = None,
-                 blocking: bool = True) -> TestReport:
+                 detail: str = "",
+                 sample_size: int | None = None) -> TestReport:
     """A row without a p-value: passes iff ``statistic <= tolerance``
     (so a NaN statistic fails)."""
     return TestReport(name=name, statistic=statistic, p_value=None,
                       tolerance=tolerance, passed=bool(statistic <= tolerance),
-                      sample_size=sample_size, detail=detail,
-                      blocking=blocking)
+                      sample_size=sample_size, detail=detail)
 
 
 def _require_sorted(values: np.ndarray, name: str) -> np.ndarray:

@@ -60,7 +60,7 @@ def test_concurrent_callers_get_the_pinned_bytes(monkeypatch):
 def test_block_error_propagates_and_the_next_call_works(monkeypatch,
                                                          failing):
     # 5 blocks of 4000 rows on 2 threads: block 0 runs on the caller,
-    # block 1 on the pool thread, block 4 last on the caller.
+    # block 1 on the helper thread, block 4 last on the caller.
     monkeypatch.setattr(simulate, "_WORKERS", 2)
     monkeypatch.setattr(simulate, "_BLOCK_ROWS", 4000)
     bad_key = rng.substream_key(LARGE[4], failing * 4000)

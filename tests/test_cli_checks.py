@@ -31,15 +31,8 @@ def test_density_zero_points_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_main_calls_the_command_set_on_the_module(monkeypatch):
-    # a wrapper set on `cli.cmd_*` after import is the one that runs
-    seen = []
-    monkeypatch.setattr(cli, "cmd_density",
-                        lambda args: seen.append(args.points) or 0)
-    assert cli.main(["density", "--points", "7"]) == 0
-    assert seen == [7]
-
-
-def test_suite_names_follow_the_registry():
-    assert verify.SUITE_NAMES == ("distributions", "moments", "pde",
-                                  "limits", "conjecture", "all")
+def test_equality_conjecture_direct_call_runs_pairs_below_max_dim():
+    # run_suite holds max_dim to 4..8; a direct call runs d = 3..max_dim-1
+    reports = verify.equality_conjecture(seed=7, count=500, max_dim=4)
+    assert [r.name for r in reports] == ["u3_eq_u4_n4"]
+    assert verify.equality_conjecture(seed=7, count=500, max_dim=3) == []

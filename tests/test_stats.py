@@ -191,4 +191,3 @@ def test_bound_report_passes_up_to_the_tolerance():
                              detail="d", blocking=True)
     assert not bound_report("b", 2e-8, 1e-8).passed
     assert not bound_report("b", math.nan, 1e-8).passed
-    assert bound_report("b", 0.0, 3.0, blocking=False).blocking is False
