@@ -44,6 +44,9 @@ MAX_MIXTURE_EVENTS = 1e6
 # Largest n of a conditional law, for the same reason; it covers every
 # n of the Poisson table at MAX_MIXTURE_EVENTS.
 MAX_SWITCHES = 1 << 20
+# Largest n of the conditional means: their exact factorials have about
+# n log2(n) bits, so time grows like n^2 (0.2 s here, 21 s at 2^20).
+MAX_MEAN_SWITCHES = 1 << 16
 # Block values per row that `_horner` holds at once (points x blocks).
 _HORNER_ENTRIES = 1 << 16
 
@@ -388,11 +391,17 @@ def moment_u(params: ModelParams, m: int, t: float) -> float:
     return _sum_exp(terms)
 
 
-def conditional_mean_u(n: int) -> float:
-    """E[U(t) | N(t)=n] in dim 3, as a multiple of ct (n >= 3)."""
+def _require_mean_n(n: int) -> None:
     if n < 3:
         raise SingularStratumError(
             f"N={n} < 3: conditional means require the a.c. regime")
+    if n > MAX_MEAN_SWITCHES:
+        raise ValueError(f"N={n} above the supported {MAX_MEAN_SWITCHES}")
+
+
+def conditional_mean_u(n: int) -> float:
+    """E[U(t) | N(t)=n] in dim 3, as a multiple of ct (3 <= n <= 2^16)."""
+    _require_mean_n(n)
     if n % 2 == 1:
         k = (n - 1) // 2
         return (math.factorial(2 * k + 1) * (k + 2)
@@ -419,9 +428,7 @@ def catalan_number(k: int) -> int:
 
 def conditional_mean_catalan(n: int) -> float:
     """`conditional_mean_u` rewritten through Catalan numbers C_k."""
-    if n < 3:
-        raise SingularStratumError(
-            f"N={n} < 3: conditional means require the a.c. regime")
+    _require_mean_n(n)
     if n % 2 == 1:
         k = (n - 1) // 2
         return (2 * k + 1) * catalan_number(k) * (k + 2) \

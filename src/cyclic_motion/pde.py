@@ -47,31 +47,29 @@ from .model import Direction, ModelParams, require_horizon
 from .stats import TestReport, bound_report
 
 # A residual check evaluates at _N_T horizons and _N_U radii (the planar
-# fourth-order check at t0 and _N_U radii).
+# fourth-order check at t0 and _N_U radii) in u in [_MARGIN, 1-_MARGIN]*ct,
+# at _LEVELS step sizes, and converges at order _ORDER +- _ORDER_TOL.
 _N_T = 3
 _N_U = 5
+_MARGIN = 0.2
+_LEVELS = 3
+_ORDER, _ORDER_TOL = 2.0, 0.3  # the O(h^2) stencils
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid for residual checks.
+    """Evaluation grid for residual checks: horizons in [t_start, t_stop]
+    and step sizes ``h``, h/2, h/4.
 
-    Points stay inside u in [margin, 1-margin]*ct for every stencil
-    offset at every level; ``h`` is the coarsest spacing and each of
-    the ``levels`` refinements halves it.
+    Points stay inside u in [0.2, 0.8]*ct for every stencil offset at
+    every level; the margin and the three levels are fixed.
     """
 
     t_start: float
     t_stop: float
-    margin: float = 0.2
     h: float = 0.02
-    levels: int = 3
 
     def __post_init__(self):
-        if not 0 < self.margin < 0.5:
-            raise ValueError("margin must be in (0, 0.5)")
-        if self.levels < 2:
-            raise ValueError("need at least 2 refinement levels")
         if not 0 < self.t_start <= self.t_stop:
             raise ValueError("need 0 < t_start <= t_stop")
         if self.h <= 0:
@@ -79,12 +77,12 @@ class GridSpec:
 
     @property
     def h_values(self) -> tuple[float, ...]:
-        return tuple(self.h / 2 ** i for i in range(self.levels))
+        return tuple(self.h / 2 ** i for i in range(_LEVELS))
 
 
 @dataclass
 class ResidualReport:
-    """Per-level residuals of a differenced identity plus fitted order."""
+    """Per-level residuals, fitted order; converged at order 2 +- 0.3."""
 
     name: str
     h_values: list[float]
@@ -96,8 +94,8 @@ class ResidualReport:
         logs_r = np.log(np.maximum(np.asarray(self.max_abs), 1e-300))
         self.order = float(np.polyfit(logs_h, logs_r, 1)[0])
 
-    def converged(self, target: float = 2.0, tol: float = 0.3) -> bool:
-        return abs(self.order - target) <= tol
+    def converged(self) -> bool:
+        return abs(self.order - _ORDER) <= _ORDER_TOL
 
     def line(self) -> str:
         res = ", ".join(f"{r:.3g}" for r in self.max_abs)
@@ -112,7 +110,7 @@ def _kg_points(params: ModelParams, grid: GridSpec):
     if t_min <= 0:
         raise ValueError("t grid touches t=0 for the widest stencil")
     ct_min = params.c * t_min
-    fracs = np.linspace(grid.margin, 1 - grid.margin, _N_U)
+    fracs = np.linspace(_MARGIN, 1 - _MARGIN, _N_U)
     return ts, fracs * ct_min
 
 
@@ -190,14 +188,13 @@ def _fourth_order_weights(params: ModelParams, h: float) -> np.ndarray:
     return w
 
 
-def _fourth_order_points(params: ModelParams, t: float, h_max: float,
-                         margin: float, n_pts: int):
+def _fourth_order_points(params: ModelParams, t: float, h_max: float):
     ct_min = params.c * (t - 2 * h_max)
-    lo = margin * ct_min + 2 * h_max
-    hi = (1 - margin) * ct_min - 2 * h_max
+    lo = _MARGIN * ct_min + 2 * h_max
+    hi = (1 - _MARGIN) * ct_min - 2 * h_max
     if not (t - 2 * h_max > 0 and lo < hi):
         raise ValueError("grid too coarse: stencil leaves the admissible strip")
-    us = np.linspace(lo, hi, n_pts)
+    us = np.linspace(lo, hi, _N_U)
     # split each u into unequal (x, y) to avoid accidental symmetry
     return 0.35 * us, 0.65 * us
 
@@ -218,7 +215,7 @@ def planar_fourth_order_residual(params: ModelParams, grid: GridSpec,
     f = _FIELDS[f_field](params)
     t0 = 0.5 * (grid.t_start + grid.t_stop)
     h_max = max(grid.h_values)
-    xs, ys = _fourth_order_points(params, t0, h_max, grid.margin, _N_U)
+    xs, ys = _fourth_order_points(params, t0, h_max)
     offsets = np.arange(-2, 3)
     max_abs = []
     for h in grid.h_values:
@@ -276,8 +273,8 @@ def average_cf(params: ModelParams, n: int, omega, t: float) -> complex:
                for j in range(1, params.n_directions + 1)) / params.n_directions
 
 
-def cf_recursion_check(params: ModelParams, n: int, j: int, omega, t: float,
-                       h_values=(0.02, 0.01, 0.005)) -> ResidualReport:
+def cf_recursion_check(params: ModelParams, n: int, j: int, omega,
+                       t: float) -> ResidualReport:
     """FD check of d F_n/dt = F_{n-1} + i c theta_{n+1} F_n (n >= 1).
 
     F_n = t^n/n! G_n are the unnormalized order-statistics integrals;
@@ -292,6 +289,7 @@ def cf_recursion_check(params: ModelParams, n: int, j: int, omega, t: float,
             params, m, j, omega, tt)
 
     th = cf_theta(n + 1, j, omega)
+    h_values = [0.02, 0.01, 0.005]
     max_abs = []
     for h in h_values:
         dfdt = (f_n(n, t + h) - f_n(n, t - h)) / (2 * h)
@@ -299,7 +297,7 @@ def cf_recursion_check(params: ModelParams, n: int, j: int, omega, t: float,
         max_abs.append(r)
     tag = "_".join(f"{name}{w:g}" for name, w in zip("abcdefgh", omega))
     return ResidualReport(name=f"cf_recursion_n{n}_j{j}_{tag}",
-                          h_values=list(h_values), max_abs=max_abs)
+                          h_values=h_values, max_abs=max_abs)
 
 
 def heat_limit_check(dim: int, t: float, c_schedule, count: int,
@@ -308,8 +306,10 @@ def heat_limit_check(dim: int, t: float, c_schedule, count: int,
 
     Passes iff the largest-c variance is within 5% of the target and
     the error sequence is non-increasing along the schedule within
-    3-standard-error Monte Carlo noise bands.
+    3-standard-error Monte Carlo noise bands; ``count`` must be >= 2.
     """
+    if count < 2:
+        raise ValueError(f"count must be >= 2 for a variance, got {count}")
     target = t / dim
     errs, noises, details = [], [], []
     for i, c in enumerate(c_schedule):
@@ -341,12 +341,11 @@ def density_moment(params: ModelParams, t: float, m: int = 0) -> float:
     return val
 
 
-def normalization_check(params: ModelParams, t: float,
-                        tol: float = 1e-8) -> TestReport:
-    """Quadrature of density_u against 1 - sum of shell masses."""
+def normalization_check(params: ModelParams, t: float) -> TestReport:
+    """Quadrature of density_u against 1 - sum of shell masses, to 1e-8."""
     total = density_moment(params, t)
     expected = laws.ac_mass(params, t)
     err = abs(total - expected)
     return bound_report(
-        f"normalization_dim{params.dim}_lt{params.lam * t:g}", err, tol,
+        f"normalization_dim{params.dim}_lt{params.lam * t:g}", err, 1e-8,
         detail=f"quadrature={total:.10f} expected={expected:.10f}")

@@ -3,7 +3,8 @@
 All tests return a self-describing `TestReport`.  KS p-values use the
 asymptotic Kolmogorov distribution (adequate at the sample sizes used
 here, n >= 1e3); verification suites run with fixed seeds so pass/fail
-is deterministic.
+is deterministic.  Thresholds are fixed (KS and chi-square pass at
+p > `ALPHA`, moments within 3 SE); only `ks_two_sample` takes ``blocking``.
 
 Every p-value comes from `scipy.special` (``kolmogorov``, ``chdtrc``),
 the functions `scipy.stats` calls underneath, so this module loads
@@ -18,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-ALPHA = 0.01  # default significance level for all goodness-of-fit tests
+ALPHA = 0.01  # significance level of every goodness-of-fit test
 # Relative width of "within rounding": a few ulps of the values' magnitude.
 _ROUNDING = 4 * float(np.finfo(float).eps)
 
 
 @dataclass
 class TestReport:
+    __test__ = False  # a report, not a pytest test class
     name: str
     statistic: float
     p_value: float | None
@@ -66,8 +68,7 @@ def _require_sorted(values: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def ks_one_sample(values, cdf, name: str = "ks_one_sample",
-                  alpha: float = ALPHA, blocking: bool = True) -> TestReport:
+def ks_one_sample(values, cdf, name: str = "ks_one_sample") -> TestReport:
     """One-sample KS test of sorted values against a callable CDF.
 
     The CDF must map the sample's support onto [0, 1] (renormalize
@@ -82,11 +83,10 @@ def ks_one_sample(values, cdf, name: str = "ks_one_sample",
     d = max(d_plus, d_minus)
     p = float(special.kolmogorov(np.sqrt(n) * d))
     return TestReport(name=name, statistic=float(d), p_value=p,
-                      tolerance=alpha, passed=p > alpha, sample_size=n,
-                      blocking=blocking)
+                      tolerance=ALPHA, passed=p > ALPHA, sample_size=n)
 
 
-def ks_two_sample(a, b, name: str = "ks_two_sample", alpha: float = ALPHA,
+def ks_two_sample(a, b, name: str = "ks_two_sample",
                   blocking: bool = True) -> TestReport:
     """Two-sample KS test with asymptotic p-value."""
     x = _require_sorted(a, name + "[a]")
@@ -98,23 +98,25 @@ def ks_two_sample(a, b, name: str = "ks_two_sample", alpha: float = ALPHA,
     d = float(np.max(np.abs(cdf_x - cdf_y)))
     en = np.sqrt(n * m / (n + m))
     p = float(special.kolmogorov(en * d))
-    return TestReport(name=name, statistic=d, p_value=p, tolerance=alpha,
-                      passed=p > alpha, sample_size=n + m, blocking=blocking)
+    return TestReport(name=name, statistic=d, p_value=p, tolerance=ALPHA,
+                      passed=p > ALPHA, sample_size=n + m, blocking=blocking)
 
 
 def chi_square_masses(observed: dict[str, int], expected: dict[str, float],
-                      name: str = "chi_square", alpha: float = ALPHA,
-                      blocking: bool = True) -> TestReport:
+                      name: str = "chi_square") -> TestReport:
     """Pearson chi-square of stratum counts against expected masses.
 
     ``expected`` must be a full partition (masses summing to 1); cells
-    missing from ``observed`` count as zero.
+    missing from ``observed`` count as zero, and a positive count in a
+    cell missing from ``expected`` (mass zero) raises ValueError.
     """
     total_mass = sum(expected.values())
     if abs(total_mass - 1.0) > 1e-9:
         raise ValueError(f"expected masses must sum to 1, got {total_mass}")
     if any(mass <= 0 for mass in expected.values()):
         raise ValueError("every expected mass must be positive")
+    if any(obs > 0 and cell not in expected for cell, obs in observed.items()):
+        raise ValueError("a count falls in a cell of zero expected mass")
     n = sum(observed.values())
     if n < 1000:
         raise ValueError("chi_square_masses needs >= 1000 observations")
@@ -125,9 +127,8 @@ def chi_square_masses(observed: dict[str, int], expected: dict[str, float],
         stat += (obs - exp_count) ** 2 / exp_count
     dof = len(expected) - 1
     p = float(special.chdtrc(dof, stat))
-    return TestReport(name=name, statistic=stat, p_value=p, tolerance=alpha,
-                      passed=p > alpha, sample_size=n,
-                      detail=f"dof={dof}", blocking=blocking)
+    return TestReport(name=name, statistic=stat, p_value=p, tolerance=ALPHA,
+                      passed=p > ALPHA, sample_size=n, detail=f"dof={dof}")
 
 
 def z_score(values, target: float) -> float:
@@ -152,8 +153,7 @@ def z_score(values, target: float) -> float:
 
 
 def moment_compare(samples, analytic: float, m: int,
-                   name: str = "moment_compare",
-                   blocking: bool = True) -> TestReport:
+                   name: str = "moment_compare") -> TestReport:
     """Check the sample m-th moment against an analytic value (3-sigma).
 
     The statistic is `z_score` of u^m against the analytic value:
@@ -166,5 +166,4 @@ def moment_compare(samples, analytic: float, m: int,
     z = z_score(powers, analytic)
     return TestReport(name=name, statistic=z, p_value=None,
                       tolerance=3.0, passed=abs(z) <= 3.0, sample_size=n,
-                      detail=f"sample={sample_moment:.6g} analytic={analytic:.6g}",
-                      blocking=blocking)
+                      detail=f"sample={sample_moment:.6g} analytic={analytic:.6g}")

@@ -33,13 +33,11 @@ from .stats import TestReport
 _ANGLES = ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
 
 
-def _residual_report(rr: pde.ResidualReport, target: float = 2.0,
-                     tol: float = 0.3, blocking: bool = True) -> TestReport:
+def _residual_report(rr: pde.ResidualReport) -> TestReport:
     return TestReport(
-        name=rr.name, statistic=rr.order, p_value=None, tolerance=tol,
-        passed=rr.converged(target, tol), sample_size=None,
-        detail=f"target order {target}+-{tol}; " + rr.line(),
-        blocking=blocking)
+        name=rr.name, statistic=rr.order, p_value=None,
+        tolerance=pde._ORDER_TOL, passed=rr.converged(), sample_size=None,
+        detail=f"target order {pde._ORDER}+-{pde._ORDER_TOL}; " + rr.line())
 
 
 def boundary_mass_2d(seed: int, count: int = 100_000) -> list[TestReport]:
@@ -139,12 +137,8 @@ def conditional_means_3d(seed: int, count: int = 100_000) -> list[TestReport]:
 
 def normalization(seed: int = 0) -> list[TestReport]:
     """Interior quadrature + shell masses sum to 1, dims 2-3."""
-    reports = []
-    for dim in (2, 3):
-        for lt in (0.5, 1.0, 2.0, 5.0):
-            params = ModelParams(c=1.0, lam=1.0, dim=dim)
-            reports.append(pde.normalization_check(params, lt))
-    return reports
+    return [pde.normalization_check(ModelParams(c=1.0, lam=1.0, dim=dim), lt)
+            for dim in (2, 3) for lt in (0.5, 1.0, 2.0, 5.0)]
 
 
 def _moment_oracle(params: ModelParams, t: float, m: int) -> float:
@@ -225,15 +219,13 @@ def pde_residuals(seed: int = 0) -> list[TestReport]:
     """Klein-Gordon and planar fourth-order FD residual convergence,
     plus the analytic kernel identity g_tt = c^2 g_uu + lam^2 g."""
     reports = []
-    kg_grid = pde.GridSpec(t_start=0.8, t_stop=1.2, margin=0.2, h=0.02,
-                           levels=3)
+    kg_grid = pde.GridSpec(t_start=0.8, t_stop=1.2, h=0.02)
     for dim in (2, 3):
         params = ModelParams(c=1.0, lam=1.0, dim=dim)
         reports.append(_residual_report(
             pde.klein_gordon_residual(params, kg_grid)))
     params2 = ModelParams(c=1.0, lam=1.0, dim=2)
-    f_grid = pde.GridSpec(t_start=0.9, t_stop=1.1, margin=0.2, h=0.04,
-                          levels=3)
+    f_grid = pde.GridSpec(t_start=0.9, t_stop=1.1, h=0.04)
     reports.append(_residual_report(
         pde.planar_fourth_order_residual(params2, f_grid)))
     worst = 0.0

@@ -18,16 +18,12 @@ from cyclic_motion.pde import (GridSpec, ResidualReport, average_cf,
 P2 = ModelParams(c=1.0, lam=1.0, dim=2)
 P3 = ModelParams(c=1.0, lam=1.0, dim=3)
 
-KG_GRID = GridSpec(t_start=0.8, t_stop=1.2, margin=0.2, h=0.02, levels=3)
-F_GRID = GridSpec(t_start=0.9, t_stop=1.1, margin=0.2, h=0.04, levels=3)
+KG_GRID = GridSpec(t_start=0.8, t_stop=1.2, h=0.02)
+F_GRID = GridSpec(t_start=0.9, t_stop=1.1, h=0.04)
 
 
 def test_grid_spec_validation_and_levels():
     assert KG_GRID.h_values == (0.02, 0.01, 0.005)
-    with pytest.raises(ValueError):
-        GridSpec(t_start=0.5, t_stop=1.0, margin=0.6)
-    with pytest.raises(ValueError):
-        GridSpec(t_start=0.5, t_stop=1.0, levels=1)
     with pytest.raises(ValueError):
         GridSpec(t_start=-0.5, t_stop=1.0)
     with pytest.raises(ValueError):
@@ -39,20 +35,20 @@ def test_residual_report_order_fit():
                         max_abs=[1.6e-4, 4e-5, 1e-5])
     assert rr.order == pytest.approx(2.0, abs=1e-12)
     assert rr.converged()
-    assert not rr.converged(target=4.0)
+    assert abs(rr.order - 4.0) > 0.3
     assert "order=2.00" in rr.line()
 
 
 @pytest.mark.parametrize("params", [P2, P3])
 def test_klein_gordon_residual_second_order(params):
     rr = klein_gordon_residual(params, KG_GRID)
-    assert rr.converged(2.0, 0.3), rr.line()
+    assert rr.converged(), rr.line()
     # residuals actually shrink
     assert rr.max_abs[-1] < rr.max_abs[0] / 8
 
 
 def test_klein_gordon_grid_guard():
-    bad = GridSpec(t_start=0.03, t_stop=0.1, margin=0.2, h=0.02, levels=3)
+    bad = GridSpec(t_start=0.03, t_stop=0.1, h=0.02)
     with pytest.raises(ValueError):
         klein_gordon_residual(P2, bad)
 
@@ -61,7 +57,7 @@ def test_fourth_order_layer_field_control():
     # the layer parametrization p(x+y, t) satisfies the factored
     # operator identity: residual -> 0 at O(h^2)
     rr = planar_fourth_order_residual(P2, F_GRID, f_field="layer")
-    assert rr.converged(2.0, 0.3), rr.line()
+    assert rr.converged(), rr.line()
     assert rr.max_abs[-1] < 1e-3
 
 
@@ -70,7 +66,7 @@ def test_fourth_order_point_field_residual_does_not_vanish():
     # identity: the residual plateaus instead of converging (pinned
     # behaviour; see the verification-status notes)
     rr = planar_fourth_order_residual(P2, F_GRID)
-    assert not rr.converged(2.0, 0.3)
+    assert not rr.converged()
     assert min(rr.max_abs) > 1.0
 
 
@@ -97,7 +93,7 @@ def test_fourth_order_symmetric_in_x_y():
 
 
 def test_fourth_order_domain_guard():
-    tight = GridSpec(t_start=0.2, t_stop=0.2, margin=0.2, h=0.04, levels=3)
+    tight = GridSpec(t_start=0.2, t_stop=0.2, h=0.04)
     with pytest.raises(ValueError):
         planar_fourth_order_residual(P2, tight)
     with pytest.raises(ValueError):
@@ -287,7 +283,7 @@ def test_cf_rejects_non_finite_omega(omega):
 @pytest.mark.parametrize("j", [1, 4])
 def test_cf_recursion_second_order(n, j):
     rr = cf_recursion_check(P2, n, j, (0.5, 0.5), 1.0)
-    assert rr.converged(2.0, 0.3), rr.line()
+    assert rr.converged(), rr.line()
 
 
 @pytest.mark.parametrize("n", [3, 10])
@@ -295,7 +291,7 @@ def test_cf_recursion_second_order(n, j):
 def test_cf_recursion_second_order_dim3(n, j):
     rr = cf_recursion_check(P3, n, j, (0.7, 0.3, -0.5), 1.0)
     assert rr.name == f"cf_recursion_n{n}_j{j}_a0.7_b0.3_c-0.5"
-    assert rr.converged(2.0, 0.3), rr.line()
+    assert rr.converged(), rr.line()
 
 
 def test_cf_recursion_guard():
@@ -309,6 +305,17 @@ def test_heat_limit_smoke():
     rep = heat_limit_check(2, 1.0, (6.0, 12.0), 40_000, 9)
     assert rep.passed, rep.detail
     assert rep.name == "heat_limit_dim2"
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_heat_limit_needs_two_paths(monkeypatch, count):
+    # a sample variance needs two paths; the check says so before it
+    # samples anything
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking count")
+    monkeypatch.setattr(simulate, "simulate_ensemble", no_sampling)
+    with pytest.raises(ValueError, match="count must be >= 2"):
+        heat_limit_check(2, 1.0, (6.0, 12.0), count, 9)
 
 
 def test_normalization_check_report():

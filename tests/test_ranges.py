@@ -42,6 +42,9 @@ ROWS = [
     ("moment_u m", MAX_MOMENT, lambda m: laws.moment_u(P2, m, 1.0)),
     ("kernel_integral m", MAX_MOMENT,
      lambda m: kernel_integral(P2, 1.0, m, 2)),
+    ("conditional means", laws.MAX_MEAN_SWITCHES,
+     lambda n: (laws.conditional_mean_u(n),
+                laws.conditional_mean_catalan(n))),
     ("conditional_cf", pde.MAX_CF_SWITCHES,
      lambda n: pde.conditional_cf(P2, n, 1, (0.7, 0.3), 1.0)),
     ("simulate_ensemble", simulate.MAX_MEAN_EVENTS,

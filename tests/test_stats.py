@@ -119,6 +119,15 @@ def test_chi_square_missing_cells_count_as_zero():
     assert rep.statistic == pytest.approx(9.0 / 2997.0 + 3.0, rel=1e-12)
 
 
+def test_chi_square_rejects_counts_in_cells_of_zero_mass():
+    # 1% of the observations sit in a cell that `expected` gives no mass
+    with pytest.raises(ValueError, match="zero expected mass"):
+        chi_square_masses({"a": 495, "b": 495, "zz": 10}, {"a": .5, "b": .5})
+    # an empty cell of that kind is harmless
+    rep = chi_square_masses({"a": 500, "b": 500, "zz": 0}, {"a": .5, "b": .5})
+    assert rep.statistic == 0.0 and rep.sample_size == 1000
+
+
 def test_chi_square_p_value_is_scipy_stats_chi2_sf():
     # The p-value comes from scipy.special.chdtrc, so the package need
     # not import scipy.stats; it must equal chi2.sf bit for bit.
@@ -173,15 +182,6 @@ def test_z_score_constant_sample_off_target_is_infinite():
     assert z_score(const, math.cos(0.5) - 1e-9) == math.inf
     rep = moment_compare(const, math.cos(0.5) + 1e-9, 1)
     assert not rep.passed and rep.statistic == -math.inf
-
-
-def test_blocking_flag_passthrough():
-    u = np.sort(_uniforms(17, 1000))
-    rep = ks_one_sample(u, lambda x: np.clip(x, 0, 1), blocking=False)
-    assert rep.blocking is False
-    rep2 = chi_square_masses({"a": 500, "b": 500}, {"a": 0.5, "b": 0.5},
-                             blocking=False)
-    assert rep2.blocking is False
 
 
 def test_bound_report_passes_up_to_the_tolerance():
