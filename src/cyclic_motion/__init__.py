@@ -11,7 +11,7 @@ masses, Klein-Gordon and fourth-order PDE residuals,
 characteristic-function recursions, and the diffusive limit.
 """
 
-from .bessel import (KernelPoint, bessel_i_scaled, kernel_derivative,
+from .bessel import (bessel_i_scaled, kernel_derivative,
                      kernel_identity_residual, kernel_integral)
 from .laws import (ConditionalLaw, SingularStratumError, StratumMass,
                    ac_mass, cdf_u, conditional_density_u,
@@ -21,13 +21,13 @@ from .laws import (ConditionalLaw, SingularStratumError, StratumMass,
                    moment_u, singular_masses)
 from .model import (Direction, ModelParams, classify_stratum,
                     cycle_successor, face_label, stratum_labels)
-from .pde import (GridSpec, ResidualReport, average_cf, cf_recursion_check,
+from .pde import (ResidualReport, average_cf, cf_recursion_check,
                   conditional_cf, heat_limit_check,
                   klein_gordon_residual, normalization_check,
                   planar_fourth_order_residual)
-from .simulate import (MotionOutcome, MotionPath, SampleSet,
-                       empirical_char_function, evolve, sample_path,
-                       sample_path_conditional, simulate_ensemble)
+from .simulate import (MotionOutcome, MotionPath, SampleSet, evolve,
+                       sample_path, sample_path_conditional,
+                       simulate_ensemble)
 from .stats import (TestReport, chi_square_masses, ks_one_sample,
                     ks_two_sample, moment_compare)
 from .verify import run_suite
@@ -35,20 +35,20 @@ from .verify import run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "KernelPoint", "bessel_i_scaled", "kernel_derivative",
-    "kernel_identity_residual", "kernel_integral",
+    "bessel_i_scaled", "kernel_derivative", "kernel_identity_residual",
+    "kernel_integral",
     "ConditionalLaw", "SingularStratumError", "StratumMass", "ac_mass",
     "cdf_u", "conditional_density_u",
     "conditional_mean_catalan", "conditional_mean_ratio",
     "conditional_mean_u", "density_u", "density_u_closed_form",
     "density_u_from_coefficients", "mean_u", "mixture_density", "moment_u",
     "singular_masses", "Direction", "ModelParams", "classify_stratum",
-    "cycle_successor", "face_label", "stratum_labels", "GridSpec",
-    "ResidualReport", "average_cf", "cf_recursion_check", "conditional_cf",
-    "heat_limit_check", "klein_gordon_residual", "normalization_check",
+    "cycle_successor", "face_label", "stratum_labels", "ResidualReport",
+    "average_cf", "cf_recursion_check", "conditional_cf", "heat_limit_check",
+    "klein_gordon_residual", "normalization_check",
     "planar_fourth_order_residual", "MotionOutcome", "MotionPath",
-    "SampleSet", "empirical_char_function", "evolve", "sample_path",
-    "sample_path_conditional", "simulate_ensemble", "TestReport",
+    "SampleSet", "evolve", "sample_path", "sample_path_conditional",
+    "simulate_ensemble", "TestReport",
     "chi_square_masses", "ks_one_sample", "ks_two_sample", "moment_compare",
     "run_suite", "__version__",
 ]

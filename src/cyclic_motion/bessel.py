@@ -23,7 +23,6 @@ routine ``ive``, under the name `bessel_i_scaled`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ive as bessel_i_scaled
@@ -67,31 +66,6 @@ def _unscaled(scaled, xi):
     return np.where(scaled == 0.0, 0.0, value)
 
 
-@dataclass(frozen=True)
-class KernelPoint:
-    """Kernel points (t, u): one t and a scalar or array u in [0, ct]."""
-
-    params: ModelParams
-    t: float
-    u: float | np.ndarray
-
-    def __post_init__(self):
-        if not (self.t >= 0 and math.isfinite(self.t)):
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
-        _check_u(self.params.c * self.t, self.u)
-
-    @property
-    def p_factor(self):
-        """P = c^2 t^2 - u^2, computed as a product to keep the edge exact."""
-        ct = self.params.c * self.t
-        u = np.asarray(self.u, dtype=float)
-        return like_input(self.u, np.maximum(0.0, (ct - u) * (ct + u)))
-
-    @property
-    def xi(self):
-        return (self.params.lam / self.params.c) * np.sqrt(self.p_factor)
-
-
 def scaled_series(lam: float, c: float, t: float, u,
                   weights) -> tuple[list[np.ndarray], np.ndarray]:
     """Weighted sums of the scaled kernel series terms, for scalar or array u.
@@ -99,7 +73,8 @@ def scaled_series(lam: float, c: float, t: float, u,
     Returns ``([sum_k b_k w(k) for w in weights], xi)`` as arrays shaped
     like ``u``, with ``b_k = e^{-xi} (lam/(2c))^{2k} P^k / (k!)^2`` — the
     kernel series terms scaled by e^{-xi} so every sum stays bounded.
-    Each weight maps an array of k to per-term factors.
+    Each weight maps an array of k to per-term factors.  ``t`` must be
+    finite and >= 0, and u in [0, ct].
 
     The terms peak at k* = floor(xi/2) and fall monotonically on both
     sides, so each sum starts there and runs outward, ``_BLOCK`` terms a
@@ -107,6 +82,8 @@ def scaled_series(lam: float, c: float, t: float, u,
     summed relative to the peak and normalised by sum_k b_k = ive(0, xi):
     a peak term taken from logs would lose ~xi ulps (1e-10 at xi = 1e5).
     """
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     require_lambda_t(lam, t)
     ct = c * t
     u = _check_u(ct, u)
@@ -137,7 +114,7 @@ def scaled_series(lam: float, c: float, t: float, u,
     return [(s * scale).reshape(xi.shape) for s in sums[1:]], xi
 
 
-def _kernel_sums_scaled(point: KernelPoint):
+def _kernel_sums_scaled(params: ModelParams, t: float, u):
     """Scaled sums (B0..B3, xi) of the four derivative series.
 
     B0 = e^{-xi} sum a_k P^k and B1..B3 carry the extra per-term
@@ -145,7 +122,7 @@ def _kernel_sums_scaled(point: KernelPoint):
     r = lam^2/(4c^2); all t/u derivatives of g up to the supported
     orders are linear combinations of these.
     """
-    lam, c = point.params.lam, point.params.c
+    lam, c = params.lam, params.c
     r = lam * lam / (4.0 * c * c)
     weights = (
         lambda k: 1.0,
@@ -153,18 +130,17 @@ def _kernel_sums_scaled(point: KernelPoint):
         lambda k: r * r / ((k + 1) * (k + 2)),
         lambda k: r ** 3 / ((k + 1) * (k + 2) * (k + 3)),
     )
-    sums, xi = scaled_series(lam, c, point.t, point.u, weights)
+    sums, xi = scaled_series(lam, c, t, u, weights)
     return (*sums, xi)
 
 
 _ALLOWED_ORDERS = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 2)}
 
 
-def _derivative(sums, point: KernelPoint, t_order: int, u_order: int):
+def _derivative(sums, c: float, t: float, u, t_order: int, u_order: int):
     """e^{-xi} times the (t_order, u_order) derivative, from B0..B3."""
     B0, B1, B2, B3 = sums
-    c, t = point.params.c, point.t
-    u = np.asarray(point.u, dtype=float)
+    u = np.asarray(u, dtype=float)
     c2 = c * c
     if t_order == 0 and u_order == 0:
         return B0
@@ -181,37 +157,38 @@ def _derivative(sums, point: KernelPoint, t_order: int, u_order: int):
     return -4.0 * c2 * t * B2 + 8.0 * c2 * t * u * u * B3  # (1, 2)
 
 
-def kernel_derivative(point: KernelPoint, t_order: int = 0,
+def kernel_derivative(params: ModelParams, t: float, u, t_order: int = 0,
                       u_order: int = 0, scaled: bool = False):
-    """Partial derivative of g(u,t) of the given orders at ``point``.
+    """Partial derivative of g(u,t) of the given orders at (t, u).
 
-    Supported orders: pure t-derivatives 0..3, pure u-derivatives 1..2,
-    and the mixed (t_order=1, u_order=2).  Values are exact limits at
-    u = ct.  A float for a scalar ``point.u``, else an array.  The value
-    is +-inf where it overflows (xi beyond ~709) and 0 where it is 0;
-    ``scaled=True`` returns e^{-xi} times the derivative instead
-    (xi = ``point.xi``), which is finite for every lam*t.
+    ``t >= 0`` and u (a scalar or an array) in [0, ct].  Supported
+    orders: pure t-derivatives 0..3, pure u-derivatives 1..2, and the
+    mixed (t_order=1, u_order=2).  Values are exact limits at u = ct.
+    A float for a scalar u, else an array.  The value is +-inf where it
+    overflows (xi beyond ~709) and 0 where it is 0; ``scaled=True``
+    returns e^{-xi} times the derivative instead, which is finite for
+    every lam*t.
     """
     if (t_order, u_order) not in _ALLOWED_ORDERS:
         raise ValueError(f"unsupported derivative orders ({t_order}, {u_order})")
-    *sums, xi = _kernel_sums_scaled(point)
-    value = _derivative(sums, point, t_order, u_order)
-    return like_input(point.u, value if scaled else _unscaled(value, xi))
+    *sums, xi = _kernel_sums_scaled(params, t, u)
+    value = _derivative(sums, params.c, t, u, t_order, u_order)
+    return like_input(u, value if scaled else _unscaled(value, xi))
 
 
-def kernel_identity_residual(point: KernelPoint):
+def kernel_identity_residual(params: ModelParams, t: float, u):
     """Residual of the exact identity d2g/dt2 = c^2 d2g/du2 + lam^2 g.
 
     Evaluated from one pass of the scaled series sums (no differencing);
     rounding is the only contribution, so the relative size is ~1e-16.
     Like the kernel itself, the residual is +-inf where e^{xi} overflows.
     """
-    lam, c = point.params.lam, point.params.c
-    *sums, xi = _kernel_sums_scaled(point)
-    res = (_derivative(sums, point, 2, 0)
-           - c * c * _derivative(sums, point, 0, 2)
-           - lam * lam * _derivative(sums, point, 0, 0))
-    return like_input(point.u, _unscaled(res, xi))
+    lam, c = params.lam, params.c
+    *sums, xi = _kernel_sums_scaled(params, t, u)
+    res = (_derivative(sums, c, t, u, 2, 0)
+           - c * c * _derivative(sums, c, t, u, 0, 2)
+           - lam * lam * _derivative(sums, c, t, u, 0, 0))
+    return like_input(u, _unscaled(res, xi))
 
 
 _INTEGRAL_ORDERS = {0, 1, 2, 3}

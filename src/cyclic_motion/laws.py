@@ -31,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .bessel import (MAX_MOMENT, KernelPoint, _sum_exp, _term,
+from .bessel import (MAX_MOMENT, _sum_exp, _term,
                      bessel_i_scaled, kernel_derivative, like_input,
                      require_lambda_t, scaled_series)
-from .model import ModelParams, face_label, require_horizon, VERTEX
+from .model import (ModelParams, face_label, require_horizon, require_int,
+                    VERTEX)
 from .simulate import _poisson_table
 
 # Largest lam*t that `cdf_u` and `mixture_density` take (the sampler
@@ -165,10 +166,12 @@ def density_u_from_coefficients(params: ModelParams, t: float, u):
 
     def combination(v):
         # Scaled derivatives: e^{xi} would overflow for lam*t past ~709.
-        point = KernelPoint(params, t, v)
-        total = sum(a * kernel_derivative(point, t_order=j, scaled=True)
+        total = sum(a * kernel_derivative(params, t, v, t_order=j,
+                                          scaled=True)
                     for j, a in enumerate(coeffs))
-        return np.exp(point.xi - lam * t) / params.c * total
+        ct = params.c * t
+        xi = lam / params.c * np.sqrt(np.maximum(0.0, (ct - v) * (ct + v)))
+        return np.exp(xi - lam * t) / params.c * total
 
     return _on_support(params, t, u, combination)
 
@@ -319,6 +322,7 @@ class ConditionalLaw(_Mixture):
     `_Mixture` (the KS tests call its `cdf` on arrays)."""
 
     def __init__(self, params: ModelParams, n: int, horizon: float):
+        n = require_int(n, "n")
         super().__init__(params, horizon, np.array([n]), np.ones(1))
         self.n = n
 
@@ -391,17 +395,19 @@ def moment_u(params: ModelParams, m: int, t: float) -> float:
     return _sum_exp(terms)
 
 
-def _require_mean_n(n: int) -> None:
+def _require_mean_n(n: int) -> int:
+    n = require_int(n, "n")
     if n < 3:
         raise SingularStratumError(
             f"N={n} < 3: conditional means require the a.c. regime")
     if n > MAX_MEAN_SWITCHES:
         raise ValueError(f"N={n} above the supported {MAX_MEAN_SWITCHES}")
+    return n
 
 
 def conditional_mean_u(n: int) -> float:
     """E[U(t) | N(t)=n] in dim 3, as a multiple of ct (3 <= n <= 2^16)."""
-    _require_mean_n(n)
+    n = _require_mean_n(n)
     if n % 2 == 1:
         k = (n - 1) // 2
         return (math.factorial(2 * k + 1) * (k + 2)
@@ -428,7 +434,7 @@ def catalan_number(k: int) -> int:
 
 def conditional_mean_catalan(n: int) -> float:
     """`conditional_mean_u` rewritten through Catalan numbers C_k."""
-    _require_mean_n(n)
+    n = _require_mean_n(n)
     if n % 2 == 1:
         k = (n - 1) // 2
         return (2 * k + 1) * catalan_number(k) * (k + 2) \

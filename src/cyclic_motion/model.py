@@ -19,6 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def require_int(value, name: str) -> int:
+    """``value`` as an int, or ValueError naming it unless it is an
+    integer: int() would truncate 2.7 to 2 and take True as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Speed, switching rate, and dimension of the motion."""
@@ -32,10 +40,8 @@ class ModelParams:
             raise ValueError(f"speed c must be positive and finite, got {self.c}")
         if not (self.lam > 0 and np.isfinite(self.lam)):
             raise ValueError(f"rate lam must be positive and finite, got {self.lam}")
-        if (isinstance(self.dim, bool)
-                or not (isinstance(self.dim, (int, np.integer))
-                        and 1 <= self.dim <= 8)):
-            raise ValueError(f"dim must be an integer in 1..8, got {self.dim}")
+        if not 1 <= require_int(self.dim, "dim") <= 8:
+            raise ValueError(f"dim must be in 1..8, got {self.dim}")
 
     @property
     def n_directions(self) -> int:

@@ -43,12 +43,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laws, simulate
-from .model import Direction, ModelParams, require_horizon
+from .model import Direction, ModelParams, require_horizon, require_int
 from .stats import TestReport, bound_report
 
-# A residual check evaluates at _N_T horizons and _N_U radii (the planar
-# fourth-order check at t0 and _N_U radii) in u in [_MARGIN, 1-_MARGIN]*ct,
-# at _LEVELS step sizes, and converges at order _ORDER +- _ORDER_TOL.
+# The Klein-Gordon check evaluates at _N_T horizons in _KG_T and the
+# planar fourth-order check at _F_T0, with _LEVELS step sizes halving from
+# _KG_H and _F_H.  Both take _N_U radii in [_MARGIN, 1-_MARGIN]*ct at the
+# smallest horizon the widest stencil reaches, and converge at order
+# _ORDER +- _ORDER_TOL.
+_KG_T, _KG_H = (0.8, 1.2), 0.02
+_F_T0, _F_H = 1.0, 0.04
 _N_T = 3
 _N_U = 5
 _MARGIN = 0.2
@@ -56,28 +60,8 @@ _LEVELS = 3
 _ORDER, _ORDER_TOL = 2.0, 0.3  # the O(h^2) stencils
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Evaluation grid for residual checks: horizons in [t_start, t_stop]
-    and step sizes ``h``, h/2, h/4.
-
-    Points stay inside u in [0.2, 0.8]*ct for every stencil offset at
-    every level; the margin and the three levels are fixed.
-    """
-
-    t_start: float
-    t_stop: float
-    h: float = 0.02
-
-    def __post_init__(self):
-        if not 0 < self.t_start <= self.t_stop:
-            raise ValueError("need 0 < t_start <= t_stop")
-        if self.h <= 0:
-            raise ValueError("h must be > 0")
-
-    @property
-    def h_values(self) -> tuple[float, ...]:
-        return tuple(self.h / 2 ** i for i in range(_LEVELS))
+def _h_values(h: float) -> list[float]:
+    return [h / 2 ** i for i in range(_LEVELS)]
 
 
 @dataclass
@@ -102,19 +86,7 @@ class ResidualReport:
         return f"{self.name}: order={self.order:.2f} max_abs=[{res}]"
 
 
-def _kg_points(params: ModelParams, grid: GridSpec):
-    """The t values and the u values; every pair of them is a point."""
-    h_max = max(grid.h_values)
-    ts = np.linspace(grid.t_start, grid.t_stop, _N_T)
-    t_min = ts.min() - 2 * h_max
-    if t_min <= 0:
-        raise ValueError("t grid touches t=0 for the widest stencil")
-    ct_min = params.c * t_min
-    fracs = np.linspace(_MARGIN, 1 - _MARGIN, _N_U)
-    return ts, fracs * ct_min
-
-
-def klein_gordon_residual(params: ModelParams, grid: GridSpec) -> ResidualReport:
+def klein_gordon_residual(params: ModelParams) -> ResidualReport:
     """FD residual of (d/dt+lam)^2 p = c^2 d2p/du2 + lam^2 p on density_u.
 
     The lam^2 terms cancel exactly, leaving
@@ -122,9 +94,11 @@ def klein_gordon_residual(params: ModelParams, grid: GridSpec) -> ResidualReport
     stencils at fixed points across the refinement levels.
     """
     lam, c = params.lam, params.c
-    ts, us = _kg_points(params, grid)
+    h_values = _h_values(_KG_H)
+    ts = np.linspace(*_KG_T, _N_T)  # every (t, u) pair is a point
+    us = np.linspace(_MARGIN, 1 - _MARGIN, _N_U) * (c * (_KG_T[0] - 2 * _KG_H))
     max_abs = []
-    for h in grid.h_values:
+    for h in h_values:
         res = []
         for t in ts:
             p_cc = laws.density_u(params, t, us)
@@ -138,8 +112,7 @@ def klein_gordon_residual(params: ModelParams, grid: GridSpec) -> ResidualReport
         arr = np.abs(np.concatenate(res))
         max_abs.append(float(arr.max()))
     return ResidualReport(name=f"klein_gordon_dim{params.dim}",
-                          h_values=list(grid.h_values),
-                          max_abs=max_abs)
+                          h_values=h_values, max_abs=max_abs)
 
 
 def _point_field(params: ModelParams):
@@ -188,18 +161,19 @@ def _fourth_order_weights(params: ModelParams, h: float) -> np.ndarray:
     return w
 
 
-def _fourth_order_points(params: ModelParams, t: float, h_max: float):
-    ct_min = params.c * (t - 2 * h_max)
-    lo = _MARGIN * ct_min + 2 * h_max
-    hi = (1 - _MARGIN) * ct_min - 2 * h_max
-    if not (t - 2 * h_max > 0 and lo < hi):
-        raise ValueError("grid too coarse: stencil leaves the admissible strip")
+def _fourth_order_points(params: ModelParams):
+    ct_min = params.c * (_F_T0 - 2 * _F_H)
+    lo = _MARGIN * ct_min + 2 * _F_H
+    hi = (1 - _MARGIN) * ct_min - 2 * _F_H
+    if not lo < hi:  # c below about 0.29
+        raise ValueError(f"c={params.c:g} too small: the stencil leaves "
+                         "the admissible strip")
     us = np.linspace(lo, hi, _N_U)
     # split each u into unequal (x, y) to avoid accidental symmetry
     return 0.35 * us, 0.65 * us
 
 
-def planar_fourth_order_residual(params: ModelParams, grid: GridSpec,
+def planar_fourth_order_residual(params: ModelParams,
                                  f_field: str = "point") -> ResidualReport:
     """FD residual of the planar fourth-order equation on a field f(t,x,y).
 
@@ -213,22 +187,20 @@ def planar_fourth_order_residual(params: ModelParams, grid: GridSpec,
     if f_field not in _FIELDS:
         raise ValueError(f"f_field must be one of {sorted(_FIELDS)}")
     f = _FIELDS[f_field](params)
-    t0 = 0.5 * (grid.t_start + grid.t_stop)
-    h_max = max(grid.h_values)
-    xs, ys = _fourth_order_points(params, t0, h_max)
+    xs, ys = _fourth_order_points(params)
     offsets = np.arange(-2, 3)
+    h_values = _h_values(_F_H)
     max_abs = []
-    for h in grid.h_values:
+    for h in h_values:
         w = _fourth_order_weights(params, h)
         # cube[p, a, b, c]: point p shifted by offsets (a, b, c) in (t, x, y)
         x = xs[:, None, None] + offsets[:, None] * h
         y = ys[:, None, None] + offsets * h
-        cube = np.stack([f(t0 + dt * h, x, y) for dt in offsets], axis=1)
+        cube = np.stack([f(_F_T0 + dt * h, x, y) for dt in offsets], axis=1)
         arr = np.abs((w * cube).reshape(xs.size, -1).sum(axis=1))
         max_abs.append(float(arr.max()))
     return ResidualReport(name=f"planar_fourth_order_{f_field}",
-                          h_values=list(grid.h_values),
-                          max_abs=max_abs)
+                          h_values=h_values, max_abs=max_abs)
 
 
 # Largest n of `conditional_cf`: its expm is (n+1) x (n+1), so time
@@ -261,6 +233,7 @@ def conditional_cf(params: ModelParams, n: int, j: int, omega,
     if not np.all(np.isfinite(omega)):
         raise ValueError(f"omega must be finite, got {tuple(omega)}")
     Direction(j, params.dim)  # rejects j outside 1..2d
+    n = require_int(n, "n")
     if not 0 <= n <= MAX_CF_SWITCHES:
         raise ValueError(f"n must be in 0..{MAX_CF_SWITCHES}, got {n}")
     z = [1j * params.c * t * cf_theta(k, j, omega) for k in range(1, n + 2)]
@@ -300,20 +273,25 @@ def cf_recursion_check(params: ModelParams, n: int, j: int, omega,
                           h_values=h_values, max_abs=max_abs)
 
 
-def heat_limit_check(dim: int, t: float, c_schedule, count: int,
-                     seed: int) -> TestReport:
+# The heat-limit check: horizon, speeds c (with lam = c^2) and paths.
+_HEAT_T = 1.0
+_HEAT_SPEEDS = (8.0, 16.0, 32.0)
+_HEAT_COUNT = 200_000
+
+
+def heat_limit_check(dim: int, seed: int) -> TestReport:
     """Diffusive limit: with lam = c^2, per-coordinate Var -> t/dim.
 
+    Runs `_HEAT_COUNT` paths to t = 1 at each c of `_HEAT_SPEEDS`.
     Passes iff the largest-c variance is within 5% of the target and
     the error sequence is non-increasing along the schedule within
-    3-standard-error Monte Carlo noise bands; ``count`` must be >= 2.
+    3-standard-error Monte Carlo noise bands.
     """
-    if count < 2:
-        raise ValueError(f"count must be >= 2 for a variance, got {count}")
+    t, count = _HEAT_T, _HEAT_COUNT
     target = t / dim
     errs, noises, details = [], [], []
-    for i, c in enumerate(c_schedule):
-        params = ModelParams(c=float(c), lam=float(c) ** 2, dim=dim)
+    for i, c in enumerate(_HEAT_SPEEDS):
+        params = ModelParams(c=c, lam=c ** 2, dim=dim)
         samples = simulate.simulate_ensemble(params, t, count, seed + i)
         var = float(np.var(samples.positions[:, 0], ddof=1))
         err = abs(var - target)

@@ -49,7 +49,7 @@ from scipy import special
 
 from . import rng
 from .model import (Direction, ModelParams, classify_stratum,
-                    require_horizon, stratum_labels)
+                    require_horizon, require_int, stratum_labels)
 
 # Algorithm id of `simulate_ensemble`, written into every output: the
 # samples of a given seed change whenever it does.
@@ -344,12 +344,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         raise ValueError("count must be >= 1")
     t = require_horizon(horizon)
     if conditioning is not None:
-        # int() would truncate 2.7 to 2 and take True as 1.
-        if (isinstance(conditioning, bool)
-                or not isinstance(conditioning, (int, np.integer))):
-            raise ValueError(f"conditioning must be an integer, "
-                             f"got {conditioning!r}")
-        conditioning = int(conditioning)
+        conditioning = require_int(conditioning, "conditioning")
         if conditioning < 0:
             raise ValueError("conditioning must be >= 0")
         if conditioning > MAX_CONDITIONING:
@@ -416,12 +411,3 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     return SampleSet(params=params, horizon=t, conditioning=conditioning,
                      seed=seed, u=u, n_events=n_events, positions=pos,
                      initial_direction=j0, final_direction=final)
-
-
-def empirical_char_function(samples: SampleSet, alpha: float,
-                            beta: float) -> complex:
-    """Sample mean of e^{i(alpha X + beta Y)} over a planar SampleSet."""
-    if samples.params.dim != 2:
-        raise ValueError("empirical_char_function requires dim=2 samples")
-    phase = alpha * samples.positions[:, 0] + beta * samples.positions[:, 1]
-    return complex(np.mean(np.exp(1j * phase)))

@@ -63,6 +63,8 @@ def _require_sorted(values: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 10:
         raise ValueError(f"{name}: need a 1-d sample of size >= 10")
+    if not np.isfinite(arr).all():  # NaN would slip past the order check
+        raise ValueError(f"{name}: values must be finite")
     if np.any(np.diff(arr) < 0):
         raise ValueError(f"{name}: values must be sorted ascending")
     return arr
@@ -106,15 +108,18 @@ def chi_square_masses(observed: dict[str, int], expected: dict[str, float],
                       name: str = "chi_square") -> TestReport:
     """Pearson chi-square of stratum counts against expected masses.
 
-    ``expected`` must be a full partition (masses summing to 1); cells
-    missing from ``observed`` count as zero, and a positive count in a
-    cell missing from ``expected`` (mass zero) raises ValueError.
+    ``expected`` must be a full partition (positive masses summing to
+    1); counts must be >= 0; cells missing from ``observed`` count as
+    zero, and a positive count in a cell missing from ``expected`` (mass
+    zero) raises ValueError.
     """
     total_mass = sum(expected.values())
     if abs(total_mass - 1.0) > 1e-9:
         raise ValueError(f"expected masses must sum to 1, got {total_mass}")
-    if any(mass <= 0 for mass in expected.values()):
+    if not all(mass > 0 for mass in expected.values()):  # NaN fails too
         raise ValueError("every expected mass must be positive")
+    if not all(obs >= 0 for obs in observed.values()):
+        raise ValueError("every count must be >= 0")
     if any(obs > 0 and cell not in expected for cell, obs in observed.items()):
         raise ValueError("a count falls in a cell of zero expected mass")
     n = sum(observed.values())

@@ -1,9 +1,10 @@
 """Statistical and numerical verification suites.
 
-Each criterion function draws its own seeded ensembles, checks one
-documented property of the model (a boundary mass, a conditional law, a
-moment identity, a PDE residual, a limit theorem), and returns a list of
-`TestReport` rows.  Criteria are grouped into named suites:
+Each criterion function takes only its seed, draws its own seeded
+ensembles (`_COUNT` paths each; the heat limit's count is in `pde`),
+checks one documented property of the model (a boundary mass, a
+conditional law, a moment identity, a PDE residual, a limit theorem),
+and returns a list of `TestReport` rows.  Criteria are grouped into named suites:
 
 * ``distributions`` — masses, conditional laws, density representations,
   normalization, mixture identity, equality-in-law pairs;
@@ -25,12 +26,13 @@ import math
 import numpy as np
 
 from . import laws, pde, simulate, stats
-from .bessel import KernelPoint, kernel_identity_residual
+from .bessel import kernel_identity_residual
 from .model import ModelParams
 from .rng import Substream
 from .stats import TestReport
 
 _ANGLES = ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
+_COUNT = 100_000  # paths per simulated ensemble
 
 
 def _residual_report(rr: pde.ResidualReport) -> TestReport:
@@ -40,27 +42,27 @@ def _residual_report(rr: pde.ResidualReport) -> TestReport:
         detail=f"target order {pde._ORDER}+-{pde._ORDER_TOL}; " + rr.line())
 
 
-def boundary_mass_2d(seed: int, count: int = 100_000) -> list[TestReport]:
+def boundary_mass_2d(seed: int) -> list[TestReport]:
     """Planar singular share P(stratum != interior) vs 2 e^{-lam t}."""
     params = ModelParams(c=1.0, lam=1.0, dim=2)
-    s = simulate.simulate_ensemble(params, 1.0, count, seed)
+    s = simulate.simulate_ensemble(params, 1.0, _COUNT, seed)
     p_hat = float(np.mean(s.n_events < params.dim))
     p_exp = 2.0 * math.exp(-1.0)
-    se = math.sqrt(p_exp * (1.0 - p_exp) / count)
+    se = math.sqrt(p_exp * (1.0 - p_exp) / _COUNT)
     z = abs(p_hat - p_exp) / se
     return [stats.bound_report(
-        "boundary_mass_2d", z, 3.0, sample_size=count,
+        "boundary_mass_2d", z, 3.0, sample_size=_COUNT,
         detail=f"empirical={p_hat:.5f} expected={p_exp:.5f}")]
 
 
-def strata_masses_3d(seed: int, count: int = 100_000) -> list[TestReport]:
+def strata_masses_3d(seed: int) -> list[TestReport]:
     """3D stratum masses {vertex, face1, face2, interior} and per-vertex
     uniformity, chi-square at several Poisson intensities."""
     reports = []
     lam = 1.0
     for i, t in enumerate((0.5, 1.0, 2.0)):
         params = ModelParams(c=1.0, lam=lam, dim=3)
-        s = simulate.simulate_ensemble(params, t, count, seed + i)
+        s = simulate.simulate_ensemble(params, t, _COUNT, seed + i)
         lt = lam * t
         p0 = math.exp(-lt)
         expected = {
@@ -73,7 +75,7 @@ def strata_masses_3d(seed: int, count: int = 100_000) -> list[TestReport]:
             s.stratum_counts(), expected, name=f"strata_masses_3d_lt{lt:g}"))
         vert = s.initial_direction[s.n_events == 0]
         observed = {f"vertex{j}": int(np.sum(vert == j)) for j in range(1, 7)}
-        observed["non_vertex"] = count - int(vert.size)
+        observed["non_vertex"] = _COUNT - int(vert.size)
         expected_v = {f"vertex{j}": p0 / 6.0 for j in range(1, 7)}
         expected_v["non_vertex"] = 1.0 - p0
         reports.append(stats.chi_square_masses(
@@ -81,18 +83,17 @@ def strata_masses_3d(seed: int, count: int = 100_000) -> list[TestReport]:
     return reports
 
 
-def conditional_uniformity_2d(seed: int,
-                              count: int = 100_000) -> list[TestReport]:
+def conditional_uniformity_2d(seed: int) -> list[TestReport]:
     """KS of the planar two-switch radius U/(ct) against Uniform(0,1)."""
     params = ModelParams(c=1.0, lam=1.0, dim=2)
-    s = simulate.simulate_ensemble(params, 1.0, count, seed, conditioning=2)
+    s = simulate.simulate_ensemble(params, 1.0, _COUNT, seed, conditioning=2)
     v = np.sort(s.u) / (params.c * 1.0)
     return [stats.ks_one_sample(
         v, lambda x: np.clip(x, 0.0, 1.0),
         name="conditional_uniformity_2d_n2")]
 
 
-def conditional_laws(seed: int, count: int = 100_000) -> list[TestReport]:
+def conditional_laws(seed: int) -> list[TestReport]:
     """One-sample KS of conditioned ensembles against the analytic
     conditional radius laws, dims 2 and 3, n = 3..6."""
     reports = []
@@ -100,7 +101,7 @@ def conditional_laws(seed: int, count: int = 100_000) -> list[TestReport]:
     for dim in (2, 3):
         params = ModelParams(c=1.0, lam=1.0, dim=dim)
         for n in (3, 4, 5, 6):
-            s = simulate.simulate_ensemble(params, t, count,
+            s = simulate.simulate_ensemble(params, t, _COUNT,
                                            seed + 10 * dim + n,
                                            conditioning=n)
             law = laws.ConditionalLaw(params, n, t)
@@ -109,7 +110,7 @@ def conditional_laws(seed: int, count: int = 100_000) -> list[TestReport]:
     return reports
 
 
-def conditional_means_3d(seed: int, count: int = 100_000) -> list[TestReport]:
+def conditional_means_3d(seed: int) -> list[TestReport]:
     """Simulated 3D conditional means vs the closed-form table, plus a
     quadrature cross-check of the analytic values for n <= 12."""
     from scipy import integrate  # here, not at the top: ~0.6 s of start-up
@@ -118,7 +119,7 @@ def conditional_means_3d(seed: int, count: int = 100_000) -> list[TestReport]:
     t = 1.0
     ct = params.c * t
     for n in (3, 4, 5):
-        s = simulate.simulate_ensemble(params, t, count, seed + n,
+        s = simulate.simulate_ensemble(params, t, _COUNT, seed + n,
                                        conditioning=n)
         analytic = laws.conditional_mean_u(n) * ct
         reports.append(stats.moment_compare(
@@ -147,7 +148,7 @@ def _moment_oracle(params: ModelParams, t: float, m: int) -> float:
     return pde.density_moment(params, t, m) + (params.c * t) ** m * sing
 
 
-def mean_moments_2d(seed: int, count: int = 100_000) -> list[TestReport]:
+def mean_moments_2d(seed: int) -> list[TestReport]:
     """Planar mean and moments vs the quadrature oracle and Monte Carlo."""
     params = ModelParams(c=1.0, lam=1.0, dim=2)
     t = 1.0
@@ -158,7 +159,7 @@ def mean_moments_2d(seed: int, count: int = 100_000) -> list[TestReport]:
     reports.append(stats.bound_report(
         "mean_vs_quadrature_2d", err, 1e-8,
         detail=f"analytic={mean:.12f} oracle={oracle:.12f}"))
-    s = simulate.simulate_ensemble(params, t, count, seed)
+    s = simulate.simulate_ensemble(params, t, _COUNT, seed)
     reports.append(stats.moment_compare(s.u, mean, 1, name="mean_vs_mc_2d"))
     worst = 0.0
     for m in range(2, 7):
@@ -219,26 +220,22 @@ def pde_residuals(seed: int = 0) -> list[TestReport]:
     """Klein-Gordon and planar fourth-order FD residual convergence,
     plus the analytic kernel identity g_tt = c^2 g_uu + lam^2 g."""
     reports = []
-    kg_grid = pde.GridSpec(t_start=0.8, t_stop=1.2, h=0.02)
     for dim in (2, 3):
         params = ModelParams(c=1.0, lam=1.0, dim=dim)
-        reports.append(_residual_report(
-            pde.klein_gordon_residual(params, kg_grid)))
+        reports.append(_residual_report(pde.klein_gordon_residual(params)))
     params2 = ModelParams(c=1.0, lam=1.0, dim=2)
-    f_grid = pde.GridSpec(t_start=0.9, t_stop=1.1, h=0.04)
     reports.append(_residual_report(
-        pde.planar_fourth_order_residual(params2, f_grid)))
+        pde.planar_fourth_order_residual(params2)))
     worst = 0.0
     for t, u in ((0.7, 0.2), (1.0, 0.5), (1.3, 1.1), (2.0, 0.3)):
-        worst = max(worst, abs(kernel_identity_residual(
-            KernelPoint(params2, t, u))))
+        worst = max(worst, abs(kernel_identity_residual(params2, t, u)))
     reports.append(stats.bound_report(
         "kernel_identity_kgg", worst, 1e-10,
         detail="analytic residual at 4 kernel points"))
     return reports
 
 
-def cf_recursions(seed: int, count: int = 100_000) -> list[TestReport]:
+def cf_recursions(seed: int) -> list[TestReport]:
     """Characteristic-function recursion residuals (O(h^2)) for every
     initial direction, plus exact-vs-Monte-Carlo CF agreement."""
     reports = []
@@ -250,7 +247,7 @@ def cf_recursions(seed: int, count: int = 100_000) -> list[TestReport]:
                 rr = pde.cf_recursion_check(params, n, j, (a, b), t)
                 reports.append(_residual_report(rr))
     for n in (0, 1, 2):
-        s = simulate.simulate_ensemble(params, t, count, seed + n,
+        s = simulate.simulate_ensemble(params, t, _COUNT, seed + n,
                                        conditioning=n)
         for a, b in ((1.0, 0.0), (0.5, 0.5)):
             phases = np.exp(1j * (a * s.positions[:, 0]
@@ -260,51 +257,46 @@ def cf_recursions(seed: int, count: int = 100_000) -> list[TestReport]:
                     abs(stats.z_score(phases.imag, target.imag)))
             reports.append(stats.bound_report(
                 f"cf_quad_vs_mc_n{n}_a{a:g}_b{b:g}", z, 3.0,
-                sample_size=count,
+                sample_size=_COUNT,
                 detail=f"exact={target:.6f} mc={np.mean(phases):.6f}"))
     return reports
 
 
-def heat_limit(seed: int, count: int = 200_000) -> list[TestReport]:
+def heat_limit(seed: int) -> list[TestReport]:
     """Diffusive limit lam = c^2: per-coordinate variance -> t/dim."""
-    schedule = (8.0, 16.0, 32.0)
-    return [
-        pde.heat_limit_check(2, 1.0, schedule, count, seed),
-        pde.heat_limit_check(3, 1.0, schedule, count, seed + 50),
-    ]
+    return [pde.heat_limit_check(2, seed), pde.heat_limit_check(3, seed + 50)]
 
 
-def _u_pair_report(dim_a: int, dim_b: int, n: int, seed: int, count: int,
+def _u_pair_report(dim_a: int, dim_b: int, n: int, seed: int,
                    blocking: bool) -> TestReport:
     t = 1.0
     sa = simulate.simulate_ensemble(ModelParams(c=1.0, lam=1.0, dim=dim_a),
-                                    t, count, seed, conditioning=n)
+                                    t, _COUNT, seed, conditioning=n)
     sb = simulate.simulate_ensemble(ModelParams(c=1.0, lam=1.0, dim=dim_b),
-                                    t, count, seed + 1, conditioning=n)
+                                    t, _COUNT, seed + 1, conditioning=n)
     return stats.ks_two_sample(
         np.sort(sa.u), np.sort(sb.u),
         name=f"u{dim_a}_eq_u{dim_b}_n{n}", blocking=blocking)
 
 
-def equality_in_law(seed: int, count: int = 100_000) -> list[TestReport]:
+def equality_in_law(seed: int) -> list[TestReport]:
     """Two-sample KS for the stated cross-dimension radius identities:
     U_1 = U_2 on even switch counts, U_2 = U_3 on odd ones."""
     return [
-        _u_pair_report(1, 2, 2, seed + 0, count, blocking=True),
-        _u_pair_report(1, 2, 4, seed + 2, count, blocking=True),
-        _u_pair_report(2, 3, 3, seed + 4, count, blocking=True),
-        _u_pair_report(2, 3, 5, seed + 6, count, blocking=True),
+        _u_pair_report(1, 2, 2, seed + 0, blocking=True),
+        _u_pair_report(1, 2, 4, seed + 2, blocking=True),
+        _u_pair_report(2, 3, 3, seed + 4, blocking=True),
+        _u_pair_report(2, 3, 5, seed + 6, blocking=True),
     ]
 
 
-def equality_conjecture(seed: int, count: int = 100_000,
-                        max_dim: int = 5) -> list[TestReport]:
+def equality_conjecture(seed: int, max_dim: int = 5) -> list[TestReport]:
     """Conjectured higher-dimension pairs U_d = U_{d+1} for d >= 3 at the
     smallest admissible switch count n = d+1 (parity alternates with d,
     extending the proved d = 1, 2 pattern).  Reported as conjecture
     support, never blocking.  `run_suite` holds max_dim to 4..8."""
     return [
-        _u_pair_report(d, d + 1, d + 1, seed + 2 * d, count, blocking=False)
+        _u_pair_report(d, d + 1, d + 1, seed + 2 * d, blocking=False)
         for d in range(3, max_dim)
     ]
 

@@ -23,7 +23,7 @@ def assert_all_pass(reports):
 
 def test_criterion_01_boundary_mass_2d():
     # P(stratum != interior) at lam=c=t=1 equals 2/e within 3 sigma
-    assert_all_pass(verify.boundary_mass_2d(seed=101, count=100_000))
+    assert_all_pass(verify.boundary_mass_2d(seed=101))
 
 
 def test_criterion_02_strata_masses_3d():
@@ -34,20 +34,19 @@ def test_criterion_02_strata_masses_3d():
 
 def test_criterion_03_conditional_uniformity_2d():
     # U/(ct) given exactly two switches vs Uniform(0,1), KS p > 0.01
-    assert_all_pass(verify.conditional_uniformity_2d(seed=303,
-                                                     count=100_000))
+    assert_all_pass(verify.conditional_uniformity_2d(seed=303))
 
 
 def test_criterion_04_conditional_laws():
     # one-sample KS against the closed-form conditional radius laws,
     # dims 2 and 3, n = 3..6, level 0.01
-    assert_all_pass(verify.conditional_laws(seed=404, count=100_000))
+    assert_all_pass(verify.conditional_laws(seed=404))
 
 
 def test_criterion_05_conditional_means_simulated():
     # simulated E[U | N=n] for n = 3, 4, 5 in dimension 3 vs the
     # closed-form table (9/16, 5/8, 5/12)*ct within 3 sigma
-    reports = verify.conditional_means_3d(seed=505, count=100_000)
+    reports = verify.conditional_means_3d(seed=505)
     assert_all_pass([r for r in reports if r.name.startswith(
         "conditional_mean_mc")])
 
@@ -55,7 +54,7 @@ def test_criterion_05_conditional_means_simulated():
 def test_criterion_05_conditional_means_quadrature():
     # the closed-form table matches direct quadrature of the
     # conditional densities to 1e-10 for every n <= 12
-    reports = verify.conditional_means_3d(seed=505, count=1_000)
+    reports = verify.conditional_means_3d(seed=505)
     assert_all_pass([r for r in reports
                      if r.name == "conditional_mean_quadrature_3d"])
 
@@ -69,13 +68,13 @@ def test_criterion_06_normalization():
 def test_criterion_07_mean_moments_analytic():
     # closed-form mean and moments vs the quadrature-plus-atoms oracle
     # (1e-8, m <= 6); moment_u(0) = 1 and moment_u(1) = mean_u exactly
-    reports = verify.mean_moments_2d(seed=707, count=1_000)
+    reports = verify.mean_moments_2d(seed=707)
     assert_all_pass([r for r in reports if r.name != "mean_vs_mc_2d"])
 
 
 def test_criterion_07_mean_vs_simulation():
     # closed-form mean vs the Monte-Carlo mean within 3 sigma
-    reports = verify.mean_moments_2d(seed=707, count=100_000)
+    reports = verify.mean_moments_2d(seed=707)
     assert_all_pass([r for r in reports if r.name == "mean_vs_mc_2d"])
 
 
@@ -118,7 +117,7 @@ def test_criterion_11_cf_recursions():
     # characteristic-function recursion residuals vanish at O(h^2) for
     # n in {1, 2}, every initial direction, three angle pairs; and the
     # quadrature CF matches the Monte-Carlo CF within 3 sigma
-    reports = verify.cf_recursions(seed=1111, count=100_000)
+    reports = verify.cf_recursions(seed=1111)
     assert len([r for r in reports if r.name.startswith("cf_recursion")]) == 24
     assert len([r for r in reports if r.name.startswith("cf_quad")]) == 6
     assert_all_pass(reports)
@@ -127,20 +126,19 @@ def test_criterion_11_cf_recursions():
 def test_criterion_12_heat_limit():
     # lam = c^2 schedule c in {8, 16, 32}: per-coordinate variance
     # approaches t/dim within 5% at c=32 with monotone error decay
-    assert_all_pass(verify.heat_limit(seed=1212, count=200_000))
+    assert_all_pass(verify.heat_limit(seed=1212))
 
 
 def test_criterion_13_equality_in_law():
     # two-sample KS at level 0.01, 1e5 samples per side: U_1 = U_2 given
     # an even switch count, U_2 = U_3 given an odd one
-    assert_all_pass(verify.equality_in_law(seed=1313, count=100_000))
+    assert_all_pass(verify.equality_in_law(seed=1313))
 
 
 def test_criterion_13_conjecture_support(capsys):
     # the conjectured pairs U_3 = U_4 and U_4 = U_5 are run and reported
     # but never gate the build: only the report structure is asserted
-    reports = verify.equality_conjecture(seed=1313, count=100_000,
-                                         max_dim=5)
+    reports = verify.equality_conjecture(seed=1313, max_dim=5)
     assert [r.name for r in reports] == ["u3_eq_u4_n4", "u4_eq_u5_n5"]
     assert all(not r.blocking for r in reports)
     with capsys.disabled():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from cyclic_motion.bessel import (KernelPoint, _kernel_sums_scaled,
+from cyclic_motion.bessel import (_kernel_sums_scaled,
                                   bessel_i_scaled, kernel_derivative,
                                   scaled_series)
 from cyclic_motion.model import ModelParams
@@ -69,8 +69,8 @@ def test_scaled_consistency(nu):
 
 def test_x_zero_values():
     # at xi = 0 (the edge u = ct) only the k = 0 term survives
-    edge = KernelPoint(ModelParams(c=1.0, lam=2.0, dim=2), 1.0, 1.0)
-    assert _kernel_sums_scaled(edge) == (1.0, 1.0, 0.5, 1.0 / 6.0, 0.0)
+    edge = ModelParams(c=1.0, lam=2.0, dim=2), 1.0, 1.0
+    assert _kernel_sums_scaled(*edge) == (1.0, 1.0, 0.5, 1.0 / 6.0, 0.0)
     for nu in ORDERS:
         (s,), _ = scaled_series(1.0, 1.0, 1.0, 1.0, (order_weight(nu),))
         assert s == pytest.approx(1.0 / math.gamma(nu + 1.0), rel=1e-15)
@@ -85,14 +85,14 @@ def test_negative_x_rejected():
         with pytest.raises(ValueError, match="outside"):
             scaled_series(1.0, 1.0, 1.0, u, (order_weight(0),))
     with pytest.raises(ValueError):
-        KernelPoint(ModelParams(c=1.0, lam=1.0, dim=2), 1.0,
-                    np.array([0.5, -0.2]))
+        kernel_derivative(ModelParams(c=1.0, lam=1.0, dim=2), 1.0,
+                          np.array([0.5, -0.2]))
 
 
 def test_overflow_to_inf():
-    point = KernelPoint(ModelParams(c=1.0, lam=800.0, dim=2), 1.0, 0.0)
-    assert kernel_derivative(point) == math.inf
-    scaled = kernel_derivative(point, scaled=True)
+    point = ModelParams(c=1.0, lam=800.0, dim=2), 1.0, 0.0
+    assert kernel_derivative(*point) == math.inf
+    scaled = kernel_derivative(*point, scaled=True)
     assert scaled == pytest.approx(special.ive(0, 800.0), rel=1e-14)
 
 
@@ -133,8 +133,8 @@ def test_known_values():
 
 def kernel_sums_vs_ive(lam, u):
     """(B_j (P/r)^{j/2}, ive(j, xi)) for j = 0..3 at c = t = 1."""
-    point = KernelPoint(ModelParams(c=1.0, lam=lam, dim=2), 1.0, u)
-    *sums, xi = _kernel_sums_scaled(point)
+    *sums, xi = _kernel_sums_scaled(ModelParams(c=1.0, lam=lam, dim=2),
+                                    1.0, u)
     root = 2.0 * xi / (lam * lam)  # sqrt(P / r)
     return ([b * root ** j for j, b in enumerate(sums)],
             [special.ive(j, xi) for j in range(4)])

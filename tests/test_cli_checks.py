@@ -33,6 +33,6 @@ def test_density_zero_points_exit_1(tmp_path, capsys):
 
 def test_equality_conjecture_direct_call_runs_pairs_below_max_dim():
     # run_suite holds max_dim to 4..8; a direct call runs d = 3..max_dim-1
-    reports = verify.equality_conjecture(seed=7, count=500, max_dim=4)
+    reports = verify.equality_conjecture(seed=7, max_dim=4)
     assert [r.name for r in reports] == ["u3_eq_u4_n4"]
-    assert verify.equality_conjecture(seed=7, count=500, max_dim=3) == []
+    assert verify.equality_conjecture(seed=7, max_dim=3) == []

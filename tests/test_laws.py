@@ -228,6 +228,29 @@ def test_conditional_below_dim_raises():
             ConditionalLaw(params, n, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ConditionalLaw(P2, 3.5, 1.0),
+    lambda: ConditionalLaw(ModelParams(1.0, 1.0, 1), True, 1.0),
+    lambda: conditional_density_u(P3, 4.0, 1.0, 0.5),
+    lambda: conditional_mean_u(3.5),
+    lambda: conditional_mean_catalan(np.float64(5)),
+], ids=["law-3.5", "law-True", "density-4.0", "mean-3.5", "catalan-5.0"])
+def test_conditional_n_must_be_an_integer(call):
+    # these raised IndexError or TypeError, or built the n = 1 law
+    with pytest.raises(ValueError, match="n must be an integer"):
+        call()
+
+
+def test_numpy_integer_n_matches_int_n():
+    # a numpy n once overflowed 2 ** (2k+1) in the conditional means
+    assert conditional_mean_u(np.int64(201)) == conditional_mean_u(201)
+    assert (conditional_mean_catalan(np.int64(201))
+            == conditional_mean_catalan(201))
+    v = np.linspace(0.0, 1.0, 7)
+    assert np.array_equal(ConditionalLaw(P3, np.int64(6), 1.0).cdf(v),
+                          ConditionalLaw(P3, 6, 1.0).cdf(v))
+
+
 def test_conditional_special_values():
     # planar n=2: uniform 1/(ct)
     assert conditional_density_u(P2, 2, 1.0, 0.3) == pytest.approx(1.0)

@@ -69,6 +69,17 @@ def test_ks_requires_sorted_and_size():
                       np.array([0.9, 0.1] * 20))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ks_rejects_non_finite_values(bad):
+    # NaN compares False with everything, so it passed the order check
+    # and gave a row with a NaN statistic
+    values = np.append(np.sort(_uniforms(2, 50)), bad)
+    with pytest.raises(ValueError, match="finite"):
+        ks_one_sample(values, lambda x: np.clip(x, 0, 1))
+    with pytest.raises(ValueError, match="finite"):
+        ks_two_sample(np.sort(_uniforms(1, 100)), values)
+
+
 def test_ks_two_sample_null_and_power():
     passes = 0
     for seed in range(100):
@@ -126,6 +137,18 @@ def test_chi_square_rejects_counts_in_cells_of_zero_mass():
     # an empty cell of that kind is harmless
     rep = chi_square_masses({"a": 500, "b": 500, "zz": 0}, {"a": .5, "b": .5})
     assert rep.statistic == 0.0 and rep.sample_size == 1000
+
+
+def test_chi_square_rejects_negative_counts():
+    # a negative count once shrank n: this gave n = 1000 and statistic 4000
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        chi_square_masses({"a": 1500, "b": -500}, {"a": .5, "b": .5})
+
+
+def test_chi_square_rejects_nan_mass():
+    # NaN passes "sums to 1" and "<= 0" tests alike; it gave a NaN statistic
+    with pytest.raises(ValueError, match="positive"):
+        chi_square_masses({"a": 500, "b": 500}, {"a": math.nan, "b": .5})
 
 
 def test_chi_square_p_value_is_scipy_stats_chi2_sf():
