@@ -67,7 +67,8 @@ class Direction:
     dim: int
 
     def __post_init__(self):
-        if not 1 <= self.index <= 2 * self.dim:
+        index = require_int(self.index, "direction index")
+        if not 1 <= index <= 2 * require_int(self.dim, "dim"):
             raise ValueError(
                 f"direction index {self.index} outside 1..{2 * self.dim}")
 

@@ -29,18 +29,21 @@ plateaus because ``laws.density_u`` is not the law of the simulated U
 (the cause shared by the failing conditional-law checks), not because of
 the 1/(4u) coarea factor.
 
-`density_moment` is the one quadrature oracle here.  It imports
-`scipy.integrate`, and `conditional_cf` imports `scipy.linalg`, when
-first called, so importing this module loads numpy and `scipy.special`
-only.
+`density_moment` is the one quadrature oracle here: a fixed 64-node
+Gauss-Legendre rule whose nodes come from numpy's ``leggauss`` on first
+use, so no check loads `scipy.integrate`.  `conditional_cf` imports
+`scipy.linalg` when first called, so importing this module loads numpy
+and `scipy.special` only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import laws, simulate
 from .model import Direction, ModelParams, require_horizon, require_int
@@ -309,14 +312,36 @@ def heat_limit_check(dim: int, seed: int) -> TestReport:
         detail="; ".join(details) + f"; monotone={monotone_ok}")
 
 
+# Largest lam*t of `density_moment`.  The density peaks near u = 0 with
+# width about ct/sqrt(lam*t); up to 2000 the rule agrees with scipy's
+# adaptive quad to 1e-13 relative for m <= 6, at 3000 only to 5e-12.
+MAX_QUADRATURE_EVENTS = 1e3
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """64 Gauss-Legendre nodes and weights on (-1, 1), made on first use."""
+    return leggauss(64)
+
+
+def _gauss_legendre(f, a: float, b: float) -> float:
+    """Integral of f over (a, b) by the 64-node Gauss-Legendre rule,
+    exact for polynomials of degree up to 127.  ``f`` is called once,
+    on the array of nodes."""
+    x, w = _legendre_rule()
+    half = 0.5 * (b - a)
+    return float(half * np.dot(w, f(a + half * (x + 1.0))))
+
+
 def density_moment(params: ModelParams, t: float, m: int = 0) -> float:
-    """The quadrature oracle: integral of u^m density_u(u) over (0, ct)."""
-    from scipy import integrate  # here, not at the top: ~0.6 s of start-up
-    ct = params.c * t
-    val, _ = integrate.quad(
-        lambda x: x ** m * laws.density_u(params, t, x), 0.0, ct,
-        points=[ct * (1.0 - 1e-6)], epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    """The quadrature oracle: integral of u^m density_u(u) over (0, ct),
+    by `_gauss_legendre`, for lam*t up to `MAX_QUADRATURE_EVENTS`."""
+    lt = params.lam * t
+    if lt > MAX_QUADRATURE_EVENTS:
+        raise ValueError(f"lam*t={lt:g} above the supported "
+                         f"{MAX_QUADRATURE_EVENTS:g} of the quadrature oracle")
+    return _gauss_legendre(lambda u: u ** m * laws.density_u(params, t, u),
+                           0.0, params.c * t)
 
 
 def normalization_check(params: ModelParams, t: float) -> TestReport:

@@ -14,12 +14,13 @@ cycle direction (j0-1+k) mod 2d, so the 2d direction-class sums are
 t*Dirichlet(m_0, ..., m_{2d-1}) with m_q the number of segments
 k <= n with k = q mod 2d (Dirichlet aggregation; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. XI).  A path costs
-one Poisson inversion and 2d Gamma(m_q) variates, whatever lam*t is;
-conditioning on N(t)=n only fixes N.  Every draw of replication i
-reads a fixed slot of substream i (layout in `rng`), so replication i
-depends only on (seed, i) and ensembles are bit-reproducible under any
-batching.  Rows are processed in blocks of `_BLOCK_ROWS`, so temporary
-arrays do not grow with the count.
+one Poisson inversion (through a guide table, `_invert`) and 2d
+Gamma(m_q) variates, whatever lam*t is; conditioning on N(t)=n only
+fixes N.  Every draw of replication i reads a fixed slot of substream
+i (layout in `rng`), so replication i depends only on (seed, i) and
+ensembles are bit-reproducible under any batching.  Rows are processed
+in blocks of `_BLOCK_ROWS`, so temporary arrays do not grow with the
+count.
 
 Blocks run concurrently: the calling thread and up to `_WORKERS` - 1
 helper threads each take every `_WORKERS`-th block (numpy drops the GIL
@@ -68,6 +69,7 @@ _WORKERS = min(4, (len(os.sched_getaffinity(0))
                    if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1))
 _TAIL = 2.0 ** -60
+_GUIDE_MAX = 1 << 16  # buckets of the Poisson guide table
 _EXP_TERMS = 3  # Gamma(m) with m <= 3 is a sum of m exponentials
 # Substream slots: initial direction, Poisson draw, then _EXP_TERMS
 # exponential slots per class, then 3 slots per class per rejection
@@ -240,6 +242,30 @@ def _bisect(pred, lo: int, hi: int) -> int:
     return lo
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """``guide[k]``, the first index i with ``cdf[i] >= k/K``, for k in
+    0..K: K is the smallest power of two >= 16 ``cdf.size``, at most
+    `_GUIDE_MAX`, so k/K is exact."""
+    k = min(1 << (16 * cdf.size - 1).bit_length(), _GUIDE_MAX)
+    return np.searchsorted(cdf, np.arange(k + 1) / k)
+
+
+def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u)`` through the guide table of `_guide_table`.
+
+    A uniform u in (0, 1) falls in bucket k = floor(u K) (u K is exact),
+    and its index lies between ``guide[k]`` and ``guide[k+1]``: where the
+    two agree that is the answer, and only the other lanes (about one in
+    16 while the table has at most 2^12 entries) are searched.
+    """
+    k = guide.size - 1
+    b = (u * k).astype(np.intp)
+    n = guide[b]
+    split = np.flatnonzero(n != guide[b + 1])
+    n[split] = np.searchsorted(cdf, u[split])
+    return n
+
+
 def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gamma(m[q, i]) variates for class q of replication i (0 where m is 0).
 
@@ -353,6 +379,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     dim, two_d = params.dim, params.n_directions
     if conditioning is None:
         lo, cdf = _poisson_table(params.lam * t)
+        guide = _guide_table(cdf)
     ct = params.c * t
     classes = np.arange(two_d)
     axes = np.arange(dim)[:, None]
@@ -367,7 +394,8 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         keys = rng.substream_keys(seed, start, rows)
         j = (rng.uniform_column(keys, _SLOT_DIRECTION) * two_d).astype(np.int64)
         if conditioning is None:
-            n = lo + np.searchsorted(cdf, rng.uniform_column(keys, _SLOT_POISSON))
+            n = lo + _invert(cdf, guide,
+                             rng.uniform_column(keys, _SLOT_POISSON))
         else:
             n = np.full(rows, conditioning, dtype=np.int64)
         # Segment k runs along class k mod 2d; class q holds m_q segments.

@@ -309,19 +309,34 @@ def test_density_stdout(capsys):
     assert len(lines) == 4
 
 
-def test_cli_import_loads_no_heavy_scipy():
-    # A fresh interpreter: this test process already holds scipy.integrate
-    # (pytest's IntegrationWarning filter imports it).
+def _fresh_modules(statements: str) -> set[str]:
+    """Modules loaded by a fresh interpreter that imports the CLI and
+    runs ``statements``: this test process already holds scipy.integrate
+    (pytest's IntegrationWarning filter imports it)."""
     src = os.path.dirname(os.path.dirname(cyclic_motion.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); "
-            "import cyclic_motion.cli; "
+            f"import cyclic_motion.cli; {statements}; "
             "print(' '.join(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True)
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    loaded = _fresh_modules("pass")
     assert "scipy.special" in loaded
     for heavy in ("scipy.stats", "scipy.integrate", "scipy.optimize",
                   "scipy.linalg", "scipy.sparse"):
+        assert heavy not in loaded
+
+
+def test_quadrature_suites_load_no_scipy_integrate():
+    # the normalization, moment and conditional-mean oracles run a fixed
+    # Gauss-Legendre rule, not scipy's adaptive quad
+    loaded = _fresh_modules(
+        "[cyclic_motion.cli.main(['verify', '--suite', s, '--seed', '3', "
+        "'--out', '-']) for s in ('distributions', 'moments')]")
+    for heavy in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
         assert heavy not in loaded
 
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cyclic_motion import pde, simulate, stats
+from cyclic_motion import laws, pde, simulate, stats
 from cyclic_motion.model import ModelParams
-from cyclic_motion.pde import (ResidualReport, average_cf,
-                               cf_recursion_check, cf_theta, conditional_cf,
+from cyclic_motion.pde import (MAX_QUADRATURE_EVENTS, ResidualReport,
+                               average_cf, cf_recursion_check, cf_theta,
+                               conditional_cf, density_moment,
                                heat_limit_check, klein_gordon_residual,
                                normalization_check,
                                planar_fourth_order_residual)
@@ -250,6 +251,13 @@ def test_cf_rejects_non_integer_n(n):
         conditional_cf(P2, n, 1, (1.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("j", [1.5, True, 2.0], ids=["1.5", "True", "2.0"])
+def test_cf_rejects_non_integer_direction(j):
+    # 1.5 once raised TypeError from an index, True acted as direction 1
+    with pytest.raises(ValueError, match="direction index must be an integer"):
+        conditional_cf(P2, 2, j, (1.0, 0.0), 1.0)
+
+
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0, 0.0])
 def test_cf_rejects_bad_horizon(t):
     with pytest.raises(ValueError, match="finite and > 0"):
@@ -305,3 +313,38 @@ def test_normalization_check_report():
     assert rep.statistic < 1e-10
     rep3 = normalization_check(P3, 2.0)
     assert rep3.passed
+
+
+# --- the fixed Gauss-Legendre rule against scipy's adaptive quad ----------
+
+def _adaptive(f, b, peak=None):
+    """scipy's quad of f over (0, b) to 1e-13 relative; ``peak`` splits
+    off the density's bump near u = 0 at large lam*t."""
+    val, _ = integrate.quad(f, 0.0, b, points=peak, epsabs=0.0,
+                            epsrel=1e-13, limit=500)
+    return val
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lt", [1e-3, 0.5, 1.0, 5.0, 50.0,
+                                MAX_QUADRATURE_EVENTS])
+@pytest.mark.parametrize("c,t", [(1.0, 1.0), (2.0, 0.5)])
+def test_density_moment_matches_adaptive_quad(dim, lt, c, t):
+    params = ModelParams(c=c, lam=lt / t, dim=dim)
+    ct = c * t
+    peak = [ct * min(0.9, 10.0 / math.sqrt(lt))]
+    for m in range(7):
+        want = _adaptive(lambda u: u ** m * laws.density_u(params, t, u),
+                         ct, peak)
+        assert density_moment(params, t, m) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_conditional_mean_rule_matches_adaptive_quad(n):
+    law = laws.ConditionalLaw(P3, n, 1.0)
+
+    def f(x):
+        return x * law.density(x)
+
+    assert abs(pde._gauss_legendre(f, 0.0, 1.0) - _adaptive(f, 1.0)) <= 1e-13
+

@@ -45,6 +45,8 @@ ROWS = [
     ("conditional means", laws.MAX_MEAN_SWITCHES,
      lambda n: (laws.conditional_mean_u(n),
                 laws.conditional_mean_catalan(n))),
+    ("density_moment", pde.MAX_QUADRATURE_EVENTS,
+     lambda lt: pde.density_moment(_lt(lt, 3), 1.0, 6)),
     ("conditional_cf", pde.MAX_CF_SWITCHES,
      lambda n: pde.conditional_cf(P2, n, 1, (0.7, 0.3), 1.0)),
     ("simulate_ensemble", simulate.MAX_MEAN_EVENTS,

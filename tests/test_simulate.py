@@ -30,6 +30,16 @@ def test_direction_geometry():
         Direction(0, 2)
     with pytest.raises(ValueError):
         Direction(5, 2)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        Direction(1, 2.0)
+    assert Direction(np.int64(2), 2).axis == 1
+
+
+@pytest.mark.parametrize("index", [1.5, True, 2.0, np.float64(1)],
+                         ids=["1.5", "True", "float", "numpy-float"])
+def test_direction_rejects_non_integer_index(index):
+    with pytest.raises(ValueError, match="direction index must be an integer"):
+        Direction(index, 2)
 
 
 def test_cycle_wraps_through_all_directions():
@@ -451,3 +461,19 @@ def test_poisson_table_bisection_is_byte_identical(mu):
     ref_lo, ref_cdf = _poisson_table_full_range(mu)
     assert lo == ref_lo
     assert cdf.tobytes() == ref_cdf.tobytes()
+
+
+@pytest.mark.parametrize("mu", [1e-30, 0.5, 8.0, 1024.0, 1e6, 1e8])
+def test_guide_table_inverts_like_searchsorted(mu):
+    lo, cdf = simulate._poisson_table(mu)
+    guide = simulate._guide_table(cdf)
+    k = guide.size - 1
+    assert k & (k - 1) == 0 and 16 <= k <= simulate._GUIDE_MAX
+    inner = cdf[cdf < 1.0]
+    # uniforms, bucket edges, the table's own values and their neighbours
+    u = np.concatenate([rng.uniform_column(rng.substream_keys(3, 0, 4096), 1),
+                        np.arange(1, k) / k, inner,
+                        np.nextafter(inner, 0.0), np.nextafter(inner, 1.0)])
+    u = u[(u > 0.0) & (u < 1.0)]
+    assert np.array_equal(simulate._invert(cdf, guide, u),
+                          np.searchsorted(cdf, u))
