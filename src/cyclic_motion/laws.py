@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .bessel import (MAX_MOMENT, _sum_exp, _term,
                      bessel_i_scaled, kernel_derivative, like_input,
@@ -98,8 +98,12 @@ def singular_masses(params: ModelParams, t: float) -> list[StratumMass]:
 
 
 def ac_mass(params: ModelParams, t: float) -> float:
-    """Total absolutely continuous mass 1 - sum_{k<dim} P(N=k)."""
-    return 1.0 - sum(m.mass for m in singular_masses(params, t))
+    """Total absolutely continuous mass P(N >= dim) = 1 - sum_{k<dim} P(N=k),
+    as the Poisson upper tail: the difference cancels at small lam*t."""
+    require_horizon(t, "t")
+    if params.dim > 3:
+        raise ValueError("analytic strata masses cover dim <= 3")
+    return float(pdtrc(params.dim - 1, params.lam * t))
 
 
 def _on_support(params: ModelParams, t: float, u, density):

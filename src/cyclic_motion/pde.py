@@ -288,15 +288,17 @@ def heat_limit_check(dim: int, seed: int) -> TestReport:
     Runs `_HEAT_COUNT` paths to t = 1 at each c of `_HEAT_SPEEDS`.
     Passes iff the largest-c variance is within 5% of the target and
     the error sequence is non-increasing along the schedule within
-    3-standard-error Monte Carlo noise bands.
+    3-standard-error Monte Carlo noise bands.  Each ensemble is reduced
+    to its variance in the expression that draws it, so no ensemble is
+    alive while the next is drawn.
     """
     t, count = _HEAT_T, _HEAT_COUNT
     target = t / dim
     errs, noises, details = [], [], []
     for i, c in enumerate(_HEAT_SPEEDS):
         params = ModelParams(c=c, lam=c ** 2, dim=dim)
-        samples = simulate.simulate_ensemble(params, t, count, seed + i)
-        var = float(np.var(samples.positions[:, 0], ddof=1))
+        var = float(np.var(simulate.simulate_ensemble(
+            params, t, count, seed + i).positions[:, 0], ddof=1))
         err = abs(var - target)
         noise = var * math.sqrt(2.0 / (count - 1))
         errs.append(err)
@@ -312,10 +314,12 @@ def heat_limit_check(dim: int, seed: int) -> TestReport:
         detail="; ".join(details) + f"; monotone={monotone_ok}")
 
 
-# Largest lam*t of `density_moment`.  The density peaks near u = 0 with
-# width about ct/sqrt(lam*t); up to 2000 the rule agrees with scipy's
-# adaptive quad to 1e-13 relative for m <= 6, at 3000 only to 5e-12.
+# Largest lam*t and m of `density_moment`.  The density peaks near u = 0
+# with width about ct/sqrt(lam*t); up to 2000 the rule agrees with
+# scipy's adaptive quad to 1e-13 relative for m <= 6, at 3000 only to
+# 5e-12.  Every caller takes m in 0..6.
 MAX_QUADRATURE_EVENTS = 1e3
+MAX_QUADRATURE_MOMENT = 6
 
 
 @functools.cache
@@ -335,7 +339,11 @@ def _gauss_legendre(f, a: float, b: float) -> float:
 
 def density_moment(params: ModelParams, t: float, m: int = 0) -> float:
     """The quadrature oracle: integral of u^m density_u(u) over (0, ct),
-    by `_gauss_legendre`, for lam*t up to `MAX_QUADRATURE_EVENTS`."""
+    by `_gauss_legendre`, for lam*t up to `MAX_QUADRATURE_EVENTS` and
+    integer m in 0..`MAX_QUADRATURE_MOMENT`."""
+    m = require_int(m, "m")
+    if not 0 <= m <= MAX_QUADRATURE_MOMENT:
+        raise ValueError(f"m must be in 0..{MAX_QUADRATURE_MOMENT}, got {m}")
     lt = params.lam * t
     if lt > MAX_QUADRATURE_EVENTS:
         raise ValueError(f"lam*t={lt:g} above the supported "

@@ -4,7 +4,10 @@ Each criterion function takes only its seed, draws its own seeded
 ensembles (`_COUNT` paths each; the heat limit's count is in `pde`),
 checks one documented property of the model (a boundary mass, a
 conditional law, a moment identity, a PDE residual, a limit theorem),
-and returns a list of `TestReport` rows.  Criteria are grouped into named suites:
+and returns a list of `TestReport` rows.  A criterion holds at most one
+ensemble at a time: it reads what it needs in the expression (or small
+helper) that draws the ensemble, before it draws the next.  Criteria are
+grouped into named suites:
 
 * ``distributions`` — masses, conditional laws, density representations,
   normalization, mixture identity, equality-in-law pairs;
@@ -55,6 +58,14 @@ def boundary_mass_2d(seed: int) -> list[TestReport]:
         detail=f"empirical={p_hat:.5f} expected={p_exp:.5f}")]
 
 
+def _strata_and_vertices(params: ModelParams, t: float,
+                         seed: int) -> tuple[dict[str, int], np.ndarray]:
+    """Stratum counts and the initial directions of the vertex paths of
+    one ensemble, which is dropped on return."""
+    s = simulate.simulate_ensemble(params, t, _COUNT, seed)
+    return s.stratum_counts(), s.initial_direction[s.n_events == 0]
+
+
 def strata_masses_3d(seed: int) -> list[TestReport]:
     """3D stratum masses {vertex, face1, face2, interior} and per-vertex
     uniformity, chi-square at several Poisson intensities."""
@@ -62,7 +73,7 @@ def strata_masses_3d(seed: int) -> list[TestReport]:
     lam = 1.0
     for i, t in enumerate((0.5, 1.0, 2.0)):
         params = ModelParams(c=1.0, lam=lam, dim=3)
-        s = simulate.simulate_ensemble(params, t, _COUNT, seed + i)
+        counts, vert = _strata_and_vertices(params, t, seed + i)
         lt = lam * t
         p0 = math.exp(-lt)
         expected = {
@@ -72,8 +83,7 @@ def strata_masses_3d(seed: int) -> list[TestReport]:
             "interior": 1.0 - p0 * (1.0 + lt + 0.5 * lt * lt),
         }
         reports.append(stats.chi_square_masses(
-            s.stratum_counts(), expected, name=f"strata_masses_3d_lt{lt:g}"))
-        vert = s.initial_direction[s.n_events == 0]
+            counts, expected, name=f"strata_masses_3d_lt{lt:g}"))
         observed = {f"vertex{j}": int(np.sum(vert == j)) for j in range(1, 7)}
         observed["non_vertex"] = _COUNT - int(vert.size)
         expected_v = {f"vertex{j}": p0 / 6.0 for j in range(1, 7)}
@@ -83,13 +93,19 @@ def strata_masses_3d(seed: int) -> list[TestReport]:
     return reports
 
 
+def _sorted_u(dim: int, n: int, seed: int) -> np.ndarray:
+    """Sorted radii of one ensemble with c = lam = t = 1 conditioned on
+    N = n; the ensemble is dropped on return."""
+    return np.sort(simulate.simulate_ensemble(
+        ModelParams(c=1.0, lam=1.0, dim=dim), 1.0, _COUNT, seed,
+        conditioning=n).u)
+
+
 def conditional_uniformity_2d(seed: int) -> list[TestReport]:
-    """KS of the planar two-switch radius U/(ct) against Uniform(0,1)."""
-    params = ModelParams(c=1.0, lam=1.0, dim=2)
-    s = simulate.simulate_ensemble(params, 1.0, _COUNT, seed, conditioning=2)
-    v = np.sort(s.u) / (params.c * 1.0)
+    """KS of the planar two-switch radius U/(ct) against Uniform(0,1)
+    (ct = 1)."""
     return [stats.ks_one_sample(
-        v, lambda x: np.clip(x, 0.0, 1.0),
+        _sorted_u(2, 2, seed), lambda x: np.clip(x, 0.0, 1.0),
         name="conditional_uniformity_2d_n2")]
 
 
@@ -101,12 +117,10 @@ def conditional_laws(seed: int) -> list[TestReport]:
     for dim in (2, 3):
         params = ModelParams(c=1.0, lam=1.0, dim=dim)
         for n in (3, 4, 5, 6):
-            s = simulate.simulate_ensemble(params, t, _COUNT,
-                                           seed + 10 * dim + n,
-                                           conditioning=n)
             law = laws.ConditionalLaw(params, n, t)
             reports.append(stats.ks_one_sample(
-                np.sort(s.u), law.cdf, name=f"conditional_law_dim{dim}_n{n}"))
+                _sorted_u(dim, n, seed + 10 * dim + n), law.cdf,
+                name=f"conditional_law_dim{dim}_n{n}"))
     return reports
 
 
@@ -122,11 +136,11 @@ def conditional_means_3d(seed: int) -> list[TestReport]:
     t = 1.0
     ct = params.c * t
     for n in (3, 4, 5):
-        s = simulate.simulate_ensemble(params, t, _COUNT, seed + n,
-                                       conditioning=n)
         analytic = laws.conditional_mean_u(n) * ct
         reports.append(stats.moment_compare(
-            s.u, analytic, 1, name=f"conditional_mean_mc_3d_n{n}"))
+            simulate.simulate_ensemble(params, t, _COUNT, seed + n,
+                                       conditioning=n).u,
+            analytic, 1, name=f"conditional_mean_mc_3d_n{n}"))
     worst = 0.0
     for n in range(3, 13):
         law = laws.ConditionalLaw(params, n, t)
@@ -249,18 +263,25 @@ def cf_recursions(seed: int) -> list[TestReport]:
                 rr = pde.cf_recursion_check(params, n, j, (a, b), t)
                 reports.append(_residual_report(rr))
     for n in (0, 1, 2):
-        s = simulate.simulate_ensemble(params, t, _COUNT, seed + n,
-                                       conditioning=n)
-        for a, b in ((1.0, 0.0), (0.5, 0.5)):
-            phases = np.exp(1j * (a * s.positions[:, 0]
-                                  + b * s.positions[:, 1]))
-            target = pde.average_cf(params, n, (a, b), t)
-            z = max(abs(stats.z_score(phases.real, target.real)),
-                    abs(stats.z_score(phases.imag, target.imag)))
-            reports.append(stats.bound_report(
-                f"cf_quad_vs_mc_n{n}_a{a:g}_b{b:g}", z, 3.0,
-                sample_size=_COUNT,
-                detail=f"exact={target:.6f} mc={np.mean(phases):.6f}"))
+        reports.extend(_cf_mc_reports(
+            params, t, n, simulate.simulate_ensemble(
+                params, t, _COUNT, seed + n, conditioning=n).positions))
+    return reports
+
+
+def _cf_mc_reports(params: ModelParams, t: float, n: int,
+                   positions: np.ndarray) -> list[TestReport]:
+    """Exact conditional CF vs the Monte Carlo mean of the phases."""
+    reports = []
+    for a, b in ((1.0, 0.0), (0.5, 0.5)):
+        phases = np.exp(1j * (a * positions[:, 0] + b * positions[:, 1]))
+        target = pde.average_cf(params, n, (a, b), t)
+        z = max(abs(stats.z_score(phases.real, target.real)),
+                abs(stats.z_score(phases.imag, target.imag)))
+        reports.append(stats.bound_report(
+            f"cf_quad_vs_mc_n{n}_a{a:g}_b{b:g}", z, 3.0,
+            sample_size=_COUNT,
+            detail=f"exact={target:.6f} mc={np.mean(phases):.6f}"))
     return reports
 
 
@@ -271,13 +292,9 @@ def heat_limit(seed: int) -> list[TestReport]:
 
 def _u_pair_report(dim_a: int, dim_b: int, n: int, seed: int,
                    blocking: bool) -> TestReport:
-    t = 1.0
-    sa = simulate.simulate_ensemble(ModelParams(c=1.0, lam=1.0, dim=dim_a),
-                                    t, _COUNT, seed, conditioning=n)
-    sb = simulate.simulate_ensemble(ModelParams(c=1.0, lam=1.0, dim=dim_b),
-                                    t, _COUNT, seed + 1, conditioning=n)
+    ua = _sorted_u(dim_a, n, seed)
     return stats.ks_two_sample(
-        np.sort(sa.u), np.sort(sb.u),
+        ua, _sorted_u(dim_b, n, seed + 1),
         name=f"u{dim_a}_eq_u{dim_b}_n{n}", blocking=blocking)
 
 

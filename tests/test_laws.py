@@ -151,6 +151,17 @@ def test_singular_masses_and_ac_mass():
         singular_masses(ModelParams(1.0, 1.0, 4), 1.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("lt", [1e-5, 1e-3, 1.0])
+def test_ac_mass_is_the_poisson_tail_at_small_lambda_t(dim, lt):
+    # e^{-x} sum_{k>=dim} x^k/k! has positive terms; 1 - the shell masses
+    # cancels (a third of the value in dim 3 at lam*t = 1e-5)
+    exact = math.exp(-lt) * math.fsum(lt ** k / math.factorial(k)
+                                      for k in range(dim, dim + 40))
+    params = ModelParams(c=1.0, lam=lt, dim=dim)
+    assert ac_mass(params, 1.0) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("params,t", [(P2, 0.5), (P2, 2.0), (P3, 0.5),
                                       (P3, 2.0)])
 def test_mixture_identity(params, t):

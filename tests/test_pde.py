@@ -339,6 +339,14 @@ def test_density_moment_matches_adaptive_quad(dim, lt, c, t):
         assert density_moment(params, t, m) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [-1, 2.5, True, 7])
+def test_density_moment_takes_integer_m_in_range(m):
+    # m = -1 diverges (the dim-2 density is positive at u = 0); m = 2.5
+    # and True are not integers; 7 is past the rule's accuracy note
+    with pytest.raises(ValueError, match="m must be"):
+        density_moment(P2, 1.0, m)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_conditional_mean_rule_matches_adaptive_quad(n):
     law = laws.ConditionalLaw(P3, n, 1.0)

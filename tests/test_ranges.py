@@ -47,6 +47,8 @@ ROWS = [
                 laws.conditional_mean_catalan(n))),
     ("density_moment", pde.MAX_QUADRATURE_EVENTS,
      lambda lt: pde.density_moment(_lt(lt, 3), 1.0, 6)),
+    ("density_moment m", pde.MAX_QUADRATURE_MOMENT,
+     lambda m: pde.density_moment(P2, 1.0, m)),
     ("conditional_cf", pde.MAX_CF_SWITCHES,
      lambda n: pde.conditional_cf(P2, n, 1, (0.7, 0.3), 1.0)),
     ("simulate_ensemble", simulate.MAX_MEAN_EVENTS,
