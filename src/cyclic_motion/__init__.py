@@ -14,13 +14,11 @@ characteristic-function recursions, and the diffusive limit.
 from .bessel import (bessel_i_scaled, kernel_derivative,
                      kernel_identity_residual, kernel_integral)
 from .laws import (ConditionalLaw, SingularStratumError, StratumMass,
-                   ac_mass, cdf_u, conditional_density_u,
-                   conditional_mean_catalan, conditional_mean_ratio,
-                   conditional_mean_u, density_u, density_u_closed_form,
-                   density_u_from_coefficients, mean_u, mixture_density,
-                   moment_u, singular_masses)
-from .model import (Direction, ModelParams, classify_stratum,
-                    cycle_successor, face_label, stratum_labels)
+                   ac_mass, cdf_u, conditional_mean_u, density_u,
+                   density_u_closed_form, density_u_from_coefficients,
+                   mean_u, mixture_density, moment_u, singular_masses)
+from .model import (Direction, ModelParams, classify_stratum, face_label,
+                    stratum_labels)
 from .pde import (ResidualReport, average_cf, cf_recursion_check,
                   conditional_cf, heat_limit_check,
                   klein_gordon_residual, normalization_check,
@@ -38,12 +36,10 @@ __all__ = [
     "bessel_i_scaled", "kernel_derivative", "kernel_identity_residual",
     "kernel_integral",
     "ConditionalLaw", "SingularStratumError", "StratumMass", "ac_mass",
-    "cdf_u", "conditional_density_u",
-    "conditional_mean_catalan", "conditional_mean_ratio",
-    "conditional_mean_u", "density_u", "density_u_closed_form",
+    "cdf_u", "conditional_mean_u", "density_u", "density_u_closed_form",
     "density_u_from_coefficients", "mean_u", "mixture_density", "moment_u",
     "singular_masses", "Direction", "ModelParams", "classify_stratum",
-    "cycle_successor", "face_label", "stratum_labels", "ResidualReport",
+    "face_label", "stratum_labels", "ResidualReport",
     "average_cf", "cf_recursion_check", "conditional_cf", "heat_limit_check",
     "klein_gordon_residual", "normalization_check",
     "planar_fourth_order_residual", "MotionOutcome", "MotionPath",

@@ -149,13 +149,12 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = verify.run_suite(args.suite, args.seed, max_dim=args.max_dim)
+    reports = verify.run_suite(args.suite, args.seed)
     for rep in reports:
         print(rep.line())
     doc = {
         "suite": args.suite,
         "seed": args.seed,
-        "max_dim": args.max_dim,
         "git": _git_describe(),
         "sampler": simulate.SAMPLER_ID,
         "reports": [rep.as_dict() for rep in reports],
@@ -216,8 +215,6 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", choices=verify.SUITE_NAMES, default="all")
     p_ver.add_argument("--seed", type=int, required=True)
-    p_ver.add_argument("--max-dim", dest="max_dim", type=int, default=5,
-                       help="largest dimension for conjecture pairs")
     p_ver.add_argument("--out", default="-", help="report path (default -)")
     return parser
 

@@ -9,7 +9,7 @@ The density has three equivalent representations, all implemented:
 * `density_u` — the primary non-negative series (index-shifted so the
   edge u = ct is a plain evaluation; every term is >= 0);
 * `density_u_from_coefficients` — a fixed linear combination of kernel
-  t-derivatives;
+  t-derivatives, all taken from one pass of the kernel series;
 * `density_u_closed_form` — an I0/I1 expression, valid on the open
   interval only (0/0 at the edge).
 
@@ -31,9 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
-from .bessel import (MAX_MOMENT, _sum_exp, _term,
-                     bessel_i_scaled, kernel_derivative, like_input,
+from .bessel import (MAX_MOMENT, _derivative, _kernel_sums_scaled,
+                     _sum_exp, _term, bessel_i_scaled, like_input,
                      require_lambda_t, scaled_series)
+# Nothing here calls kernel_derivative; it stays a global of this module
+# because perfbench's tracer wraps laws.kernel_derivative by name.
+from .bessel import kernel_derivative  # noqa: F401
 from .model import (ModelParams, face_label, require_horizon, require_int,
                     VERTEX)
 from .simulate import _poisson_table
@@ -169,12 +172,11 @@ def density_u_from_coefficients(params: ModelParams, t: float, u):
         raise ValueError("closed-form densities exist for dim 2 and 3 only")
 
     def combination(v):
-        # Scaled derivatives: e^{xi} would overflow for lam*t past ~709.
-        total = sum(a * kernel_derivative(params, t, v, t_order=j,
-                                          scaled=True)
+        # One series pass holds every t-derivative; they stay scaled by
+        # e^{-xi}, since e^{xi} overflows for lam*t past ~709.
+        *sums, xi = _kernel_sums_scaled(params, t, v)
+        total = sum(a * _derivative(sums, params.c, t, v, j, 0)
                     for j, a in enumerate(coeffs))
-        ct = params.c * t
-        xi = lam / params.c * np.sqrt(np.maximum(0.0, (ct - v) * (ct + v)))
         return np.exp(xi - lam * t) / params.c * total
 
     return _on_support(params, t, u, combination)
@@ -331,14 +333,6 @@ class ConditionalLaw(_Mixture):
         self.n = n
 
 
-def conditional_density_u(params: ModelParams, n: int, t: float, u):
-    """Exact polynomial density of U(t) given N(t)=n, for n >= dim.
-
-    Takes a scalar or an array u and returns a float or an array.
-    """
-    return ConditionalLaw(params, n, t).density(u)
-
-
 def cdf_u(params: ModelParams, t: float, u):
     """CDF of the a.c. part of U(t): its mass below u, not renormalized.
 
@@ -399,19 +393,14 @@ def moment_u(params: ModelParams, m: int, t: float) -> float:
     return _sum_exp(terms)
 
 
-def _require_mean_n(n: int) -> int:
+def conditional_mean_u(n: int) -> float:
+    """E[U(t) | N(t)=n] in dim 3, as a multiple of ct (3 <= n <= 2^16)."""
     n = require_int(n, "n")
     if n < 3:
         raise SingularStratumError(
             f"N={n} < 3: conditional means require the a.c. regime")
     if n > MAX_MEAN_SWITCHES:
         raise ValueError(f"N={n} above the supported {MAX_MEAN_SWITCHES}")
-    return n
-
-
-def conditional_mean_u(n: int) -> float:
-    """E[U(t) | N(t)=n] in dim 3, as a multiple of ct (3 <= n <= 2^16)."""
-    n = _require_mean_n(n)
     if n % 2 == 1:
         k = (n - 1) // 2
         return (math.factorial(2 * k + 1) * (k + 2)
@@ -419,33 +408,6 @@ def conditional_mean_u(n: int) -> float:
     k = (n - 2) // 2
     return (math.factorial(2 * k + 1) * (k + 4)
             / (2 ** (2 * k + 1) * math.factorial(k) * math.factorial(k + 2)))
-
-
-def conditional_mean_ratio(k: int) -> float:
-    """Ratio E[U|N=2k+1] / E[U|N=2k+2] = (k+2)^2 / ((k+1)(k+4)).
-
-    Equivalently 1 - k/((k+1)(k+4)): consecutive odd/even conditional
-    means differ by O(1/k), both tending to the same limit.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return (k + 2) ** 2 / ((k + 1) * (k + 4))
-
-
-def catalan_number(k: int) -> int:
-    return math.comb(2 * k, k) // (k + 1)
-
-
-def conditional_mean_catalan(n: int) -> float:
-    """`conditional_mean_u` rewritten through Catalan numbers C_k."""
-    n = _require_mean_n(n)
-    if n % 2 == 1:
-        k = (n - 1) // 2
-        return (2 * k + 1) * catalan_number(k) * (k + 2) \
-            / (2 ** (2 * k + 1) * (k + 1))
-    k = (n - 2) // 2
-    return (2 * k + 1) * catalan_number(k) * (k + 4) \
-        / (2 ** (2 * k + 1) * (k + 2))
 
 
 def _poisson_terms(params: ModelParams,

@@ -82,11 +82,6 @@ class Direction:
         return 1 if self.index <= self.dim else -1
 
 
-def cycle_successor(d: Direction) -> Direction:
-    """Next direction in the cycle, wrapping 2d -> 1."""
-    return Direction(d.index % (2 * d.dim) + 1, d.dim)
-
-
 VERTEX = "vertex"
 INTERIOR = "interior"
 
@@ -104,7 +99,7 @@ def classify_stratum(n_events: int, dim: int) -> str:
     with n >= dim events the position is in the open interior almost
     surely.
     """
-    if n_events < 0:
+    if require_int(n_events, "n_events") < 0:
         raise ValueError("n_events must be >= 0")
     if n_events >= dim:
         return INTERIOR

@@ -138,16 +138,6 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.u)
 
-    def outcome(self, i: int) -> MotionOutcome:
-        d = self.params.dim
-        return MotionOutcome(
-            params=self.params, horizon=self.horizon,
-            position=self.positions[i].copy(), u=float(self.u[i]),
-            n_events=int(self.n_events[i]),
-            initial_direction=Direction(int(self.initial_direction[i]), d),
-            final_direction=Direction(int(self.final_direction[i]), d),
-            stratum=str(self.strata[i]))
-
     def stratum_counts(self) -> dict[str, int]:
         counts = np.bincount(self._stratum_codes,
                              minlength=self.params.dim + 1)
@@ -175,7 +165,7 @@ def sample_path_conditional(params: ModelParams, horizon: float, n: int,
                             stream: rng.Substream) -> MotionPath:
     """Path conditioned on N(t)=n: switch times are n sorted uniforms."""
     horizon = require_horizon(horizon)
-    if n < 0:
+    if require_int(n, "n") < 0:
         raise ValueError("n must be >= 0")
     j0 = 1 + int(stream.uniform() * params.n_directions)
     times = np.sort(stream.uniforms(n)) * horizon

@@ -278,21 +278,6 @@ def test_verify_conjecture_never_blocks(tmp_path, capsys):
     assert names == {"u3_eq_u4_n4", "u4_eq_u5_n5"}
 
 
-def test_verify_conjecture_max_dim(tmp_path, capsys):
-    out = tmp_path / "rep.json"
-    code = run_cli("verify", "--suite", "conjecture", "--seed", "7",
-                   "--max-dim", "7", "--out", str(out))
-    capsys.readouterr()
-    assert code == 0
-    doc = json.loads(out.read_text())
-    names = {r["name"] for r in doc["reports"]}
-    assert names == {"u3_eq_u4_n4", "u4_eq_u5_n5", "u5_eq_u6_n6",
-                     "u6_eq_u7_n7"}
-    assert run_cli("verify", "--suite", "conjecture", "--seed", "7",
-                   "--max-dim", "3", "--out", str(out)) == 1
-    capsys.readouterr()
-
-
 def test_verify_unknown_suite_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--suite", "nope", "--seed", "1")

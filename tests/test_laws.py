@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from cyclic_motion import laws, verify
-from cyclic_motion.bessel import MAX_MOMENT
+from cyclic_motion import bessel, laws, verify
+from cyclic_motion.bessel import MAX_MOMENT, kernel_derivative
 from cyclic_motion.laws import (ConditionalLaw, SingularStratumError, ac_mass,
-                                cdf_u, conditional_density_u,
-                                conditional_mean_catalan,
-                                conditional_mean_ratio, conditional_mean_u,
-                                density_u, density_u_closed_form,
+                                cdf_u, conditional_mean_u, density_u,
+                                density_u_closed_form,
                                 density_u_from_coefficients, mean_u,
                                 mixture_density, moment_u, singular_masses)
 from cyclic_motion.model import ModelParams
@@ -58,7 +56,7 @@ def test_density_outside_support_zero():
     assert density_u(P2, 1.0, 1.5) == 0.0
     assert density_u(P3, 1.0, -0.1) == 0.0
     for call in (density_u, density_u_from_coefficients,
-                 lambda p, t, u: conditional_density_u(p, 3, t, u),
+                 lambda p, t, u: ConditionalLaw(p, 3, t).density(u),
                  lambda p, t, u: ConditionalLaw(p, 3, t).cdf(u), cdf_u):
         with pytest.raises(ValueError, match="NaN"):
             call(P2, 1.0, np.array([0.5, float("nan")]))
@@ -78,7 +76,6 @@ def test_non_finite_horizon_rejected(t):
     for call in (lambda: density_u(P2, t, 0.5),
                  lambda: density_u_from_coefficients(P2, t, 0.5),
                  lambda: density_u_closed_form(P2, t, 0.5),
-                 lambda: conditional_density_u(P2, 3, t, 0.5),
                  lambda: ConditionalLaw(P2, 3, t),
                  lambda: cdf_u(P2, t, 0.5),
                  lambda: singular_masses(P2, t),
@@ -114,6 +111,29 @@ def test_representations_agree(params, t):
         if params.dim == 2 and frac < 1.0:
             cf = density_u_closed_form(params, t, u)
             assert cf == pytest.approx(a, rel=1e-11, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam", [1.0, 100.0, 1000.0])
+def test_coefficient_form_is_one_kernel_pass(dim, lam, monkeypatch):
+    # one series pass gives the same bits as one kernel_derivative per
+    # t-order, each of which runs the whole series
+    c, t = 1.0, 1.0
+    params = ModelParams(c=c, lam=lam, dim=dim)
+    coeffs = {2: (-lam, 1.0, 2.0 / lam),
+              3: (-lam, -3.0, 2.0 / lam, 4.0 / lam ** 2)}[dim]
+    u = np.linspace(0.0, c * t, 1001)
+    xi = lam / c * np.sqrt(np.maximum(0.0, (c * t - u) * (c * t + u)))
+    want = np.exp(xi - lam * t) / c * sum(
+        a * kernel_derivative(params, t, u, t_order=j, scaled=True)
+        for j, a in enumerate(coeffs))
+    calls = []
+    series = bessel.scaled_series
+    monkeypatch.setattr(bessel, "scaled_series",
+                        lambda *a, **k: calls.append(a) or series(*a, **k))
+    got = density_u_from_coefficients(params, t, u)
+    assert len(calls) == 1
+    assert np.array_equal(got, want)
 
 
 def test_closed_form_domain():
@@ -211,7 +231,7 @@ def test_array_calls_match_scalar_calls(dim, lam):
     u = np.linspace(0.0, 1.0, 1001)
     forms = [lambda x: density_u(params, 1.0, x),
              lambda x: density_u_from_coefficients(params, 1.0, x),
-             lambda x: conditional_density_u(params, 5, 1.0, x)]
+             ConditionalLaw(params, 5, 1.0).density]
     grids = [u, u, u]
     if dim == 2:
         forms.append(lambda x: density_u_closed_form(params, 1.0, x))
@@ -234,18 +254,16 @@ def test_conditional_below_dim_raises():
     for params, n in ((P2, 0), (P2, 1), (P3, 2),
                       (ModelParams(1.0, 1.0, 1), 0)):
         with pytest.raises(SingularStratumError):
-            conditional_density_u(params, n, 1.0, 0.5)
-        with pytest.raises(SingularStratumError):
             ConditionalLaw(params, n, 1.0)
 
 
 @pytest.mark.parametrize("call", [
     lambda: ConditionalLaw(P2, 3.5, 1.0),
     lambda: ConditionalLaw(ModelParams(1.0, 1.0, 1), True, 1.0),
-    lambda: conditional_density_u(P3, 4.0, 1.0, 0.5),
+    lambda: ConditionalLaw(P3, 4.0, 1.0),
     lambda: conditional_mean_u(3.5),
-    lambda: conditional_mean_catalan(np.float64(5)),
-], ids=["law-3.5", "law-True", "density-4.0", "mean-3.5", "catalan-5.0"])
+    lambda: conditional_mean_u(np.float64(5)),
+], ids=["law-3.5", "law-True", "density-4.0", "mean-3.5", "mean-5.0"])
 def test_conditional_n_must_be_an_integer(call):
     # these raised IndexError or TypeError, or built the n = 1 law
     with pytest.raises(ValueError, match="n must be an integer"):
@@ -255,8 +273,6 @@ def test_conditional_n_must_be_an_integer(call):
 def test_numpy_integer_n_matches_int_n():
     # a numpy n once overflowed 2 ** (2k+1) in the conditional means
     assert conditional_mean_u(np.int64(201)) == conditional_mean_u(201)
-    assert (conditional_mean_catalan(np.int64(201))
-            == conditional_mean_catalan(201))
     v = np.linspace(0.0, 1.0, 7)
     assert np.array_equal(ConditionalLaw(P3, np.int64(6), 1.0).cdf(v),
                           ConditionalLaw(P3, 6, 1.0).cdf(v))
@@ -264,20 +280,20 @@ def test_numpy_integer_n_matches_int_n():
 
 def test_conditional_special_values():
     # planar n=2: uniform 1/(ct)
-    assert conditional_density_u(P2, 2, 1.0, 0.3) == pytest.approx(1.0)
-    assert conditional_density_u(ModelParams(2.0, 1.0, 2), 2, 1.0,
-                                 0.3) == pytest.approx(0.5)
+    assert ConditionalLaw(P2, 2, 1.0).density(0.3) == pytest.approx(1.0)
+    assert ConditionalLaw(ModelParams(2.0, 1.0, 2), 2, 1.0).density(
+        0.3) == pytest.approx(0.5)
     # planar n=3 at u=0: 3!/((0)!(2)! 4 (ct)^3) * (ct^2 + u^2) = 0.75
-    assert conditional_density_u(P2, 3, 1.0, 0.0) == pytest.approx(0.75)
+    assert ConditionalLaw(P2, 3, 1.0).density(0.0) == pytest.approx(0.75)
     # spatial n=4 at u=0: 4!/(3! 0! 8) * 1 = 0.5
-    assert conditional_density_u(P3, 4, 1.0, 0.0) == pytest.approx(0.5)
+    assert ConditionalLaw(P3, 4, 1.0).density(0.0) == pytest.approx(0.5)
     # spatial odd laws vanish... n=5 at the edge u=ct keeps P^1 factor -> 0
-    assert conditional_density_u(P3, 5, 1.0, 1.0) == 0.0
+    assert ConditionalLaw(P3, 5, 1.0).density(1.0) == 0.0
     # telegraph n=2 at u=0: 2!/(0!1!2) = 1
-    assert conditional_density_u(ModelParams(1.0, 1.0, 1), 2, 1.0,
-                                 0.0) == pytest.approx(1.0)
+    assert ConditionalLaw(ModelParams(1.0, 1.0, 1), 2, 1.0).density(
+        0.0) == pytest.approx(1.0)
     # outside the support
-    assert conditional_density_u(P2, 4, 1.0, 1.2) == 0.0
+    assert ConditionalLaw(P2, 4, 1.0).density(1.2) == 0.0
 
 
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 2), (1, 5), (2, 2), (2, 3),
@@ -286,7 +302,7 @@ def test_conditional_density_integrates_to_one(dim, n):
     params = ModelParams(c=0.8, lam=1.0, dim=dim)
     t = 1.3
     val, _ = integrate.quad(
-        lambda x: conditional_density_u(params, n, t, x), 0.0,
+        ConditionalLaw(params, n, t).density, 0.0,
         params.c * t, epsabs=1e-12, epsrel=1e-12, limit=200)
     assert val == pytest.approx(1.0, abs=1e-10)
 
@@ -378,11 +394,11 @@ def test_cross_dimension_conditional_identities():
     p1 = ModelParams(c=1.0, lam=1.0, dim=1)
     for u in (0.1, 0.5, 0.9):
         for n in (2, 4, 6):
-            assert conditional_density_u(p1, n, 1.0, u) == pytest.approx(
-                conditional_density_u(P2, n, 1.0, u), rel=1e-13)
+            assert ConditionalLaw(p1, n, 1.0).density(u) == pytest.approx(
+                ConditionalLaw(P2, n, 1.0).density(u), rel=1e-13)
         for n in (3, 5, 7):
-            assert conditional_density_u(P2, n, 1.0, u) == pytest.approx(
-                conditional_density_u(P3, n, 1.0, u), rel=1e-13)
+            assert ConditionalLaw(P2, n, 1.0).density(u) == pytest.approx(
+                ConditionalLaw(P3, n, 1.0).density(u), rel=1e-13)
 
 
 def test_unconditional_cdf_with_conditioning_argument():
@@ -535,19 +551,34 @@ def test_conditional_mean_matches_density_quadrature():
 
 def test_conditional_mean_ratio():
     # consecutive odd/even ratio (k+2)^2/((k+1)(k+4)); k=1 gives 0.9
-    assert conditional_mean_ratio(1) == pytest.approx(0.9, rel=1e-15)
+    assert (conditional_mean_u(3) / conditional_mean_u(4)
+            == pytest.approx(0.9, rel=1e-15))
     for k in (1, 2, 3, 5):
-        want = (conditional_mean_u(2 * k + 1) / conditional_mean_u(2 * k + 2))
-        assert conditional_mean_ratio(k) == pytest.approx(want, rel=1e-13)
-    with pytest.raises(ValueError):
-        conditional_mean_ratio(0)
+        want = (k + 2) ** 2 / ((k + 1) * (k + 4))
+        assert (conditional_mean_u(2 * k + 1) / conditional_mean_u(2 * k + 2)
+                == pytest.approx(want, rel=1e-13))
+
+
+def _catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def _catalan_mean(n: int) -> float:
+    """`conditional_mean_u` rewritten through the Catalan numbers C_k."""
+    if n % 2 == 1:
+        k = (n - 1) // 2
+        return ((2 * k + 1) * _catalan(k) * (k + 2)
+                / (2 ** (2 * k + 1) * (k + 1)))
+    k = (n - 2) // 2
+    return ((2 * k + 1) * _catalan(k) * (k + 4)
+            / (2 ** (2 * k + 1) * (k + 2)))
 
 
 def test_catalan_forms_agree():
-    assert laws.catalan_number(0) == 1
-    assert laws.catalan_number(4) == 14
+    assert _catalan(0) == 1
+    assert _catalan(4) == 14
     for n in range(3, 15):
-        assert conditional_mean_catalan(n) == pytest.approx(
-            conditional_mean_u(n), rel=1e-14)
+        assert _catalan_mean(n) == pytest.approx(conditional_mean_u(n),
+                                                 rel=1e-14)
     with pytest.raises(SingularStratumError):
-        conditional_mean_catalan(1)
+        conditional_mean_u(1)

@@ -29,9 +29,8 @@ ROWS = [
     ("density_u_closed_form", MAX_LAMBDA_T,
      lambda lt: laws.density_u_closed_form(_lt(lt), 1.0, 0.0)),
     ("ConditionalLaw", laws.MAX_SWITCHES,
-     lambda n: laws.ConditionalLaw(P3, n, 1.0).density(1e-3)),
-    ("conditional_density_u", laws.MAX_SWITCHES,
-     lambda n: laws.conditional_density_u(P1, n, 1.0, 1e-3)),
+     lambda n: (laws.ConditionalLaw(P3, n, 1.0).density(1e-3),
+                laws.ConditionalLaw(P1, n, 1.0).density(1e-3))),
     ("mixture_density", laws.MAX_MIXTURE_EVENTS,
      lambda lt: laws.mixture_density(_lt(lt, 3), 1.0, 1e-3)),
     ("cdf_u", laws.MAX_MIXTURE_EVENTS,
@@ -43,8 +42,7 @@ ROWS = [
     ("kernel_integral m", MAX_MOMENT,
      lambda m: kernel_integral(P2, 1.0, m, 2)),
     ("conditional means", laws.MAX_MEAN_SWITCHES,
-     lambda n: (laws.conditional_mean_u(n),
-                laws.conditional_mean_catalan(n))),
+     laws.conditional_mean_u),
     ("density_moment", pde.MAX_QUADRATURE_EVENTS,
      lambda lt: pde.density_moment(_lt(lt, 3), 1.0, 6)),
     ("density_moment m", pde.MAX_QUADRATURE_MOMENT,

@@ -10,8 +10,7 @@ from scipy import special
 from scipy.stats import poisson
 
 from cyclic_motion import laws, rng, simulate, stats
-from cyclic_motion.model import (Direction, ModelParams, classify_stratum,
-                                 cycle_successor)
+from cyclic_motion.model import Direction, ModelParams, classify_stratum
 from cyclic_motion.simulate import (MotionPath, evolve, sample_path,
                                     sample_path_conditional,
                                     simulate_ensemble)
@@ -43,11 +42,9 @@ def test_direction_rejects_non_integer_index(index):
 
 
 def test_cycle_wraps_through_all_directions():
-    d = Direction(1, 3)
-    seen = [d.index]
-    for _ in range(6):
-        d = cycle_successor(d)
-        seen.append(d.index)
+    seen = [evolve(MotionPath(P3, 1.0, Direction(1, 3),
+                              np.linspace(0.1, 0.9, n))).final_direction.index
+            for n in range(7)]
     assert seen == [1, 2, 3, 4, 5, 6, 1]
 
 
@@ -59,6 +56,14 @@ def test_classify_stratum():
     assert classify_stratum(0, 2) == "vertex"
     assert classify_stratum(1, 2) == "face1"
     assert classify_stratum(2, 2) == "interior"
+
+
+@pytest.mark.parametrize("n", [1.5, True, np.float64(1)],
+                         ids=["1.5", "True", "numpy-float"])
+def test_classify_stratum_rejects_non_integer_count(n):
+    # 1.5 was labelled 'face1.5'
+    with pytest.raises(ValueError, match="n_events must be an integer"):
+        classify_stratum(n, 2)
 
 
 def test_evolve_two_switches_planar():
@@ -110,6 +115,13 @@ def test_sample_path_conditional_count():
         p = sample_path_conditional(P3, 2.0, n, Substream(3, 7))
         assert p.switch_times.size == n
         assert np.all((p.switch_times > 0) & (p.switch_times < 2.0))
+
+
+@pytest.mark.parametrize("n", [2.5, True, 2.0], ids=["2.5", "True", "float"])
+def test_sample_path_conditional_rejects_non_integer_n(n):
+    # 2.5 raised TypeError in range() and True drew one switch
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_path_conditional(P2, 1.0, n, Substream(1, 0))
 
 
 def test_shell_law_and_stratum_equivalence():
@@ -170,7 +182,7 @@ def _assert_matches_reference(s, params, t, seed, n=None):
         assert s.n_events[i] == n_i
         assert s.initial_direction[i] == j0
         assert s.final_direction[i] == (j0 - 1 + n_i) % params.n_directions + 1
-        assert s.outcome(i).stratum == classify_stratum(n_i, params.dim)
+        assert s.strata[i] == classify_stratum(n_i, params.dim)
 
 
 def test_ensemble_matches_per_path_sampler():
@@ -375,9 +387,8 @@ def test_stratum_counts_and_outcome_roundtrip():
     assert list(s.strata) == [classify_stratum(int(n), 3)
                               for n in s.n_events]
     assert set(counts) <= {"vertex", "face1", "face2", "interior"}
-    out = s.outcome(17)
-    assert out.u == pytest.approx(abs(s.positions[17]).sum())
-    assert out.stratum == classify_stratum(int(s.n_events[17]), 3)
+    assert s.u[17] == pytest.approx(abs(s.positions[17]).sum())
+    assert s.strata[17] == classify_stratum(int(s.n_events[17]), 3)
 
 
 @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
