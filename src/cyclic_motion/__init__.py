@@ -19,10 +19,8 @@ from .laws import (ConditionalLaw, SingularStratumError, StratumMass,
                    mean_u, mixture_density, moment_u, singular_masses)
 from .model import (Direction, ModelParams, classify_stratum, face_label,
                     stratum_labels)
-from .pde import (ResidualReport, average_cf, cf_recursion_check,
-                  conditional_cf, heat_limit_check,
-                  klein_gordon_residual, normalization_check,
-                  planar_fourth_order_residual)
+from .pde import (average_cf, cf_recursion_check, conditional_cf,
+                  klein_gordon_residual, planar_fourth_order_residual)
 from .simulate import (MotionOutcome, MotionPath, SampleSet, evolve,
                        sample_path, sample_path_conditional,
                        simulate_ensemble)
@@ -39,9 +37,8 @@ __all__ = [
     "cdf_u", "conditional_mean_u", "density_u", "density_u_closed_form",
     "density_u_from_coefficients", "mean_u", "mixture_density", "moment_u",
     "singular_masses", "Direction", "ModelParams", "classify_stratum",
-    "face_label", "stratum_labels", "ResidualReport",
-    "average_cf", "cf_recursion_check", "conditional_cf", "heat_limit_check",
-    "klein_gordon_residual", "normalization_check",
+    "face_label", "stratum_labels", "average_cf", "cf_recursion_check",
+    "conditional_cf", "klein_gordon_residual",
     "planar_fourth_order_residual", "MotionOutcome", "MotionPath",
     "SampleSet", "evolve", "sample_path", "sample_path_conditional",
     "simulate_ensemble", "TestReport",

@@ -27,7 +27,7 @@ import math
 import numpy as np
 from scipy.special import ive as bessel_i_scaled
 
-from .model import ModelParams, require_horizon
+from .model import ModelParams, require_horizon, require_int
 
 _REL_TOL = 1e-17
 _BLOCK = 32  # series terms per array pass
@@ -169,10 +169,11 @@ def kernel_derivative(params: ModelParams, t: float, u, t_order: int = 0,
     returns e^{-xi} times the derivative instead, which is finite for
     every lam*t.
     """
-    if (t_order, u_order) not in _ALLOWED_ORDERS:
-        raise ValueError(f"unsupported derivative orders ({t_order}, {u_order})")
+    orders = require_int(t_order, "t_order"), require_int(u_order, "u_order")
+    if orders not in _ALLOWED_ORDERS:
+        raise ValueError(f"unsupported derivative orders {orders}")
     *sums, xi = _kernel_sums_scaled(params, t, u)
-    value = _derivative(sums, params.c, t, u, t_order, u_order)
+    value = _derivative(sums, params.c, t, u, *orders)
     return like_input(u, value if scaled else _unscaled(value, xi))
 
 
@@ -259,6 +260,7 @@ def kernel_integral(params: ModelParams, t: float, m: int,
     the integral is a float and +-inf where it overflows (lam*t beyond
     ~700 at small m).  Tests check the forms against quadrature.
     """
+    m, t_order = require_int(m, "m"), require_int(t_order, "t_order")
     if not 0 <= m <= MAX_MOMENT or t_order not in _INTEGRAL_ORDERS:
         raise ValueError(f"unsupported kernel_integral pair (m={m}, t_order={t_order})")
     if t_order == 3 and m != 0:

@@ -91,8 +91,6 @@ def singular_masses(params: ModelParams, t: float) -> list[StratumMass]:
     absolutely continuous interior mass `ac_mass`.
     """
     require_horizon(t, "t")
-    if params.dim > 3:
-        raise ValueError("analytic strata masses cover dim <= 3")
     out = [StratumMass(VERTEX, poisson_pmf(0, params.lam * t),
                        2 * params.dim)]
     for k in range(1, params.dim):
@@ -104,8 +102,6 @@ def ac_mass(params: ModelParams, t: float) -> float:
     """Total absolutely continuous mass P(N >= dim) = 1 - sum_{k<dim} P(N=k),
     as the Poisson upper tail: the difference cancels at small lam*t."""
     require_horizon(t, "t")
-    if params.dim > 3:
-        raise ValueError("analytic strata masses cover dim <= 3")
     return float(pdtrc(params.dim - 1, params.lam * t))
 
 
@@ -377,6 +373,7 @@ def moment_u(params: ModelParams, m: int, t: float) -> float:
     """
     if params.dim != 2:
         raise ValueError("closed-form moments are planar (dim 2) only")
+    m = require_int(m, "m")
     if not 0 <= m <= MAX_MOMENT:
         raise ValueError(f"m must be in 0..{MAX_MOMENT}, got {m}")
     require_horizon(t, "t")

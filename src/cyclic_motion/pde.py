@@ -1,23 +1,22 @@
-"""Finite-difference verification of the governing differential identities.
+"""The numbers behind the governing-equation checks; `verify` judges them.
 
-Checks implemented:
-
-* Klein-Gordon factor equation on the layer density p(u,t):
+* Finite-difference residuals of the Klein-Gordon factor equation on the
+  layer density p(u,t):
   (d/dt + lam)^2 p - c^2 d2p/du2 - lam^2 p = 0 (dims 2 and 3);
-* the planar fourth-order operator
+* residuals of the planar fourth-order operator
   [(d/dt+lam)^2 - c^2 dxx][(d/dt+lam)^2 - c^2 dyy] f = lam^4 f
   on the point field f(x,y,t) = p(|x|+|y|, t)/(4(|x|+|y|)) (the coarea
   conversion of the layer density) and, as a positive control, on the
   layer parametrization h(x,y,t) = p(x+y, t);
-* characteristic-function recursions d F_n/dt = F_{n-1} + ic theta F_n
-  for the order-statistics time integrals, on the exact conditional CF
-  (a divided difference of exp, as a matrix exponential) in any dim;
-* the diffusive (heat) limit lam = c^2, c -> inf, of the per-coordinate
-  position variance;
-* normalization of the interior density against the shell masses.
+* residuals of the characteristic-function recursions
+  d F_n/dt = F_{n-1} + ic theta F_n for the order-statistics time
+  integrals, on the exact conditional CF (a divided difference of exp,
+  as a matrix exponential) in any dim;
+* the quadrature oracle `density_moment`.
 
-Every differenced residual is reported with a least-squares convergence
-order over a refinement schedule (expected ~2 for the O(h^2) stencils).
+Each residual function returns ``(h_values, max_abs)``, the largest
+absolute residual at each step of a refinement schedule.  `verify` fits
+their order (about 2 for these O(h^2) stencils) and names every row.
 
 The fourth-order operator is the product that the four forward equations
 (d/dt + lam + c d_j.grad) p_j = lam p_{j-1} give, and the simulated planar
@@ -40,56 +39,30 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import laws, simulate
+from . import laws
 from .model import Direction, ModelParams, require_horizon, require_int
-from .stats import TestReport, bound_report
 
 # The Klein-Gordon check evaluates at _N_T horizons in _KG_T and the
 # planar fourth-order check at _F_T0, with _LEVELS step sizes halving from
 # _KG_H and _F_H.  Both take _N_U radii in [_MARGIN, 1-_MARGIN]*ct at the
-# smallest horizon the widest stencil reaches, and converge at order
-# _ORDER +- _ORDER_TOL.
+# smallest horizon the widest stencil reaches.
 _KG_T, _KG_H = (0.8, 1.2), 0.02
 _F_T0, _F_H = 1.0, 0.04
 _N_T = 3
 _N_U = 5
 _MARGIN = 0.2
 _LEVELS = 3
-_ORDER, _ORDER_TOL = 2.0, 0.3  # the O(h^2) stencils
 
 
 def _h_values(h: float) -> list[float]:
     return [h / 2 ** i for i in range(_LEVELS)]
 
 
-@dataclass
-class ResidualReport:
-    """Per-level residuals, fitted order; converged at order 2 +- 0.3."""
-
-    name: str
-    h_values: list[float]
-    max_abs: list[float]
-    order: float = field(init=False)
-
-    def __post_init__(self):
-        logs_h = np.log(np.asarray(self.h_values))
-        logs_r = np.log(np.maximum(np.asarray(self.max_abs), 1e-300))
-        self.order = float(np.polyfit(logs_h, logs_r, 1)[0])
-
-    def converged(self) -> bool:
-        return abs(self.order - _ORDER) <= _ORDER_TOL
-
-    def line(self) -> str:
-        res = ", ".join(f"{r:.3g}" for r in self.max_abs)
-        return f"{self.name}: order={self.order:.2f} max_abs=[{res}]"
-
-
-def klein_gordon_residual(params: ModelParams) -> ResidualReport:
+def klein_gordon_residual(params: ModelParams) -> tuple[list, list]:
     """FD residual of (d/dt+lam)^2 p = c^2 d2p/du2 + lam^2 p on density_u.
 
     The lam^2 terms cancel exactly, leaving
@@ -114,8 +87,7 @@ def klein_gordon_residual(params: ModelParams) -> ResidualReport:
                        - c * c * (p_up - 2 * p_cc + p_um) / h ** 2)
         arr = np.abs(np.concatenate(res))
         max_abs.append(float(arr.max()))
-    return ResidualReport(name=f"klein_gordon_dim{params.dim}",
-                          h_values=h_values, max_abs=max_abs)
+    return h_values, max_abs
 
 
 def _point_field(params: ModelParams):
@@ -177,7 +149,7 @@ def _fourth_order_points(params: ModelParams):
 
 
 def planar_fourth_order_residual(params: ModelParams,
-                                 f_field: str = "point") -> ResidualReport:
+                                 f_field: str = "point") -> tuple[list, list]:
     """FD residual of the planar fourth-order equation on a field f(t,x,y).
 
     ``f_field="point"`` (the default) is the coarea point field
@@ -202,8 +174,7 @@ def planar_fourth_order_residual(params: ModelParams,
         cube = np.stack([f(_F_T0 + dt * h, x, y) for dt in offsets], axis=1)
         arr = np.abs((w * cube).reshape(xs.size, -1).sum(axis=1))
         max_abs.append(float(arr.max()))
-    return ResidualReport(name=f"planar_fourth_order_{f_field}",
-                          h_values=h_values, max_abs=max_abs)
+    return h_values, max_abs
 
 
 # Largest n of `conditional_cf`: its expm is (n+1) x (n+1), so time
@@ -250,8 +221,8 @@ def average_cf(params: ModelParams, n: int, omega, t: float) -> complex:
 
 
 def cf_recursion_check(params: ModelParams, n: int, j: int, omega,
-                       t: float) -> ResidualReport:
-    """FD check of d F_n/dt = F_{n-1} + i c theta_{n+1} F_n (n >= 1).
+                       t: float) -> tuple[list, list]:
+    """FD residual of d F_n/dt = F_{n-1} + i c theta_{n+1} F_n (n >= 1).
 
     F_n = t^n/n! G_n are the unnormalized order-statistics integrals;
     the t-derivative is central-differenced from `conditional_cf`, so
@@ -271,47 +242,7 @@ def cf_recursion_check(params: ModelParams, n: int, j: int, omega,
         dfdt = (f_n(n, t + h) - f_n(n, t - h)) / (2 * h)
         r = abs(dfdt - f_n(n - 1, t) - 1j * params.c * th * f_n(n, t))
         max_abs.append(r)
-    tag = "_".join(f"{name}{w:g}" for name, w in zip("abcdefgh", omega))
-    return ResidualReport(name=f"cf_recursion_n{n}_j{j}_{tag}",
-                          h_values=h_values, max_abs=max_abs)
-
-
-# The heat-limit check: horizon, speeds c (with lam = c^2) and paths.
-_HEAT_T = 1.0
-_HEAT_SPEEDS = (8.0, 16.0, 32.0)
-_HEAT_COUNT = 200_000
-
-
-def heat_limit_check(dim: int, seed: int) -> TestReport:
-    """Diffusive limit: with lam = c^2, per-coordinate Var -> t/dim.
-
-    Runs `_HEAT_COUNT` paths to t = 1 at each c of `_HEAT_SPEEDS`.
-    Passes iff the largest-c variance is within 5% of the target and
-    the error sequence is non-increasing along the schedule within
-    3-standard-error Monte Carlo noise bands.  Each ensemble is reduced
-    to its variance in the expression that draws it, so no ensemble is
-    alive while the next is drawn.
-    """
-    t, count = _HEAT_T, _HEAT_COUNT
-    target = t / dim
-    errs, noises, details = [], [], []
-    for i, c in enumerate(_HEAT_SPEEDS):
-        params = ModelParams(c=c, lam=c ** 2, dim=dim)
-        var = float(np.var(simulate.simulate_ensemble(
-            params, t, count, seed + i).positions[:, 0], ddof=1))
-        err = abs(var - target)
-        noise = var * math.sqrt(2.0 / (count - 1))
-        errs.append(err)
-        noises.append(noise)
-        details.append(f"c={c}: var={var:.5f} err={err:.2e}")
-    final_ok = errs[-1] <= 0.05 * target
-    monotone_ok = all(errs[i + 1] <= errs[i] + 3 * (noises[i] + noises[i + 1])
-                      for i in range(len(errs) - 1))
-    return TestReport(
-        name=f"heat_limit_dim{dim}", statistic=errs[-1] / target,
-        p_value=None, tolerance=0.05,
-        passed=bool(final_ok and monotone_ok), sample_size=count,
-        detail="; ".join(details) + f"; monotone={monotone_ok}")
+    return h_values, max_abs
 
 
 # Largest lam*t and m of `density_moment`.  The density peaks near u = 0
@@ -351,12 +282,3 @@ def density_moment(params: ModelParams, t: float, m: int = 0) -> float:
     return _gauss_legendre(lambda u: u ** m * laws.density_u(params, t, u),
                            0.0, params.c * t)
 
-
-def normalization_check(params: ModelParams, t: float) -> TestReport:
-    """Quadrature of density_u against 1 - sum of shell masses, to 1e-8."""
-    total = density_moment(params, t)
-    expected = laws.ac_mass(params, t)
-    err = abs(total - expected)
-    return bound_report(
-        f"normalization_dim{params.dim}_lt{params.lam * t:g}", err, 1e-8,
-        detail=f"quadrature={total:.10f} expected={expected:.10f}")

@@ -356,6 +356,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
 
     With ``conditioning=n`` every path has exactly n switches.
     """
+    count, seed = require_int(count, "count"), require_int(seed, "seed")
     if count < 1:
         raise ValueError("count must be >= 1")
     t = require_horizon(horizon)

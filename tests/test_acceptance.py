@@ -10,9 +10,6 @@ test_simulate.py and test_pde.py pin the observed behaviour; README.md
 carries the status table.  Do not loosen tolerances here.
 """
 
-import numpy as np
-import pytest
-
 from cyclic_motion import verify
 
 

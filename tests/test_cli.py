@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import cyclic_motion
-from cyclic_motion import laws
 from cyclic_motion.cli import main
 from cyclic_motion.model import ModelParams
 from cyclic_motion.simulate import SAMPLER_ID

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from cyclic_motion import pde, simulate, verify
+from cyclic_motion import simulate, verify
 
 
 @pytest.mark.parametrize("fn", [fn for _, fn in verify._REGISTRY],
@@ -27,5 +27,5 @@ def test_no_ensemble_outlives_the_next_draw(monkeypatch, fn):
 
     monkeypatch.setattr(simulate, "simulate_ensemble", guarded_draw)
     monkeypatch.setattr(verify, "_COUNT", 2000)
-    monkeypatch.setattr(pde, "_HEAT_COUNT", 2000)
+    monkeypatch.setattr(verify, "_HEAT_COUNT", 2000)
     assert fn(11)

@@ -40,6 +40,25 @@ def test_kernel_point_at_t_zero():
     assert kernel_derivative(P11, 0.0, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("order", [True, 1.0, np.float64(1)],
+                         ids=["True", "1.0", "numpy-float"])
+def test_orders_must_be_integers(order):
+    # each of these once passed as order 1
+    for call in (lambda: kernel_derivative(P11, 1.0, 0.5, order, 0),
+                 lambda: kernel_derivative(P11, 1.0, 0.5, 0, order),
+                 lambda: kernel_integral(P11, 1.0, 0, order)):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("m", [True, 2.0, 2.5], ids=["True", "2.0", "2.5"])
+def test_kernel_integral_takes_integer_m(m):
+    with pytest.raises(ValueError, match="m must be an integer"):
+        kernel_integral(P11, 1.0, m, 0)
+    assert kernel_integral(P11, 1.0, np.int64(2), 1) == \
+        kernel_integral(P11, 1.0, 2, 1)
+
+
 def test_unsupported_orders_rejected():
     pt = P11, 1.0, 0.5
     for bad in ((4, 0), (0, 3), (1, 1), (2, 2), (2, 1), (3, 2)):

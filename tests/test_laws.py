@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from cyclic_motion import bessel, laws, verify
+from cyclic_motion import bessel, laws, simulate, stats, verify
 from cyclic_motion.bessel import MAX_MOMENT, kernel_derivative
 from cyclic_motion.laws import (ConditionalLaw, SingularStratumError, ac_mass,
                                 cdf_u, conditional_mean_u, density_u,
@@ -167,8 +167,31 @@ def test_singular_masses_and_ac_mass():
     assert ac_mass(P2, 1.0) == pytest.approx(1 - 2 * e1, rel=1e-14)
     with pytest.raises(ValueError):
         singular_masses(P2, 0.0)
-    with pytest.raises(ValueError):
-        singular_masses(ModelParams(1.0, 1.0, 4), 1.0)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_shell_masses_and_ac_mass_sum_to_one_in_every_dim(dim):
+    # P(N=k) for k < dim and the tail P(N >= dim) hold in any dim
+    for lt in (1e-3, 0.5, 1.0, 5.0, 100.0):
+        params = ModelParams(c=1.0, lam=lt, dim=dim)
+        masses = singular_masses(params, 1.0)
+        assert [m.stratum for m in masses] == \
+            ["vertex"] + [f"face{k}" for k in range(1, dim)]
+        total = sum(m.mass for m in masses) + ac_mass(params, 1.0)
+        assert abs(total - 1.0) <= 1e-15, (lt, total)
+
+
+def test_shell_masses_match_simulated_strata_dim5():
+    # 1e5 paths at lam*t = 1: vertex/face1..4 counts 36,671 / 36,998 /
+    # 18,268 / 6,151 / 1,560 against Poisson 36,788 / 36,788 / 18,394 /
+    # 6,131 / 1,533
+    params = ModelParams(c=1.0, lam=1.0, dim=5)
+    counts = simulate.simulate_ensemble(params, 1.0, 100_000, 3
+                                        ).stratum_counts()
+    expected = {m.stratum: m.mass for m in singular_masses(params, 1.0)}
+    expected["interior"] = ac_mass(params, 1.0)
+    rep = stats.chi_square_masses(counts, expected, name="strata_dim5")
+    assert rep.passed, rep
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -441,6 +464,14 @@ def test_moment_edge_cases():
         moment_u(P2, -1, 1.0)
     with pytest.raises(ValueError):
         moment_u(P3, 2, 1.0)
+
+
+@pytest.mark.parametrize("m", [True, 2.5, 2.0], ids=["True", "2.5", "2.0"])
+def test_moment_takes_integer_m(m):
+    # True once returned the mean (0.869430...) and 2.5 returned 0.81285
+    with pytest.raises(ValueError, match="m must be an integer"):
+        moment_u(P2, m, 1.0)
+    assert moment_u(P2, np.int64(2), 1.0) == moment_u(P2, 2, 1.0)
 
 
 def test_moment_vs_quadrature_oracle():

@@ -1,57 +1,87 @@
-"""PDE residuals, the exact CF, heat limit, and grid utilities."""
+"""PDE residuals, the exact CF, heat limit, and grid utilities.
 
+`pde` returns the residuals; `verify` fits their order and builds the
+rows, so the convergence assertions read verify's rows.
+"""
+
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from cyclic_motion import laws, pde, simulate, stats
+from cyclic_motion import laws, pde, simulate, stats, verify
 from cyclic_motion.model import ModelParams
-from cyclic_motion.pde import (MAX_QUADRATURE_EVENTS, ResidualReport,
-                               average_cf, cf_recursion_check, cf_theta,
-                               conditional_cf, density_moment,
-                               heat_limit_check, klein_gordon_residual,
-                               normalization_check,
+from cyclic_motion.pde import (MAX_QUADRATURE_EVENTS, average_cf,
+                               cf_recursion_check, cf_theta, conditional_cf,
+                               density_moment, klein_gordon_residual,
                                planar_fourth_order_residual)
 
 P2 = ModelParams(c=1.0, lam=1.0, dim=2)
 P3 = ModelParams(c=1.0, lam=1.0, dim=3)
 
-def test_residual_report_order_fit():
-    rr = ResidualReport(name="exact_h2", h_values=[0.04, 0.02, 0.01],
-                        max_abs=[1.6e-4, 4e-5, 1e-5])
-    assert rr.order == pytest.approx(2.0, abs=1e-12)
-    assert rr.converged()
-    assert abs(rr.order - 4.0) > 0.3
-    assert "order=2.00" in rr.line()
+
+def _order_row(residual):
+    """verify's row for a pde residual (h_values, max_abs)."""
+    return verify._order_report("residual", residual)
+
+
+def test_pde_computes_and_never_judges():
+    # pde returns numbers; verify owns every row, threshold and verdict
+    tree = ast.parse(Path(pde.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1]
+                            for alias in node.names)
+    assert not imported & {"simulate", "stats"}, imported
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    assert "TestReport" not in names | imported
+
+
+def test_order_report_fit():
+    rep = verify._order_report(
+        "exact_h2", ([0.04, 0.02, 0.01], [1.6e-4, 4e-5, 1e-5]))
+    assert rep.statistic == pytest.approx(2.0, abs=1e-12)
+    assert rep.passed
+    assert abs(rep.statistic - 4.0) > 0.3
+    assert "order=2.00" in rep.detail
 
 
 @pytest.mark.parametrize("params", [P2, P3])
 def test_klein_gordon_residual_second_order(params):
-    rr = klein_gordon_residual(params)
-    assert rr.h_values == [0.02, 0.01, 0.005]
-    assert rr.converged(), rr.line()
+    h_values, max_abs = klein_gordon_residual(params)
+    assert h_values == [0.02, 0.01, 0.005]
+    rep = _order_row((h_values, max_abs))
+    assert rep.passed, rep.detail
     # residuals actually shrink
-    assert rr.max_abs[-1] < rr.max_abs[0] / 8
+    assert max_abs[-1] < max_abs[0] / 8
 
 
 def test_fourth_order_layer_field_control():
     # the layer parametrization p(x+y, t) satisfies the factored
     # operator identity: residual -> 0 at O(h^2)
-    rr = planar_fourth_order_residual(P2, f_field="layer")
-    assert rr.converged(), rr.line()
-    assert rr.max_abs[-1] < 1e-3
+    _, max_abs = residual = planar_fourth_order_residual(P2, f_field="layer")
+    rep = _order_row(residual)
+    assert rep.passed, rep.detail
+    assert max_abs[-1] < 1e-3
 
 
 def test_fourth_order_point_field_residual_does_not_vanish():
     # the coarea point field p/(4u) does NOT satisfy the operator
     # identity: the residual plateaus instead of converging (pinned
     # behaviour; see the verification-status notes)
-    rr = planar_fourth_order_residual(P2)
-    assert not rr.converged()
-    assert min(rr.max_abs) > 1.0
+    _, max_abs = residual = planar_fourth_order_residual(P2)
+    assert not _order_row(residual).passed
+    assert min(max_abs) > 1.0
 
 
 def test_fourth_order_symmetric_in_x_y():
@@ -282,16 +312,16 @@ def test_cf_rejects_non_finite_omega(omega):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("j", [1, 4])
 def test_cf_recursion_second_order(n, j):
-    rr = cf_recursion_check(P2, n, j, (0.5, 0.5), 1.0)
-    assert rr.converged(), rr.line()
+    rep = verify._cf_recursion_report(P2, n, j, (0.5, 0.5), 1.0)
+    assert rep.passed, rep.detail
 
 
 @pytest.mark.parametrize("n", [3, 10])
 @pytest.mark.parametrize("j", [1, 5])
 def test_cf_recursion_second_order_dim3(n, j):
-    rr = cf_recursion_check(P3, n, j, (0.7, 0.3, -0.5), 1.0)
-    assert rr.name == f"cf_recursion_n{n}_j{j}_a0.7_b0.3_c-0.5"
-    assert rr.converged(), rr.line()
+    rep = verify._cf_recursion_report(P3, n, j, (0.7, 0.3, -0.5), 1.0)
+    assert rep.name == f"cf_recursion_n{n}_j{j}_a0.7_b0.3_c-0.5"
+    assert rep.passed, rep.detail
 
 
 def test_cf_recursion_guard():
@@ -302,16 +332,18 @@ def test_cf_recursion_guard():
 # --- limit and normalization ----------------------------------------------
 
 def test_heat_limit_smoke():
-    rep = heat_limit_check(2, 9)
+    rep = verify._heat_limit_report(2, 9)
     assert rep.passed, rep.detail
     assert rep.name == "heat_limit_dim2"
 
 
 def test_normalization_check_report():
-    rep = normalization_check(P2, 1.0)
+    # c = lam = 1, so the rows run over lam*t = t
+    rows = {rep.name: rep for rep in verify.normalization()}
+    rep = rows["normalization_dim2_lt1"]
     assert rep.passed
     assert rep.statistic < 1e-10
-    rep3 = normalization_check(P3, 2.0)
+    rep3 = rows["normalization_dim3_lt2"]
     assert rep3.passed
 
 

@@ -441,6 +441,26 @@ def test_non_integer_conditioning_rejected(n):
         simulate_ensemble(P2, 1.0, 10, 1, conditioning=n)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("count", 1e3), ("count", True), ("count", np.float64(10)),
+    ("seed", 1.5), ("seed", True), ("seed", 7.0)],
+    ids=["count-1e3", "count-True", "count-numpy-float", "seed-1.5",
+         "seed-True", "seed-7.0"])
+def test_count_and_seed_must_be_integers(name, value):
+    # a float count or seed once raised TypeError from numpy, and
+    # count=True or seed=True ran as 1
+    args = {"count": 10, "seed": 7, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        simulate_ensemble(P2, 1.0, **args)
+
+
+def test_numpy_integer_count_and_seed_accepted():
+    s = simulate_ensemble(P3, 1.0, np.int32(500), np.int64(7))
+    ref = simulate_ensemble(P3, 1.0, 500, 7)
+    assert s.seed == 7 and type(s.seed) is int
+    assert np.array_equal(s.positions, ref.positions)
+
+
 @pytest.mark.parametrize("n", [np.int64(6), np.int32(6), np.uint8(6)])
 def test_numpy_integer_conditioning_accepted(n):
     s = simulate_ensemble(P3, 1.0, 500, 7, conditioning=n)
