@@ -3,12 +3,14 @@
 Each case hashes the raw bytes of `u`, `n_events`, `positions`,
 `initial_direction` and `final_direction`, so any change of the kernel
 that moves one bit (a signed zero included: the CSV writes ``-0.0``)
-fails here.  The cases cover dims 1, 2, 3 and 8, lam*t 1, 16 and 1024
-(at 16 one block mixes classes with m <= 3 and m > 3; at 4 in dim 1,
-rows with m = 0 sit next to rows with m > 3) and conditioning
-n = 0, 6 and 40; the large case spans more than one row block and ends
-in a partial one, and it is rerun with a small block size, since block
-size and layout must not change a byte.
+fails here.  The cases cover dims 1 to 5, 7 and 8, lam*t 1, 16, 40 and
+1024 (at 16 one block mixes classes with m <= 3 and m > 3; at 4 in
+dim 1, rows with m = 0 sit next to rows with m > 3) and conditioning
+n = 0, 4, 5, 6 and 40; the two cases of 20,000 rows span more than one
+row block and end in a partial one, and one is rerun with a small block
+size, since block size and layout must not change a byte.  Dims 4 to 7
+pin the L1 radius where its sum has fewer than 8 terms (numpy sums 8 or
+more terms pairwise, in a different order).
 
 The digests hold for one numpy build: its SIMD log, cos and sqrt could
 differ in the last bit on another CPU.  A new `SAMPLER_ID` is the only
@@ -49,6 +51,14 @@ CASES = {
     # lam*t = 4 in dim 1: rows with m = 0 share blocks with rows m > 3
     (1, 4.0, 1.0, 3000, 20, None):
         "14a480a1787089f330fd1609a48fe89749d5755c8d0209144ac2b7f0a5390b28",
+    # the shapes of the conjecture rows: every class of size 0 or 1
+    (4, 1.0, 1.0, 3000, 21, 4):
+        "319dfcd74071a609d4f7be3446a70e64f308f4de1ce66868699623790b73407b",
+    (5, 1.0, 1.0, 3000, 22, 5):
+        "dac820d858ce58376dec692c3147cd231f5bee9fc099e1ee0f62e60b138cde28",
+    # two blocks, classes of size 1 to 5
+    (7, 40.0, 1.0, 20_000, 23, None):
+        "a481010e9c152e50c3691b9ec06453ac5a83f4027915a4b98dbaaa3b839f49e1",
 }
 
 
