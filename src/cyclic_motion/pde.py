@@ -226,17 +226,22 @@ def cf_recursion_check(params: ModelParams, n: int, j: int, omega,
 
     F_n = t^n/n! G_n are the unnormalized order-statistics integrals;
     the t-derivative is central-differenced from `conditional_cf`, so
-    the residual shrinks at O(h^2).
+    the residual shrinks at O(h^2).  ``t`` must exceed the largest step,
+    0.02, so that every stencil point ``t - h`` is a horizon.
     """
     if n < 1:
         raise ValueError("the recursion needs n >= 1")
+    t = require_horizon(t, "t")
+    h_values = [0.02, 0.01, 0.005]
+    if t <= h_values[0]:
+        raise ValueError(f"t must exceed the largest step {h_values[0]}, "
+                         f"got {t}")
 
     def f_n(m: int, tt: float) -> complex:
         return tt ** m / math.factorial(m) * conditional_cf(
             params, m, j, omega, tt)
 
     th = cf_theta(n + 1, j, omega)
-    h_values = [0.02, 0.01, 0.005]
     max_abs = []
     for h in h_values:
         dfdt = (f_n(n, t + h) - f_n(n, t - h)) / (2 * h)

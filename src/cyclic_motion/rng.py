@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import require_int
+
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -116,9 +118,9 @@ class Substream:
     """
 
     def __init__(self, seed: int, index: int):
-        self.seed = seed
-        self.index = index
-        self.key = substream_key(seed, index)
+        self.seed = require_int(seed, "seed")
+        self.index = require_int(index, "index")
+        self.key = substream_key(self.seed, self.index)
         self.cursor = 0
 
     def uniform(self) -> float:

@@ -26,15 +26,20 @@ Blocks run concurrently: the calling thread and up to `_WORKERS` - 1
 helper threads each take every `_WORKERS`-th block (numpy drops the GIL
 inside its array loops), and each block writes only its own rows of the
 output.  The helpers live only for the duration of the call.  A block
-is a few large array operations.  The first Gamma rejection attempt is
-drawn class by class, over the rows that need it, and the exponential
-terms over all rows of each class that some row needs, with masks
-keeping the lanes that count; only the rejected lanes (about 2%) go to
-the sparse, one-entry-per-lane loop.  Positions are one gather from the block's
-table of class pair differences.  A lane does the same float operations
-on the same slots on either path, so the output does not depend on the
-block size, the layout or the number of threads
-(`tests/test_sampler_digest.py` pins it).
+is a few large array operations on row-sized arrays.  Each exponential
+term is drawn class by class over all rows, masked only where some
+lane of the class does not take it, and a block in which no class
+exceeds `_EXP_TERMS` does no rejection bookkeeping.  Otherwise the
+first Gamma rejection attempt is drawn class by class, over the rows
+that need it, and only the rejected lanes (about 2%) go to the sparse,
+one-entry-per-lane loop.  A conditioned ensemble's class sizes are one
+column, broadcast over the rows.  Each coordinate is one in-range gather
+from the block's table of class pair differences, and the L1 radius of
+fewer than 8 coordinates is summed from them in order, as numpy's
+row sum does.  A lane does the same float operations on the same slots
+on every path, so the output does not depend on the block size, the
+layout or the number of threads (`tests/test_sampler_digest.py` pins
+it).
 """
 
 from __future__ import annotations
@@ -79,6 +84,9 @@ _SLOT_POISSON = 1
 _SLOT_EXP = 2
 
 _STRATUM_TOL = 1e-9  # relative tolerance of the u == ct shell test
+# numpy sums a row of this many terms or more pairwise, in eight
+# accumulators; a shorter row it sums in order.
+_PAIRWISE_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -256,31 +264,72 @@ def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     return n
 
 
+def _class_sizes(segs, two_d: int) -> np.ndarray:
+    """``m[q, i]``, how many of the ``segs[i]`` segments run along class q.
+
+    Segment k runs along class k mod 2d.  A scalar ``segs`` gives one
+    column.
+    """
+    full, extra = np.divmod(segs, two_d)
+    return full + (np.arange(two_d)[:, None] < extra)
+
+
 def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gamma(m[q, i]) variates for class q of replication i (0 where m is 0).
 
-    Every variate reads fixed slots of substream ``keys[i]``.
+    Every variate reads fixed slots of substream ``keys[i]``.  ``m[q, i]``
+    does not grow with q, so ``m[0]`` holds each row's largest class.
 
     Shapes up to `_EXP_TERMS` are sums of that many exponentials, read
     from slots ``_SLOT_EXP + _EXP_TERMS*q + k``.  Larger shapes use the
     Marsaglia-Tsang (2000) rejection method with a Box-Muller normal;
     attempt a of class q reads the three slots from
-    ``_SLOT_EXP + _EXP_TERMS*2d + 3*(2d*a + q)``.
+    ``_SLOT_EXP + _EXP_TERMS*2d + 3*(2d*a + q)`` (`_tsang_lanes`).
 
-    The first rejection attempt is drawn one class at a time, over
-    the rows that some lane needs, and each exponential term over all
-    rows of the classes that some row needs; masks keep the lanes that
-    count.  Only the rejected lanes (about 2%) are drawn one entry per
-    lane.  Either way a lane reads the same slots and does the same
-    float operations, so the split changes no byte.  One class at a
-    time keeps a block's temporaries to a few row-sized arrays, which
-    matters when several blocks run at once.
+    The exponential terms are drawn one class and one term at a time,
+    over all rows, wherever some lane of the class needs the term; a
+    mask keeps the lanes that count unless every lane does.  A lane
+    reads the same slots and does the same float operations whatever
+    its neighbours need, so the output does not depend on the layout.
     """
     two_d, rows = m.shape
     g = np.zeros(m.shape)
+    hi, lo = m.max(axis=1), m.min(axis=1)
+    if hi[0] > _EXP_TERMS:
+        _tsang_lanes(keys, m, g)
+    for q in range(two_d):
+        if hi[q] == 0:
+            break  # so are the later classes
+        if lo[q] > _EXP_TERMS:
+            continue  # every lane is a rejection lane
+        mq = m[q]
+        small = None if hi[q] <= _EXP_TERMS else mq <= _EXP_TERMS
+        for k in range(min(hi[q], _EXP_TERMS)):
+            # The lanes that take term k have k < m <= _EXP_TERMS.
+            mask = None if lo[q] > k else mq > k
+            if small is not None:
+                mask = small if mask is None else mask & small
+                if not mask.any():
+                    continue
+            e = np.log(rng.uniform_column(keys, _SLOT_EXP + _EXP_TERMS * q + k))
+            if mask is not None:
+                e *= mask  # a masked lane subtracts -0.0: no change
+            g[q] -= e
+    return g
+
+
+def _tsang_lanes(keys: np.ndarray, m: np.ndarray, g: np.ndarray) -> None:
+    """Write the Marsaglia-Tsang variates of the lanes with m > `_EXP_TERMS`
+    into ``g``.
+
+    The first attempt is drawn one class at a time, over the rows that
+    some lane needs (the rows whose class 0 needs it), up to the last
+    class some row needs.  Only the rejected lanes (about 2%) go on, one
+    entry per lane.  One class at a time keeps a block's temporaries to
+    a few row-sized arrays, which matters when several blocks run at once.
+    """
+    two_d, rows = m.shape
     lanes = m > _EXP_TERMS
-    # m[q, i] does not grow with q: the rows that need some class are
-    # those of class 0, and the classes some row needs come first.
     r = np.flatnonzero(lanes[0])
     if r.size == rows:
         r = slice(None)  # every row: views instead of gathers
@@ -311,18 +360,6 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
         reject = ~accept
         f, i, shape = f[reject], i[reject], shape[reject]
         slot = slot[reject] + 3 * two_d
-    small = m <= _EXP_TERMS
-    for k in range(_EXP_TERMS):
-        lanes = small & (m > k)
-        need = np.flatnonzero(lanes.any(axis=1))
-        if need.size == 0:
-            break
-        e = np.log(rng.uniform_column(
-            np.broadcast_to(keys, (need.size, rows)),
-            _SLOT_EXP + _EXP_TERMS * need[:, None] + k))
-        e *= lanes[need]  # a masked lane subtracts -0.0: no change
-        g[need] -= e
-    return g
 
 
 def _tsang_attempt(keys, slot, shape):
@@ -371,9 +408,10 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     if conditioning is None:
         lo, cdf = _poisson_table(params.lam * t)
         guide = _guide_table(cdf)
+    else:
+        # Every row has the same classes: one column, broadcast per block.
+        m_fixed = _class_sizes(conditioning + 1, two_d)
     ct = params.c * t
-    classes = np.arange(two_d)
-    axes = np.arange(dim)[:, None]
     n_events = np.empty(count, dtype=np.int64)
     j0 = np.empty(count, dtype=np.int64)
     pos = np.empty((count, dim))
@@ -384,31 +422,52 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         rows = stop - start
         keys = rng.substream_keys(seed, start, rows)
         j = (rng.uniform_column(keys, _SLOT_DIRECTION) * two_d).astype(np.int64)
+        np.add(j, 1, out=j0[start:stop])
         if conditioning is None:
             n = lo + _invert(cdf, guide,
                              rng.uniform_column(keys, _SLOT_POISSON))
+            n_events[start:stop] = n
+            g = _class_gammas(keys, _class_sizes(n + 1, two_d))
         else:
-            n = np.full(rows, conditioning, dtype=np.int64)
-        # Segment k runs along class k mod 2d; class q holds m_q segments.
-        segs = n + 1
-        g = _class_gammas(keys, segs // two_d
-                          + (classes[:, None] < segs % two_d))
-        # diff[r] is class r minus its opposite class r + d (mod 2d).
-        diff = np.empty_like(g)
+            n_events[start:stop] = conditioning
+            g = _class_gammas(keys, np.broadcast_to(m_fixed, (two_d, rows)))
+        total = g.sum(axis=0)
+        # diff[e] is class e mod 2d minus its opposite class e + d (mod 2d);
+        # rows 2d.. repeat rows 0..d-1, so every index below is in range.
+        diff = np.empty((two_d + dim, rows))
         np.subtract(g[:dim], g[dim:], out=diff[:dim])
-        np.subtract(g[dim:], g[:dim], out=diff[dim:])
+        np.subtract(g[dim:], g[:dim], out=diff[dim:two_d])
+        del g
+        diff[two_d:] = diff[:dim]
         # Class q runs along cycle direction (j + q) mod 2d, so axis a
-        # reads diff[(a - j) mod 2d]: flat entries wrap modulo 2d*rows.
-        x = diff.reshape(-1).take(axes * rows + (np.arange(rows) - j * rows),
-                                  mode="wrap")
-        x /= g.sum(axis=0)
+        # reads class (a - j) mod 2d: flat entry (a + 2d - j)*rows + i.
+        # ("clip" clips nothing here; unlike "raise" it writes straight
+        # to ``out``.)
+        flat = diff.reshape(-1)
+        index = np.arange(two_d * rows, (two_d + 1) * rows)
+        j *= rows
+        index -= j
+        x = np.empty((dim, rows))
+        for a in range(dim):
+            flat[a * rows:].take(index, out=x[a], mode="clip")
+        del diff, flat
+        x /= total
         x *= ct
         pos[start:stop] = x.T
         # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
-        u[start:stop] = np.where(n < dim, ct,
-                                 np.abs(pos[start:stop]).sum(axis=1))
-        n_events[start:stop] = n
-        j0[start:stop] = j + 1
+        radius = u[start:stop]
+        if conditioning is not None and conditioning < dim:
+            radius.fill(ct)
+            return
+        if dim < _PAIRWISE_TERMS:
+            # The terms in order, as numpy sums fewer than 8 of them.
+            np.abs(x[0], out=radius)
+            for a in range(1, dim):
+                radius += np.abs(x[a], out=total)  # total is spent
+        else:
+            radius[:] = np.abs(pos[start:stop]).sum(axis=1)
+        if conditioning is None:
+            np.copyto(radius, ct, where=n < dim)
 
     # Worker w runs every workers-th block; the caller is worker 0.
     starts = range(0, count, _BLOCK_ROWS)
@@ -426,7 +485,10 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         run(0)
     for h in helpers:
         h.result()  # re-raises a helper's exception
-    final = (j0 - 1 + n_events) % two_d + 1
+    final = j0 - 1
+    final += n_events
+    final %= two_d
+    final += 1
     return SampleSet(params=params, horizon=t, conditioning=conditioning,
                      seed=seed, u=u, n_events=n_events, positions=pos,
                      initial_direction=j0, final_direction=final)

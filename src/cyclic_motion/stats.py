@@ -90,14 +90,32 @@ def ks_one_sample(values, cdf, name: str = "ks_one_sample") -> TestReport:
 
 def ks_two_sample(a, b, name: str = "ks_two_sample",
                   blocking: bool = True) -> TestReport:
-    """Two-sample KS test with asymptotic p-value."""
+    """Two-sample KS test with asymptotic p-value.
+
+    D is read from one stable merge of the two sorted samples: at the
+    last entry of each run of equal values the integer counts of each
+    sample are those of every value up to and including it, so
+    ``count / size`` is each empirical CDF there, bit for bit.
+    """
     x = _require_sorted(a, name + "[a]")
     y = _require_sorted(b, name + "[b]")
     n, m = x.size, y.size
     both = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, both, side="right") / n
-    cdf_y = np.searchsorted(y, both, side="right") / m
-    d = float(np.max(np.abs(cdf_x - cdf_y)))
+    order = np.argsort(both, kind="stable")  # merges the two sorted runs
+    both = both[order]
+    count_x = np.cumsum(order < n)  # entries of x up to each position
+    del order
+    ties = both[1:] == both[:-1]
+    del both
+    count = np.arange(1, n + m + 1)
+    if ties.any():
+        ends = np.append(~ties, True)
+        count_x, count = count_x[ends], count[ends]
+    gap = count_x / n
+    count -= count_x  # entries of y
+    gap -= count / m
+    np.abs(gap, out=gap)
+    d = float(gap.max())
     en = np.sqrt(n * m / (n + m))
     p = float(special.kolmogorov(en * d))
     return TestReport(name=name, statistic=d, p_value=p, tolerance=ALPHA,

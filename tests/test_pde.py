@@ -329,6 +329,19 @@ def test_cf_recursion_guard():
         cf_recursion_check(P2, 0, 1, (1.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("t", [0.005, 0.01, 0.02])
+def test_cf_recursion_rejects_t_within_the_largest_step(t):
+    # t - 0.02 would be no horizon: the message names the caller's t
+    with pytest.raises(ValueError, match=f"largest step 0.02, got {t}$"):
+        cf_recursion_check(P2, 1, 1, (0.5, 0.5), t)
+
+
+def test_cf_recursion_just_above_the_largest_step():
+    h_values, max_abs = cf_recursion_check(P2, 1, 1, (0.5, 0.5), 0.021)
+    assert h_values == [0.02, 0.01, 0.005]
+    assert all(np.isfinite(max_abs))
+
+
 # --- limit and normalization ----------------------------------------------
 
 def test_heat_limit_smoke():

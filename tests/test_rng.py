@@ -62,6 +62,20 @@ def test_substream_sequential_matches_columns():
         assert v == rng.uniform_value(key, 1 + j)
 
 
+@pytest.mark.parametrize("seed, index", [(True, 0), (1.5, 0), (1.0, 0),
+                                         (7, False), (7, 3.0), ("7", 3)])
+def test_substream_takes_integer_seed_and_index(seed, index):
+    # True ran seed 1 and 1.5 raised TypeError from the bit mask
+    with pytest.raises(ValueError, match="must be an integer"):
+        rng.Substream(seed, index)
+
+
+def test_substream_takes_numpy_integers():
+    stream = rng.Substream(np.int64(7), np.uint32(3))
+    assert (stream.seed, stream.index) == (7, 3)
+    assert stream.uniform() == rng.Substream(7, 3).uniform()
+
+
 def test_uniforms_open_interval():
     keys = rng.substream_keys(1, 0, 100_000)
     u = rng.uniform_column(keys, 0)

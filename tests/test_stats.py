@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.stats import chi2
 
 from cyclic_motion import rng
+from cyclic_motion.model import ModelParams
+from cyclic_motion.simulate import simulate_ensemble
 from cyclic_motion.stats import (TestReport, bound_report,
                                  chi_square_masses, ks_one_sample, ks_two_sample,
                                  moment_compare, z_score)
@@ -91,6 +94,54 @@ def test_ks_two_sample_null_and_power():
     b = np.sort(_uniforms(6, 20_000) ** 1.15)
     rep = ks_two_sample(a, b)
     assert not rep.passed
+
+
+def _ks_two_sample_searchsorted(x, y):
+    """The two-sample KS statistic and p-value from both empirical CDFs
+    evaluated at every pooled value (the merge-free formula)."""
+    n, m = x.size, y.size
+    both = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, both, side="right") / n
+    cdf_y = np.searchsorted(y, both, side="right") / m
+    d = float(np.max(np.abs(cdf_x - cdf_y)))
+    return d, float(special.kolmogorov(np.sqrt(n * m / (n + m)) * d))
+
+
+def _radii(dim, lam, n=None, count=3000, seed=4):
+    params = ModelParams(c=1.0, lam=lam, dim=dim)
+    return np.sort(simulate_ensemble(params, 1.0, count, seed,
+                                     conditioning=n).u)
+
+
+KS_PAIRS = {
+    "continuous_unequal_sizes": lambda: (np.sort(_uniforms(1, 1500)),
+                                         np.sort(_uniforms(2, 1234))),
+    "ties_within_and_across": lambda: (
+        np.sort(np.round(_uniforms(3, 2000), 2)),
+        np.sort(np.round(_uniforms(4, 1700), 2))),
+    "one_value_shared": lambda: (np.full(50, 0.5),
+                                 np.sort(np.append(_uniforms(5, 40), 0.5))),
+    "identical_samples": lambda: (np.sort(_uniforms(6, 300)),
+                                  np.sort(_uniforms(6, 300))),
+    "a_entirely_below_b": lambda: (np.sort(_uniforms(7, 200)),
+                                   1.0 + np.sort(_uniforms(8, 120))),
+    "b_entirely_below_a": lambda: (1.0 + np.sort(_uniforms(9, 120)),
+                                   np.sort(_uniforms(10, 200))),
+    # shell atoms at u = ct next to interior radii, and an all-shell sample
+    "shell_atoms_dim3": lambda: (_radii(3, 1.0), _radii(3, 1.0, seed=5)),
+    "shell_only_against_mixed": lambda: (_radii(3, 1.0, n=2, count=500),
+                                         _radii(3, 2.0)),
+    "signed_zeros": lambda: (np.array([-0.0] * 5 + [0.0] * 5 + [1.0] * 4),
+                             np.array([0.0] * 3 + [-0.0] * 8 + [2.0])),
+}
+
+
+@pytest.mark.parametrize("case", list(KS_PAIRS))
+def test_ks_two_sample_matches_searchsorted_formula(case):
+    a, b = KS_PAIRS[case]()
+    rep = ks_two_sample(a, b)
+    assert (rep.statistic, rep.p_value) == _ks_two_sample_searchsorted(a, b)
+    assert rep.sample_size == a.size + b.size
 
 
 def test_chi_square_null_calibration():
