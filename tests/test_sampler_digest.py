@@ -6,7 +6,8 @@ that moves one bit (a signed zero included: the CSV writes ``-0.0``)
 fails here.  The cases cover dims 1 to 5, 7 and 8, lam*t 1, 16, 40 and
 1024 (at 16 one block mixes classes with m <= 3 and m > 3; at 4 in
 dim 1, rows with m = 0 sit next to rows with m > 3) and conditioning
-n = 0, 4, 5, 6 and 40; the two cases of 20,000 rows span more than one
+n = 0, 4, 5, 6, 14, 20 and 40 (at 14 and 20 the classes straddle 3:
+some take the rejection method, the rest sum exponentials); the two cases of 20,000 rows span more than one
 row block and end in a partial one, and one is rerun with a small block
 size, since block size and layout must not change a byte.  Dims 4 to 7
 pin the L1 radius where its sum has fewer than 8 terms (numpy sums 8 or
@@ -59,6 +60,11 @@ CASES = {
     # two blocks, classes of size 1 to 5
     (7, 40.0, 1.0, 20_000, 23, None):
         "a481010e9c152e50c3691b9ec06453ac5a83f4027915a4b98dbaaa3b839f49e1",
+    # conditioned classes on both sides of 3: m = 4,4,4,3 and 4,4,4,3,3,3
+    (2, 1.0, 1.0, 3000, 24, 14):
+        "97348454748ac247b963b957adf500b4a1549f8cec126d92c5e04c55e515c8f0",
+    (3, 1.0, 1.0, 3000, 25, 20):
+        "1c0e1cfd21df685a227a80f614c58640d4b8e051ad89a62866befd8c845018d5",
 }
 
 
