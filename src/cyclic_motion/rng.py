@@ -90,8 +90,8 @@ def uniform_column(keys: np.ndarray, j) -> np.ndarray:
     broadcasts against ``keys``; the result has the broadcast shape.
     A block of slots for the same keys is one call with ``keys``
     broadcast to the block's shape (``np.broadcast_to`` makes no copy).
-    The top 53 bits are used and the result is offset by half an ulp
-    so that 0 and 1 are never returned; ``-log(u)`` is always finite.
+    The top 53 bits are used, offset by half an ulp: 0 is never returned,
+    so ``-log(u)`` is always finite, but the largest value rounds to 1.
     """
     with np.errstate(over="ignore"):
         z = keys + (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * _U_GOLDEN

@@ -26,20 +26,20 @@ Blocks run concurrently: the calling thread and up to `_WORKERS` - 1
 helper threads each take every `_WORKERS`-th block (numpy drops the GIL
 inside its array loops), and each block writes only its own rows of the
 output.  The helpers live only for the duration of the call.  A block
-is a few large array operations on row-sized arrays.  Each exponential
-term is drawn class by class over all rows, masked only where some
-lane of the class does not take it, and a block in which no class
-exceeds `_EXP_TERMS` does no rejection bookkeeping.  Otherwise the
-first Gamma rejection attempt is drawn class by class, over the rows
-that need it, and only the rejected lanes (about 2%) go to the sparse,
-one-entry-per-lane loop.  A conditioned ensemble's class sizes are one
-column, broadcast over the rows.  Each coordinate is one in-range gather
-from the block's table of class pair differences, and the L1 radius of
-fewer than 8 coordinates is summed from them in order, as numpy's
-row sum does.  A lane does the same float operations on the same slots
-on every path, so the output does not depend on the block size, the
-layout or the number of threads (`tests/test_sampler_digest.py` pins
-it).
+is a few large array operations on row-sized arrays.  Its Gammas come
+from one loop over the classes: class q draws its first rejection
+attempt over exactly the lanes with more than `_EXP_TERMS` segments,
+then each exponential term over the lanes that take it (masked only
+where some lane of the class does not), and after the loop only the
+rejected lanes (about 2%) go on, one entry per lane.  A conditioned
+ensemble's class sizes are one column broadcast over the rows; its
+other steps are those of any block.  Each coordinate is one in-range
+gather from the block's table of class pair differences, and the L1
+radius of fewer than 8 coordinates is summed from them in order, as
+numpy's row sum does.  A lane does the same float operations on the
+same slots on every path, so the output does not depend on the block
+size, the layout or the number of threads
+(`tests/test_sampler_digest.py` pins it).
 """
 
 from __future__ import annotations
@@ -153,11 +153,17 @@ class SampleSet:
                 in zip(stratum_labels(self.params.dim), counts) if k}
 
 
+def _direction_index(u, two_d: int):
+    """The 0-based initial direction ``floor(u * 2d)`` of uniform(s) u, at
+    most 2d - 1: `rng` returns u = 1 for its largest value."""
+    return np.minimum(u * two_d, two_d - 1).astype(np.int64)
+
+
 def sample_path(params: ModelParams, horizon: float,
                 stream: rng.Substream) -> MotionPath:
     """Unconditional path: uniform initial direction, Poisson switches."""
     horizon = require_horizon(horizon)
-    j0 = 1 + int(stream.uniform() * params.n_directions)
+    j0 = 1 + int(_direction_index(stream.uniform(), params.n_directions))
     times = []
     s = 0.0
     while True:
@@ -175,7 +181,7 @@ def sample_path_conditional(params: ModelParams, horizon: float, n: int,
     horizon = require_horizon(horizon)
     if require_int(n, "n") < 0:
         raise ValueError("n must be >= 0")
-    j0 = 1 + int(stream.uniform() * params.n_directions)
+    j0 = 1 + int(_direction_index(stream.uniform(), params.n_directions))
     times = np.sort(stream.uniforms(n)) * horizon
     return MotionPath(params, horizon, Direction(j0, params.dim), times)
 
@@ -278,31 +284,42 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gamma(m[q, i]) variates for class q of replication i (0 where m is 0).
 
     Every variate reads fixed slots of substream ``keys[i]``.  ``m[q, i]``
-    does not grow with q, so ``m[0]`` holds each row's largest class.
+    does not grow with q, so the loop over classes stops at the first
+    class no lane has.
 
     Shapes up to `_EXP_TERMS` are sums of that many exponentials, read
     from slots ``_SLOT_EXP + _EXP_TERMS*q + k``.  Larger shapes use the
     Marsaglia-Tsang (2000) rejection method with a Box-Muller normal;
     attempt a of class q reads the three slots from
-    ``_SLOT_EXP + _EXP_TERMS*2d + 3*(2d*a + q)`` (`_tsang_lanes`).
+    ``_SLOT_EXP + _EXP_TERMS*2d + 3*(2d*a + q)``.
 
-    The exponential terms are drawn one class and one term at a time,
-    over all rows, wherever some lane of the class needs the term; a
-    mask keeps the lanes that count unless every lane does.  A lane
+    One pass over the classes draws, for class q, the first rejection
+    attempt over exactly the lanes with m > `_EXP_TERMS` (a slice when
+    every lane is one), then each exponential term over the lanes that
+    take it (a mask keeps them unless every lane does).  The rejected
+    lanes (about 2%) go on after the pass, one entry per lane.  A lane
     reads the same slots and does the same float operations whatever
     its neighbours need, so the output does not depend on the layout.
     """
     two_d, rows = m.shape
     g = np.zeros(m.shape)
     hi, lo = m.max(axis=1), m.min(axis=1)
-    if hi[0] > _EXP_TERMS:
-        _tsang_lanes(keys, m, g)
+    first = _SLOT_EXP + _EXP_TERMS * two_d
+    rejected = []
     for q in range(two_d):
         if hi[q] == 0:
             break  # so are the later classes
-        if lo[q] > _EXP_TERMS:
-            continue  # every lane is a rejection lane
         mq = m[q]
+        if hi[q] > _EXP_TERMS:
+            r = (slice(None) if lo[q] > _EXP_TERMS
+                 else np.flatnonzero(mq > _EXP_TERMS))
+            shape = mq[r] - 1.0 / 3.0
+            v, accept = _tsang_attempt(keys[r], first + 3 * q, shape)
+            v *= shape
+            g[q, r] = v  # the rejected lanes are overwritten below
+            rejected.append(q * rows + np.arange(rows)[r][~accept])
+            if lo[q] > _EXP_TERMS:
+                continue  # every lane is a rejection lane
         small = None if hi[q] <= _EXP_TERMS else mq <= _EXP_TERMS
         for k in range(min(hi[q], _EXP_TERMS)):
             # The lanes that take term k have k < m <= _EXP_TERMS.
@@ -315,44 +332,13 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
             if mask is not None:
                 e *= mask  # a masked lane subtracts -0.0: no change
             g[q] -= e
-    return g
-
-
-def _tsang_lanes(keys: np.ndarray, m: np.ndarray, g: np.ndarray) -> None:
-    """Write the Marsaglia-Tsang variates of the lanes with m > `_EXP_TERMS`
-    into ``g``.
-
-    The first attempt is drawn one class at a time, over the rows that
-    some lane needs (the rows whose class 0 needs it), up to the last
-    class some row needs.  Only the rejected lanes (about 2%) go on, one
-    entry per lane.  One class at a time keeps a block's temporaries to
-    a few row-sized arrays, which matters when several blocks run at once.
-    """
-    two_d, rows = m.shape
-    lanes = m > _EXP_TERMS
-    r = np.flatnonzero(lanes[0])
-    if r.size == rows:
-        r = slice(None)  # every row: views instead of gathers
-    keys_r, m_r = keys[r], m[:, r]
-    first = _SLOT_EXP + _EXP_TERMS * two_d + 3 * np.arange(two_d)
-    reject = np.zeros(m_r.shape, dtype=bool)
-    for q in range(two_d):
-        need = lanes[q, r]
-        if not need.any():
-            break
-        # Masked lanes get a harmless shape, so they raise no warning.
-        shape = np.maximum(m_r[q], _EXP_TERMS + 1) - 1.0 / 3.0
-        v, accept = _tsang_attempt(keys_r, first[q], shape)
-        accept &= need
-        v *= shape
-        g[q, r] = np.where(accept, v, 0.0)
-        reject[q] = need & ~accept
+    if not rejected:
+        return g
     # The rejected lanes go on from attempt 1, one entry per lane.
-    q, c = np.divmod(np.flatnonzero(reject), reject.shape[1])
-    i = np.arange(rows)[r][c]
-    f = q * rows + i
-    slot = first[q] + 3 * two_d
-    shape = m_r[q, c] - 1.0 / 3.0
+    f = np.concatenate(rejected)
+    q, i = np.divmod(f, rows)
+    slot = first + 3 * (q + two_d)
+    shape = m[q, i] - 1.0 / 3.0
     flat = g.reshape(-1)  # a view: lane (q, i) is entry q*rows + i
     while f.size:
         v, accept = _tsang_attempt(keys[i], slot, shape)
@@ -360,6 +346,7 @@ def _tsang_lanes(keys: np.ndarray, m: np.ndarray, g: np.ndarray) -> None:
         reject = ~accept
         f, i, shape = f[reject], i[reject], shape[reject]
         slot = slot[reject] + 3 * two_d
+    return g
 
 
 def _tsang_attempt(keys, slot, shape):
@@ -408,9 +395,6 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     if conditioning is None:
         lo, cdf = _poisson_table(params.lam * t)
         guide = _guide_table(cdf)
-    else:
-        # Every row has the same classes: one column, broadcast per block.
-        m_fixed = _class_sizes(conditioning + 1, two_d)
     ct = params.c * t
     n_events = np.empty(count, dtype=np.int64)
     j0 = np.empty(count, dtype=np.int64)
@@ -421,16 +405,14 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         stop = min(start + _BLOCK_ROWS, count)
         rows = stop - start
         keys = rng.substream_keys(seed, start, rows)
-        j = (rng.uniform_column(keys, _SLOT_DIRECTION) * two_d).astype(np.int64)
+        j = _direction_index(rng.uniform_column(keys, _SLOT_DIRECTION), two_d)
         np.add(j, 1, out=j0[start:stop])
-        if conditioning is None:
-            n = lo + _invert(cdf, guide,
-                             rng.uniform_column(keys, _SLOT_POISSON))
-            n_events[start:stop] = n
-            g = _class_gammas(keys, _class_sizes(n + 1, two_d))
-        else:
-            n_events[start:stop] = conditioning
-            g = _class_gammas(keys, np.broadcast_to(m_fixed, (two_d, rows)))
+        n = (conditioning if conditioning is not None else
+             lo + _invert(cdf, guide, rng.uniform_column(keys, _SLOT_POISSON)))
+        n_events[start:stop] = n
+        # A conditioned block's class sizes are one column, broadcast.
+        m = np.broadcast_to(_class_sizes(n + 1, two_d), (two_d, rows))
+        g = _class_gammas(keys, m)
         total = g.sum(axis=0)
         # diff[e] is class e mod 2d minus its opposite class e + d (mod 2d);
         # rows 2d.. repeat rows 0..d-1, so every index below is in range.
@@ -456,9 +438,6 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         pos[start:stop] = x.T
         # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
         radius = u[start:stop]
-        if conditioning is not None and conditioning < dim:
-            radius.fill(ct)
-            return
         if dim < _PAIRWISE_TERMS:
             # The terms in order, as numpy sums fewer than 8 of them.
             np.abs(x[0], out=radius)
@@ -466,8 +445,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
                 radius += np.abs(x[a], out=total)  # total is spent
         else:
             radius[:] = np.abs(pos[start:stop]).sum(axis=1)
-        if conditioning is None:
-            np.copyto(radius, ct, where=n < dim)
+        np.copyto(radius, ct, where=n < dim)
 
     # Worker w runs every workers-th block; the caller is worker 0.
     starts = range(0, count, _BLOCK_ROWS)

@@ -145,7 +145,7 @@ def _classsum_reference(params, t, stream, n=None):
         return rng.uniform_value(stream.key, slot)
 
     two_d = params.n_directions
-    j0 = 1 + int(uniform(0) * two_d)
+    j0 = 1 + min(int(uniform(0) * two_d), two_d - 1)
     if n is None:
         n = int(poisson.ppf(uniform(1), params.lam * t))
     gammas = []
@@ -246,6 +246,59 @@ def test_shell_outcomes_sit_exactly_on_ct():
         assert shell.any() and not shell.all()
         assert np.all(s.u[shell] == params.c * 1.3)
         assert np.all(s.u[~shell] < params.c * 1.3)
+
+
+# `rng` maps its largest value to this uniform; it rounds to 1.0.
+TOP_UNIFORM = ((((1 << 64) - 1) >> 11) + 0.5) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_largest_uniform_starts_in_the_last_direction(monkeypatch, dim):
+    # floor(u * 2d) is 2d at u = 1, one past the last direction
+    params = ModelParams(c=1.0, lam=1.5, dim=dim)
+    uniform_value, uniform_column = rng.uniform_value, rng.uniform_column
+
+    def top_direction_value(key, j):
+        return TOP_UNIFORM if j == 0 else uniform_value(key, j)
+
+    def top_direction_column(keys, j):
+        u = uniform_column(keys, j)
+        if np.ndim(j) == 0 and j == simulate._SLOT_DIRECTION:
+            u[:] = TOP_UNIFORM
+        return u
+
+    monkeypatch.setattr(rng, "uniform_value", top_direction_value)
+    monkeypatch.setattr(rng, "uniform_column", top_direction_column)
+    for path in (sample_path(params, 1.0, Substream(5, 0)),
+                 sample_path_conditional(params, 1.0, 3, Substream(5, 0))):
+        assert path.initial_direction.index == params.n_directions
+    s = simulate_ensemble(params, 1.0, 16, 5)
+    assert np.all(s.initial_direction == params.n_directions)
+    _assert_matches_reference(s, params, 1.0, 5)
+
+
+def test_first_rejection_attempt_draws_only_the_lanes_that_need_it(
+        monkeypatch):
+    # dim 1; class 0 takes rejection on rows 0-2, class 1 on rows 0-1 only
+    m = np.array([[5, 4, 4, 3, 2],
+                  [4, 4, 3, 2, 1]])
+    keys = rng.substream_keys(8, 0, m.shape[1])
+    first = simulate._SLOT_EXP + simulate._EXP_TERMS * 2
+    uniform_column = rng.uniform_column
+    drawn = []
+
+    def counting_column(keys, j):
+        u = uniform_column(keys, j)
+        if np.ndim(j) == 0 and first <= j < first + 3 * 2:
+            drawn.append(u.size)
+        return u
+
+    monkeypatch.setattr(rng, "uniform_column", counting_column)
+    g = simulate._class_gammas(keys, m)
+    assert sum(drawn) == 3 * np.count_nonzero(m > simulate._EXP_TERMS)
+    for i in range(m.shape[1]):  # one lane at a time gives the same bytes
+        lane = simulate._class_gammas(keys[i:i + 1], m[:, i:i + 1])
+        assert lane.tobytes() == g[:, i:i + 1].tobytes()
 
 
 def test_batch_invariance_across_row_blocks(monkeypatch):
