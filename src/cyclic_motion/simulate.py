@@ -248,21 +248,23 @@ def _bisect(pred, lo: int, hi: int) -> int:
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
     """``guide[k]``, the first index i with ``cdf[i] >= k/K``, for k in
-    0..K: K is the smallest power of two >= 16 ``cdf.size``, at most
-    `_GUIDE_MAX`, so k/K is exact."""
+    0..K+1: K is the smallest power of two >= 16 ``cdf.size``, at most
+    `_GUIDE_MAX`, so k/K is exact.  Entry K+1 is ``cdf.size``, past every
+    index, so the uniform 1.0 (bucket K) is always searched."""
     k = min(1 << (16 * cdf.size - 1).bit_length(), _GUIDE_MAX)
-    return np.searchsorted(cdf, np.arange(k + 1) / k)
+    return np.searchsorted(cdf, np.arange(k + 2) / k)
 
 
 def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``np.searchsorted(cdf, u)`` through the guide table of `_guide_table`.
 
-    A uniform u in (0, 1) falls in bucket k = floor(u K) (u K is exact),
+    A uniform u in (0, 1] falls in bucket k = floor(u K) (u K is exact),
     and its index lies between ``guide[k]`` and ``guide[k+1]``: where the
     two agree that is the answer, and only the other lanes (about one in
-    16 while the table has at most 2^12 entries) are searched.
+    16 while the table has at most 2^12 entries) are searched.  `rng`
+    rounds its largest value to 1.0, whose bucket K is searched.
     """
-    k = guide.size - 1
+    k = guide.size - 2
     b = (u * k).astype(np.intp)
     n = guide[b]
     split = np.flatnonzero(n != guide[b + 1])

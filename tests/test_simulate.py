@@ -252,23 +252,31 @@ def test_shell_outcomes_sit_exactly_on_ct():
 TOP_UNIFORM = ((((1 << 64) - 1) >> 11) + 0.5) * 2.0 ** -53
 
 
+def _top_slot_column(slot):
+    """`rng.uniform_column` with every read of ``slot`` set to the top
+    uniform; ``j`` may be one slot or an array of slots."""
+    uniform_column = rng.uniform_column
+
+    def column(keys, j):
+        u = uniform_column(keys, j)
+        u[np.broadcast_to(j, u.shape) == slot] = TOP_UNIFORM
+        return u
+
+    return column
+
+
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_largest_uniform_starts_in_the_last_direction(monkeypatch, dim):
     # floor(u * 2d) is 2d at u = 1, one past the last direction
     params = ModelParams(c=1.0, lam=1.5, dim=dim)
-    uniform_value, uniform_column = rng.uniform_value, rng.uniform_column
+    uniform_value = rng.uniform_value
 
     def top_direction_value(key, j):
         return TOP_UNIFORM if j == 0 else uniform_value(key, j)
 
-    def top_direction_column(keys, j):
-        u = uniform_column(keys, j)
-        if np.ndim(j) == 0 and j == simulate._SLOT_DIRECTION:
-            u[:] = TOP_UNIFORM
-        return u
-
     monkeypatch.setattr(rng, "uniform_value", top_direction_value)
-    monkeypatch.setattr(rng, "uniform_column", top_direction_column)
+    monkeypatch.setattr(rng, "uniform_column",
+                        _top_slot_column(simulate._SLOT_DIRECTION))
     for path in (sample_path(params, 1.0, Substream(5, 0)),
                  sample_path_conditional(params, 1.0, 3, Substream(5, 0))):
         assert path.initial_direction.index == params.n_directions
@@ -551,7 +559,7 @@ def test_poisson_table_bisection_is_byte_identical(mu):
 def test_guide_table_inverts_like_searchsorted(mu):
     lo, cdf = simulate._poisson_table(mu)
     guide = simulate._guide_table(cdf)
-    k = guide.size - 1
+    k = guide.size - 2
     assert k & (k - 1) == 0 and 16 <= k <= simulate._GUIDE_MAX
     inner = cdf[cdf < 1.0]
     # uniforms, bucket edges, the table's own values and their neighbours
@@ -561,3 +569,23 @@ def test_guide_table_inverts_like_searchsorted(mu):
     u = u[(u > 0.0) & (u < 1.0)]
     assert np.array_equal(simulate._invert(cdf, guide, u),
                           np.searchsorted(cdf, u))
+
+
+@pytest.mark.parametrize("mu", [2.0, 1024.0])
+def test_invert_at_the_top_uniform_matches_searchsorted(mu):
+    # the top uniform is 1.0: bucket K, past the buckets of (0, 1)
+    lo, cdf = simulate._poisson_table(mu)
+    u = np.array([0.5, TOP_UNIFORM])
+    assert np.array_equal(simulate._invert(cdf, simulate._guide_table(cdf), u),
+                          np.searchsorted(cdf, u))
+
+
+@pytest.mark.parametrize("lam_t", [2.0, 1024.0])
+def test_largest_uniform_draws_the_last_count(monkeypatch, lam_t):
+    params = ModelParams(c=1.0, lam=lam_t, dim=2)
+    monkeypatch.setattr(rng, "uniform_column",
+                        _top_slot_column(simulate._SLOT_POISSON))
+    s = simulate_ensemble(params, 1.0, 16, 5)
+    lo, cdf = simulate._poisson_table(lam_t)
+    assert np.all(s.n_events == lo + np.searchsorted(cdf, 1.0))
+    assert np.all(np.isfinite(s.positions)) and np.all(s.u <= 1.0)
