@@ -6,15 +6,28 @@ substream ``i`` is a pure function of ``(seed, i, j)``, so results are
 identical no matter how replications are batched or parallelised, and
 any single path can be reproduced in isolation.
 
-Slot layout used by `simulate` (d = dimension, 2d direction classes):
+Slot layout of `simulate` sampler ``classsum-2`` (d = dimension, 2d
+direction classes, paired as classes 2p and 2p+1 for p < d):
 
 * value 0: the initial direction;
 * value 1: the Poisson inversion of the switch count (unused when
   the count is fixed by conditioning);
-* values 2 .. 6d+1: three exponential slots per class q, at 2 + 3q + k,
-  summed for class sizes up to 3;
-* from 6d+2 on: Gamma rejection attempts, three slots per attempt, at
-  6d + 2 + 3(2d a + q) for attempt a of class q.
+* values 2 .. 6d+1: three slots per class q, at 2 + 3q + k; a class of
+  m <= 3 segments is ``-log`` of the product of its values k < m (a
+  block may read the others and leave them unused);
+* values 6d+2 .. 10d+1: the first Gamma rejection attempt of pair p,
+  at 6d + 2 + 4p + k: the Box-Muller radius (k = 0) and angle (k = 1),
+  whose normals r cos and r sin go to classes 2p and 2p+1, and the
+  acceptance uniforms of class 2p (k = 2) and class 2p+1 (k = 3).  All
+  four are read where class 2p has more than 3 segments; k = 3 is used
+  only where class 2p+1 has too;
+* from 10d+2 on: the later attempts, three slots each (radius, angle of
+  a cosine normal, acceptance), at 10d + 2 + 3(2d(a-1) + q) + k for
+  attempt a >= 1 of class q.
+
+A draw of several slots is one `uniform_column` call over an array of
+slots (one row per slot, one column per lane) with the keys broadcast
+to the same shape, so ``np.size(keys)`` is the number of values drawn.
 
 The scalar event-time oracle `simulate.sample_path` instead reads
 value 0 and then values 1, 2, ... in order as exponential gaps (or, when

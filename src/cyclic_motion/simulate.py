@@ -26,12 +26,15 @@ Blocks run concurrently: the calling thread and up to `_WORKERS` - 1
 helper threads each take every `_WORKERS`-th block (numpy drops the GIL
 inside its array loops), and each block writes only its own rows of the
 output.  The helpers live only for the duration of the call.  A block
-is a few large array operations on row-sized arrays.  Its Gammas come
-from one loop over the classes: class q draws its first rejection
-attempt over exactly the lanes with more than `_EXP_TERMS` segments,
-then each exponential term over the lanes that take it (masked only
-where some lane of the class does not), and after the loop only the
-rejected lanes (about 2%) go on, one entry per lane.  A conditioned
+is a few large array operations on row-sized arrays.  Its Gammas
+(sampler `classsum-2`) come from one loop over the class pairs (2p,
+2p+1).  A class of at most `_EXP_TERMS` segments is ``-log`` of the
+product of its uniforms, one draw over the block.  The pair's first
+Marsaglia-Tsang attempt is one draw of 4 slots over the lanes where
+class 2p has more segments: one Box-Muller radius and angle give the
+normals r cos and r sin of the two classes, so a class costs 2 slots
+and half a cosine per attempt.  After the loop only the rejected lanes
+(under 1% at 4 segments) go on, one entry per lane.  A conditioned
 ensemble's class sizes are one column broadcast over the rows; its
 other steps are those of any block.  Each coordinate is one in-range
 gather from the block's table of class pair differences, and the L1
@@ -59,7 +62,7 @@ from .model import (Direction, ModelParams, classify_stratum,
 
 # Algorithm id of `simulate_ensemble`, written into every output: the
 # samples of a given seed change whenever it does.
-SAMPLER_ID = "classsum-1"
+SAMPLER_ID = "classsum-2"
 # Largest supported lam*t of an unconditioned ensemble (the Poisson
 # inversion table holds about 20 sqrt(lam*t) entries).
 MAX_MEAN_EVENTS = 1e8
@@ -75,13 +78,13 @@ _WORKERS = min(4, (len(os.sched_getaffinity(0))
                    else os.cpu_count() or 1))
 _TAIL = 2.0 ** -60
 _GUIDE_MAX = 1 << 16  # buckets of the Poisson guide table
-_EXP_TERMS = 3  # Gamma(m) with m <= 3 is a sum of m exponentials
+_EXP_TERMS = 3  # Gamma(m) with m <= 3 is -log of a product of m uniforms
 # Substream slots: initial direction, Poisson draw, then _EXP_TERMS
-# exponential slots per class, then 3 slots per class per rejection
-# attempt (a Box-Muller pair and the acceptance uniform).
+# product slots per class, then the rejection attempts (layout in `rng`).
 _SLOT_DIRECTION = 0
 _SLOT_POISSON = 1
 _SLOT_EXP = 2
+_ROWS = np.arange(4)[:, None]  # slot offsets of a draw's rows
 
 _STRATUM_TOL = 1e-9  # relative tolerance of the u == ct shell test
 # numpy sums a row of this many terms or more pairwise, in eight
@@ -285,21 +288,20 @@ def _class_sizes(segs, two_d: int) -> np.ndarray:
 def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gamma(m[q, i]) variates for class q of replication i (0 where m is 0).
 
-    Every variate reads fixed slots of substream ``keys[i]``.  ``m[q, i]``
-    does not grow with q, so the loop over classes stops at the first
-    class no lane has.
+    Every variate reads fixed slots of substream ``keys[i]`` (layout in
+    `rng`).  ``m[q, i]`` does not grow with q, so the loop over the
+    class pairs (2p, 2p+1) stops at the first pair no lane has.
 
-    Shapes up to `_EXP_TERMS` are sums of that many exponentials, read
-    from slots ``_SLOT_EXP + _EXP_TERMS*q + k``.  Larger shapes use the
-    Marsaglia-Tsang (2000) rejection method with a Box-Muller normal;
-    attempt a of class q reads the three slots from
-    ``_SLOT_EXP + _EXP_TERMS*2d + 3*(2d*a + q)``.
-
-    One pass over the classes draws, for class q, the first rejection
-    attempt over exactly the lanes with m > `_EXP_TERMS` (a slice when
-    every lane is one), then each exponential term over the lanes that
-    take it (a mask keeps them unless every lane does).  The rejected
-    lanes (about 2%) go on after the pass, one entry per lane.  A lane
+    A shape m up to `_EXP_TERMS` is ``-log`` of the product of m
+    uniforms, from slots ``_SLOT_EXP + _EXP_TERMS*q + k``: one draw of
+    ``min(max m, _EXP_TERMS)`` rows over the block, a factor set to 1
+    where a lane has fewer terms.  Larger shapes use the Marsaglia-Tsang
+    (2000) rejection method.  The first attempt of pair p is one draw
+    of 4 slots over the lanes where class 2p is above `_EXP_TERMS`: a
+    Box-Muller radius and angle whose normals r cos and r sin serve
+    classes 2p and 2p+1, and one acceptance uniform for each class.
+    The rejected lanes (under 1%) go on after the pass, one entry per
+    lane, 3 slots (radius, angle, acceptance) per attempt.  A lane
     reads the same slots and does the same float operations whatever
     its neighbours need, so the output does not depend on the layout.
     """
@@ -308,72 +310,117 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     hi, lo = m.max(axis=1), m.min(axis=1)
     first = _SLOT_EXP + _EXP_TERMS * two_d
     rejected = []
-    for q in range(two_d):
-        if hi[q] == 0:
+    for q0 in range(0, two_d, 2):
+        if hi[q0] == 0:
             break  # so are the later classes
-        mq = m[q]
-        if hi[q] > _EXP_TERMS:
-            r = (slice(None) if lo[q] > _EXP_TERMS
-                 else np.flatnonzero(mq > _EXP_TERMS))
-            shape = mq[r] - 1.0 / 3.0
-            v, accept = _tsang_attempt(keys[r], first + 3 * q, shape)
-            v *= shape
-            g[q, r] = v  # the rejected lanes are overwritten below
-            rejected.append(q * rows + np.arange(rows)[r][~accept])
-            if lo[q] > _EXP_TERMS:
-                continue  # every lane is a rejection lane
-        small = None if hi[q] <= _EXP_TERMS else mq <= _EXP_TERMS
-        for k in range(min(hi[q], _EXP_TERMS)):
-            # The lanes that take term k have k < m <= _EXP_TERMS.
-            mask = None if lo[q] > k else mq > k
-            if small is not None:
-                mask = small if mask is None else mask & small
-                if not mask.any():
-                    continue
-            e = np.log(rng.uniform_column(keys, _SLOT_EXP + _EXP_TERMS * q + k))
-            if mask is not None:
-                e *= mask  # a masked lane subtracts -0.0: no change
-            g[q] -= e
+        for q in (q0, q0 + 1):
+            if hi[q] and lo[q] <= _EXP_TERMS:
+                _product_gamma(keys, m[q], hi[q], lo[q],
+                               _SLOT_EXP + _EXP_TERMS * q, g[q])
+        if hi[q0] > _EXP_TERMS:
+            _pair_attempt(keys, m, hi, lo, q0, first + 2 * q0, g, rejected)
     if not rejected:
         return g
     # The rejected lanes go on from attempt 1, one entry per lane.
     f = np.concatenate(rejected)
     q, i = np.divmod(f, rows)
-    slot = first + 3 * (q + two_d)
+    slot = first + 2 * two_d + 3 * q
     shape = m[q, i] - 1.0 / 3.0
     flat = g.reshape(-1)  # a view: lane (q, i) is entry q*rows + i
     while f.size:
-        v, accept = _tsang_attempt(keys[i], slot, shape)
-        flat[f[accept]] = shape[accept] * v[accept]
+        u = rng.uniform_column(np.broadcast_to(keys[i], (3, f.size)),
+                               slot + _ROWS[:3])
+        _box_muller(u, paired=False)
+        v, accept = _tsang(u[0], u[2], shape)
+        flat[f[accept]] = v[accept]
         reject = ~accept
         f, i, shape = f[reject], i[reject], shape[reject]
         slot = slot[reject] + 3 * two_d
     return g
 
 
-def _tsang_attempt(keys, slot, shape):
-    """One Marsaglia-Tsang attempt per lane: ``(v, accept)``, the variate
-    being ``shape * v``.  Reads slots ``slot .. slot+2``; every argument
-    broadcasts to the lanes' shape."""
-    x = np.log(rng.uniform_column(keys, slot))
-    x *= -2.0
-    np.sqrt(x, out=x)
-    c = rng.uniform_column(keys, slot + 1)
-    c *= 2.0 * np.pi
-    x *= np.cos(c, out=c)
-    v = 1.0 / np.sqrt(9.0 * shape)
+def _pair_attempt(keys, m, hi, lo, q0, slot, g, rejected):
+    """First Marsaglia-Tsang attempt of classes q0 and q0 + 1 (q0 even)
+    from one draw of slots ``slot .. slot+3`` over the lanes where class
+    q0 is above `_EXP_TERMS`; class q0 + 1 takes it on a subset of them.
+    Writes the variates to ``g`` and appends the rejected flat entries
+    ``q*rows + i`` to ``rejected``."""
+    rows = m.shape[1]
+    r = (slice(None) if lo[q0] > _EXP_TERMS
+         else np.flatnonzero(m[q0] > _EXP_TERMS))
+    kr = keys[r]
+    u = rng.uniform_column(np.broadcast_to(kr, (4, kr.size)), slot + _ROWS)
+    _box_muller(u, paired=hi[q0 + 1] > _EXP_TERMS)
+    for q, x, w in ((q0, u[0], u[2]), (q0 + 1, u[1], u[3])):
+        if hi[q] <= _EXP_TERMS:
+            break
+        if q > q0 and lo[q] <= _EXP_TERMS:
+            sub = np.flatnonzero(m[q, r] > _EXP_TERMS)
+            r, x, w = np.arange(rows)[r][sub], x[sub], w[sub]
+        # the rejected lanes are overwritten later
+        g[q, r], accept = _tsang(x, w, m[q, r] - 1.0 / 3.0)
+        rejected.append(q * rows + np.arange(rows)[r][~accept])
+
+
+def _product_gamma(keys, mq, hi, lo, slot, out):
+    """Gamma(mq) for shapes up to `_EXP_TERMS` as ``-log`` of the product
+    of mq uniforms from slots ``slot ..``, written to ``out`` (0 where mq
+    is 0; lanes above `_EXP_TERMS` get a value to be overwritten)."""
+    terms = min(hi, _EXP_TERMS)
+    u = rng.uniform_column(np.broadcast_to(keys, (terms, keys.size)),
+                           slot + _ROWS[:terms])
+    for k in range(lo, terms):  # the lanes with mq <= k skip term k
+        np.copyto(u[k], 1.0, where=mq <= k)
+    prod = u[0]
+    for k in range(1, terms):
+        prod *= u[k]
+    np.log(prod, out=prod)
+    np.negative(prod, out=out)
+
+
+def _box_muller(u, paired):
+    """Box-Muller normals in place from the radius row ``u[0]`` and the
+    angle row ``u[1]``: ``u[0]`` becomes r cos(theta) and, if ``paired``,
+    ``u[1]`` becomes r sin(theta), the sine taken as
+    ``sqrt((1 - cos)(1 + cos))``, negative for theta above pi."""
+    r, a = u[0], u[1]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    c = a * (2.0 * np.pi)
+    np.cos(c, out=c)
+    if paired:
+        s = 1.0 - c
+        s *= 1.0 + c
+        np.sqrt(s, out=s)
+        np.subtract(0.5, a, out=a)  # negative for theta above pi
+        np.copysign(s, a, out=a)
+        a *= r
+    r *= c
+
+
+def _tsang(x, w, shape):
+    """One Marsaglia-Tsang attempt per lane from the normals ``x`` and the
+    acceptance uniforms ``w`` (both overwritten): ``(variate, accept)``."""
+    v = 9.0 * shape
+    np.sqrt(v, out=v)
+    np.divide(1.0, v, out=v)
     v *= x
     v += 1.0
-    v **= 3
+    cube = v * v
+    cube *= v
+    bound = np.subtract(1.0, cube, out=v)
     with np.errstate(invalid="ignore", divide="ignore"):
-        bound = 1.0 - v
-        bound += np.log(v)
+        bound += np.log(cube)
     bound *= shape
-    x *= 0.5 * x
+    x *= x
+    x *= 0.5
     bound += x
-    accept = np.log(rng.uniform_column(keys, slot + 2)) < bound
-    accept &= v > 0
-    return v, accept
+    np.log(w, out=w)
+    accept = w < bound
+    accept &= cube > 0
+    cube *= shape
+    return cube, accept
 
 
 def simulate_ensemble(params: ModelParams, horizon: float, count: int,

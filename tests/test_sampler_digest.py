@@ -1,4 +1,4 @@
-"""Byte pins of `simulate_ensemble` output under sampler `classsum-1`.
+"""Byte pins of `simulate_ensemble` output under sampler `classsum-2`.
 
 Each case hashes the raw bytes of `u`, `n_events`, `positions`,
 `initial_direction` and `final_direction`, so any change of the kernel
@@ -7,11 +7,15 @@ fails here.  The cases cover dims 1 to 5, 7 and 8, lam*t 1, 16, 40 and
 1024 (at 16 one block mixes classes with m <= 3 and m > 3; at 4 in
 dim 1, rows with m = 0 sit next to rows with m > 3) and conditioning
 n = 0, 4, 5, 6, 14, 20 and 40 (at 14 and 20 the classes straddle 3:
-some take the rejection method, the rest sum exponentials); the two cases of 20,000 rows span more than one
-row block and end in a partial one, and one is rerun with a small block
-size, since block size and layout must not change a byte.  Dims 4 to 7
-pin the L1 radius where its sum has fewer than 8 terms (numpy sums 8 or
-more terms pairwise, in a different order).
+some take the rejection method, the rest the product of uniforms; at
+14 in dim 2 the pair of classes 2 and 3 has only class 2 above 3); the
+two cases of 20,000 rows span more than one row block and end in a
+partial one, and one is rerun with a small block size, since block
+size and layout must not change a byte.  Dims 4 to 7 pin the L1 radius
+where its sum has fewer than 8 terms (numpy sums 8 or more terms
+pairwise, in a different order).  The cases n = 0, 4 and 5 have no
+class above one segment, whose Gamma(1) is ``-log u`` in `classsum-1`
+and `classsum-2` alike, so their digests did not change with the id.
 
 The digests hold for one numpy build: its SIMD log, cos and sqrt could
 differ in the last bit on another CPU.  A new `SAMPLER_ID` is the only
@@ -32,26 +36,26 @@ FIELDS = ("u", "n_events", "positions", "initial_direction",
 # (dim, lam, horizon, count, seed, conditioning) -> sha256
 CASES = {
     (1, 1.0, 1.0, 3000, 11, None):
-        "e0e986706dc472ef5fad9324dfc50a87898f610391e01a9a029fe26c6da7a9b3",
+        "e7060c1141595fb0c12fd2ad84b5a6138c8c6cbc75067b463f4bf15eb2f6e302",
     (2, 16.0, 1.0, 20_000, 12, None):
-        "e7f7e9a0d9e81a5445b7962360a973b903ecea8f08ef5798b04bb1057a52f699",
+        "4504e6d4d0ca8442d0fbd762c85550d8b36decba778e1b2c186ff3d1c34adf88",
     (3, 1.0, 1.0, 3000, 13, 6):
-        "943b00af818d66aaffefeb6d8ac131004521cc0ae17dcf015e272c3d77ad91e0",
+        "54ea187cf59a3206fcaea7a5759173858487af9179539763288898a8fcd50dd5",
     (3, 512.0, 2.0, 3000, 14, None):
-        "87c22573513e8205e64fd3a2eb9719357a30a10f8ebfd7f75ed47ad8afb53489",
+        "4974252e14c172ad389bb54657ced30455f72a9a3c11fb3f1a234b1b9e79bf60",
     (8, 16.0, 1.0, 3000, 15, None):
-        "eaf790bd830d06b66707b309524696e012fe2b95c611f57cd32aa27eb285d5de",
+        "89e8cd64ec3c14d6b1c65daa018aef11ce1aa8ca64a1d284fe1339074b2394cc",
     (8, 1024.0, 1.0, 3000, 16, None):
-        "d70fe65637a7073c55513c8dc71b792bb9056a4cc09d0ecdd423b96521ce2d74",
+        "5afd03801a1d89525da73c54f2763fcc04295442c51933f33bebbbfddad24362",
     (2, 1.0, 1.0, 3000, 17, 0):
         "130b701ebe7654b5ef4dec92b94a815420bff008426b196584b6c387d1741ab3",
     (2, 1.0, 1.0, 3000, 18, 40):
-        "c3852ba64f8c215f8f8a06a7db8c1327c81d77fbe4b60dcda94e4554592f7478",
+        "3d4df6b71d33a1575239a10d7a6ece63ec27f89e0d313939474cd431b6740630",
     (8, 1.0, 1.0, 3000, 19, 40):
-        "953a52b852355278e9c88f09504c466b08899dd34f276d5218f5ace491902c52",
+        "48dbaf3accbd6c69f2bc502ff7b6ea07f3a46149094b90cc677359becaf687c9",
     # lam*t = 4 in dim 1: rows with m = 0 share blocks with rows m > 3
     (1, 4.0, 1.0, 3000, 20, None):
-        "14a480a1787089f330fd1609a48fe89749d5755c8d0209144ac2b7f0a5390b28",
+        "41b88c1d08cfc601291c09935d6bb02fd2ab27428c37a393800793c2378400fd",
     # the shapes of the conjecture rows: every class of size 0 or 1
     (4, 1.0, 1.0, 3000, 21, 4):
         "319dfcd74071a609d4f7be3446a70e64f308f4de1ce66868699623790b73407b",
@@ -59,12 +63,12 @@ CASES = {
         "dac820d858ce58376dec692c3147cd231f5bee9fc099e1ee0f62e60b138cde28",
     # two blocks, classes of size 1 to 5
     (7, 40.0, 1.0, 20_000, 23, None):
-        "a481010e9c152e50c3691b9ec06453ac5a83f4027915a4b98dbaaa3b839f49e1",
+        "276fd0f543157d94209e70b0a8ae8c869baa0b82cc3d6c0bbfe54a7dc56030b6",
     # conditioned classes on both sides of 3: m = 4,4,4,3 and 4,4,4,3,3,3
     (2, 1.0, 1.0, 3000, 24, 14):
-        "97348454748ac247b963b957adf500b4a1549f8cec126d92c5e04c55e515c8f0",
+        "0c69dbacb062aeebe7cb5c96174e73531d7e26ba79080f35998dabd2d054ea9f",
     (3, 1.0, 1.0, 3000, 25, 20):
-        "1c0e1cfd21df685a227a80f614c58640d4b8e051ad89a62866befd8c845018d5",
+        "e0f4fc6c64eb5638e2b8f33f7f0acf4b2480aaecd81c1ad65175b12c53e8ae69",
 }
 
 
@@ -82,7 +86,7 @@ def _run(case):
 
 
 def test_sampler_id_is_pinned():
-    assert simulate.SAMPLER_ID == "classsum-1"
+    assert simulate.SAMPLER_ID == "classsum-2"
 
 
 @pytest.mark.parametrize("case", list(CASES), ids=str)

@@ -137,36 +137,53 @@ def _classsum_reference(params, t, stream, n=None):
     """Scalar twin of `simulate_ensemble` for one replication.
 
     Reads the same substream slots one value at a time (layout in
-    `rng`), inverts the Poisson count with scipy's ppf and evaluates the
-    Marsaglia-Tsang gamma rejection in plain floats.  Returns
-    ``(n_events, initial_index, position)``.
+    `rng`), inverts the Poisson count with scipy's ppf and evaluates
+    sampler `classsum-2` in plain floats: a class of at most 3 segments
+    is -log of the product of its uniforms, and classes 2p and 2p+1
+    share the Box-Muller pair of their first Marsaglia-Tsang attempt.
+    Returns ``(n_events, initial_index, position)``.
     """
     def uniform(slot):
         return rng.uniform_value(stream.key, slot)
+
+    def tsang(x, accept_slot, shape):
+        """One Marsaglia-Tsang attempt: the variate, or None if rejected."""
+        v = 1.0 + (1.0 / math.sqrt(9.0 * shape)) * x
+        v = v * v * v
+        if v > 0 and (math.log(uniform(accept_slot))
+                      < shape * (1.0 - v + math.log(v)) + x * x * 0.5):
+            return v * shape
+        return None
 
     two_d = params.n_directions
     j0 = 1 + min(int(uniform(0) * two_d), two_d - 1)
     if n is None:
         n = int(poisson.ppf(uniform(1), params.lam * t))
+    sizes = [(n + 1) // two_d + (q < (n + 1) % two_d) for q in range(two_d)]
+    first = 2 + 3 * two_d  # first attempt of pair p: slots first + 4p + k
     gammas = []
-    for q in range(two_d):
-        m = (n + 1) // two_d + (q < (n + 1) % two_d)
+    for q, m in enumerate(sizes):
         if m <= 3:
-            gammas.append(sum(-math.log(uniform(2 + 3 * q + k))
-                              for k in range(m)))
+            prod = 1.0
+            for k in range(m):
+                prod *= uniform(2 + 3 * q + k)
+            gammas.append(-math.log(prod))
             continue
         shape = m - 1.0 / 3.0
-        spread = 1.0 / math.sqrt(9.0 * shape)
-        slot = 2 + 3 * two_d + 3 * q
-        while True:
+        base = first + 4 * (q // 2)
+        r = math.sqrt(-2.0 * math.log(uniform(base)))
+        a = uniform(base + 1)
+        c = math.cos(2.0 * math.pi * a)
+        x = r * c if q % 2 == 0 else (
+            r * math.copysign(math.sqrt((1.0 - c) * (1.0 + c)), 0.5 - a))
+        g = tsang(x, base + 2 + q % 2, shape)
+        slot = first + 2 * two_d + 3 * q  # attempt 1 of class q
+        while g is None:
             x = (math.sqrt(-2.0 * math.log(uniform(slot)))
                  * math.cos(2.0 * math.pi * uniform(slot + 1)))
-            v = (1.0 + spread * x) ** 3
-            if v > 0 and (math.log(uniform(slot + 2))
-                          < 0.5 * x * x + shape * (1.0 - v + math.log(v))):
-                gammas.append(shape * v)
-                break
+            g = tsang(x, slot + 2, shape)
             slot += 3 * two_d
+        gammas.append(g)
     total = sum(gammas)
     pos = np.zeros(params.dim)
     for q, g in enumerate(gammas):
@@ -287,7 +304,8 @@ def test_largest_uniform_starts_in_the_last_direction(monkeypatch, dim):
 
 def test_first_rejection_attempt_draws_only_the_lanes_that_need_it(
         monkeypatch):
-    # dim 1; class 0 takes rejection on rows 0-2, class 1 on rows 0-1 only
+    # dim 1; class 0 takes rejection on rows 0-2, class 1 on rows 0-1 only;
+    # the pair's first attempt is 4 slots on each lane where class 0 does
     m = np.array([[5, 4, 4, 3, 2],
                   [4, 4, 3, 2, 1]])
     keys = rng.substream_keys(8, 0, m.shape[1])
@@ -297,13 +315,13 @@ def test_first_rejection_attempt_draws_only_the_lanes_that_need_it(
 
     def counting_column(keys, j):
         u = uniform_column(keys, j)
-        if np.ndim(j) == 0 and first <= j < first + 3 * 2:
-            drawn.append(u.size)
+        j = np.broadcast_to(j, u.shape)
+        drawn.append(np.count_nonzero((first <= j) & (j < first + 4)))
         return u
 
     monkeypatch.setattr(rng, "uniform_column", counting_column)
     g = simulate._class_gammas(keys, m)
-    assert sum(drawn) == 3 * np.count_nonzero(m > simulate._EXP_TERMS)
+    assert sum(drawn) == 4 * np.count_nonzero(m[0] > simulate._EXP_TERMS)
     for i in range(m.shape[1]):  # one lane at a time gives the same bytes
         lane = simulate._class_gammas(keys[i:i + 1], m[:, i:i + 1])
         assert lane.tobytes() == g[:, i:i + 1].tobytes()
