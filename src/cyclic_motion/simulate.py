@@ -29,9 +29,9 @@ output.  The helpers live only for the duration of the call.  A block
 is a few large array operations on row-sized arrays.  Its Gammas
 (sampler `classsum-2`) come from one loop over the class pairs (2p,
 2p+1).  A class of at most `_EXP_TERMS` segments is ``-log`` of the
-product of its uniforms, one draw over the block.  The pair's first
-Marsaglia-Tsang attempt is one draw of 4 slots over the lanes where
-class 2p has more segments: one Box-Muller radius and angle give the
+product of its uniforms, one draw per term over the block.  The pair's
+first Marsaglia-Tsang attempt is one draw of 4 slots over the lanes
+where class 2p has more segments: one Box-Muller radius and angle give the
 normals r cos and r sin of the two classes, so a class costs 2 slots
 and half a cosine per attempt.  After the loop only the rejected lanes
 (under 1% at 4 segments) go on, one entry per lane.  A conditioned
@@ -293,9 +293,9 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     class pairs (2p, 2p+1) stops at the first pair no lane has.
 
     A shape m up to `_EXP_TERMS` is ``-log`` of the product of m
-    uniforms, from slots ``_SLOT_EXP + _EXP_TERMS*q + k``: one draw of
-    ``min(max m, _EXP_TERMS)`` rows over the block, a factor set to 1
-    where a lane has fewer terms.  Larger shapes use the Marsaglia-Tsang
+    uniforms, from slots ``_SLOT_EXP + _EXP_TERMS*q + k``: one draw per
+    term over the block, the factor set to 1 where a lane has fewer
+    terms.  Larger shapes use the Marsaglia-Tsang
     (2000) rejection method.  The first attempt of pair p is one draw
     of 4 slots over the lanes where class 2p is above `_EXP_TERMS`: a
     Box-Muller radius and angle whose normals r cos and r sin serve
@@ -365,15 +365,18 @@ def _pair_attempt(keys, m, hi, lo, q0, slot, g, rejected):
 def _product_gamma(keys, mq, hi, lo, slot, out):
     """Gamma(mq) for shapes up to `_EXP_TERMS` as ``-log`` of the product
     of mq uniforms from slots ``slot ..``, written to ``out`` (0 where mq
-    is 0; lanes above `_EXP_TERMS` get a value to be overwritten)."""
-    terms = min(hi, _EXP_TERMS)
-    u = rng.uniform_column(np.broadcast_to(keys, (terms, keys.size)),
-                           slot + _ROWS[:terms])
-    for k in range(lo, terms):  # the lanes with mq <= k skip term k
-        np.copyto(u[k], 1.0, where=mq <= k)
-    prod = u[0]
-    for k in range(1, terms):
-        prod *= u[k]
+    is 0; lanes above `_EXP_TERMS` get a value to be overwritten).  Each
+    term is one draw over the block: a wider draw costs more than its
+    rows in broadcasting and temporaries."""
+    prod = rng.uniform_column(keys, slot)
+    # u <= 1, so np.maximum(u, mq <= k) is 1 on the lanes that skip term k
+    if lo == 0:
+        np.maximum(prod, mq <= 0, out=prod)
+    for k in range(1, min(hi, _EXP_TERMS)):
+        u = rng.uniform_column(keys, slot + k)
+        if lo <= k:
+            np.maximum(u, mq <= k, out=u)
+        prod *= u
     np.log(prod, out=prod)
     np.negative(prod, out=out)
 
