@@ -295,9 +295,9 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     A shape m up to `_EXP_TERMS` is ``-log`` of the product of m
     uniforms, from slots ``_SLOT_EXP + _EXP_TERMS*q + k``: one draw per
     term over the block, the factor set to 1 where a lane has fewer
-    terms.  Larger shapes use the Marsaglia-Tsang
-    (2000) rejection method.  The first attempt of pair p is one draw
-    of 4 slots over the lanes where class 2p is above `_EXP_TERMS`: a
+    terms.  Larger shapes use the Marsaglia-Tsang (2000) rejection
+    method.  The first attempt of pair p is one draw of 4 slots over
+    the lanes where class 2p is above `_EXP_TERMS`: a
     Box-Muller radius and angle whose normals r cos and r sin serve
     classes 2p and 2p+1, and one acceptance uniform for each class.
     The rejected lanes (under 1%) go on after the pass, one entry per
