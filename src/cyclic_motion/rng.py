@@ -13,8 +13,8 @@ direction classes, paired as classes 2p and 2p+1 for p < d):
 * value 1: the Poisson inversion of the switch count (unused when
   the count is fixed by conditioning);
 * values 2 .. 6d+1: three slots per class q, at 2 + 3q + k; a class of
-  m <= 3 segments is ``-log`` of the product of its values k < m (a
-  block may read the others and leave them unused);
+  m <= 3 segments is the sum of ``-log`` of its values k < m (a block
+  may read the others and leave them unused);
 * values 6d+2 .. 10d+1: the first Gamma rejection attempt of pair p,
   at 6d + 2 + 4p + k: the Box-Muller radius (k = 0) and angle (k = 1),
   whose normals r cos and r sin go to classes 2p and 2p+1, and the

@@ -28,8 +28,8 @@ inside its array loops), and each block writes only its own rows of the
 output.  The helpers live only for the duration of the call.  A block
 is a few large array operations on row-sized arrays.  Its Gammas
 (sampler `classsum-2`) come from one loop over the class pairs (2p,
-2p+1).  A class of at most `_EXP_TERMS` segments is ``-log`` of the
-product of its uniforms, one draw per term over the block.  The pair's
+2p+1).  A class of at most `_EXP_TERMS` segments is a sum of
+exponentials, one draw per term over the block.  The pair's
 first Marsaglia-Tsang attempt is one draw of 4 slots over the lanes
 where class 2p has more segments: one Box-Muller radius and angle give the
 normals r cos and r sin of the two classes, so a class costs 2 slots
@@ -78,7 +78,7 @@ _WORKERS = min(4, (len(os.sched_getaffinity(0))
                    else os.cpu_count() or 1))
 _TAIL = 2.0 ** -60
 _GUIDE_MAX = 1 << 16  # buckets of the Poisson guide table
-_EXP_TERMS = 3  # Gamma(m) with m <= 3 is -log of a product of m uniforms
+_EXP_TERMS = 3  # Gamma(m) with m <= 3 is a sum of m exponentials
 # Substream slots: initial direction, Poisson draw, then _EXP_TERMS
 # product slots per class, then the rejection attempts (layout in `rng`).
 _SLOT_DIRECTION = 0
@@ -292,10 +292,9 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
     `rng`).  ``m[q, i]`` does not grow with q, so the loop over the
     class pairs (2p, 2p+1) stops at the first pair no lane has.
 
-    A shape m up to `_EXP_TERMS` is ``-log`` of the product of m
-    uniforms, from slots ``_SLOT_EXP + _EXP_TERMS*q + k``: one draw per
-    term over the block, the factor set to 1 where a lane has fewer
-    terms.  Larger shapes use the Marsaglia-Tsang (2000) rejection
+    A shape m up to `_EXP_TERMS` is a sum of m exponentials, from slots
+    ``_SLOT_EXP + _EXP_TERMS*q + k``: one draw per term over the block,
+    the term masked to -0.0 where a lane has fewer terms.  Larger shapes use the Marsaglia-Tsang (2000) rejection
     method.  The first attempt of pair p is one draw of 4 slots over
     the lanes where class 2p is above `_EXP_TERMS`: a
     Box-Muller radius and angle whose normals r cos and r sin serve
@@ -315,8 +314,8 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
             break  # so are the later classes
         for q in (q0, q0 + 1):
             if hi[q] and lo[q] <= _EXP_TERMS:
-                _product_gamma(keys, m[q], hi[q], lo[q],
-                               _SLOT_EXP + _EXP_TERMS * q, g[q])
+                _exp_sum(keys, m[q], hi[q], lo[q],
+                         _SLOT_EXP + _EXP_TERMS * q, g[q])
         if hi[q0] > _EXP_TERMS:
             _pair_attempt(keys, m, hi, lo, q0, first + 2 * q0, g, rejected)
     if not rejected:
@@ -362,23 +361,15 @@ def _pair_attempt(keys, m, hi, lo, q0, slot, g, rejected):
         rejected.append(q * rows + np.arange(rows)[r][~accept])
 
 
-def _product_gamma(keys, mq, hi, lo, slot, out):
-    """Gamma(mq) for shapes up to `_EXP_TERMS` as ``-log`` of the product
-    of mq uniforms from slots ``slot ..``, written to ``out`` (0 where mq
-    is 0; lanes above `_EXP_TERMS` get a value to be overwritten).  Each
-    term is one draw over the block: a wider draw costs more than its
-    rows in broadcasting and temporaries."""
-    prod = rng.uniform_column(keys, slot)
-    # u <= 1, so np.maximum(u, mq <= k) is 1 on the lanes that skip term k
-    if lo == 0:
-        np.maximum(prod, mq <= 0, out=prod)
-    for k in range(1, min(hi, _EXP_TERMS)):
-        u = rng.uniform_column(keys, slot + k)
+def _exp_sum(keys, mq, hi, lo, slot, out):
+    """Subtracts from ``out`` (zeros) the logs of the uniforms in slots
+    ``slot ..``, mq of them per lane: Gamma(mq) for shapes up to
+    `_EXP_TERMS` (lanes above it get a value to be overwritten)."""
+    for k in range(min(hi, _EXP_TERMS)):
+        e = np.log(rng.uniform_column(keys, slot + k))
         if lo <= k:
-            np.maximum(u, mq <= k, out=u)
-        prod *= u
-    np.log(prod, out=prod)
-    np.negative(prod, out=out)
+            e *= mq > k  # a masked lane subtracts -0.0: no change
+        out -= e
 
 
 def _box_muller(u, paired):

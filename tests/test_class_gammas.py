@@ -67,7 +67,7 @@ def test_no_slot_is_read_twice(monkeypatch, dim, lam_t, n):
     per_lane = np.bincount(lane[slot == 1], minlength=count)
     assert np.all(per_lane == (n is None))  # the Poisson draw
     read = set(pair.tolist())
-    # a class of at most 3 segments reads its product slots 2 + 3q + k
+    # a class of at most 3 segments reads its exponential slots 2 + 3q + k
     for q in range(two_d):
         for k in range(3):
             need = np.flatnonzero((k < m[q]) & (m[q] <= 3))
@@ -147,7 +147,7 @@ def test_paired_classes_are_independent_gammas(monkeypatch, shape):
 
 @pytest.mark.parametrize("shape", [4, 17])
 def test_pair_with_a_small_second_class(shape):
-    # class 0 takes rejection, its partner class 1 is a product of 3
+    # class 0 takes rejection, its partner class 1 is a sum of 3
     m, g = _gammas([shape, 3], 700 + shape)
     _assert_gamma_law(g[0], shape, f"class0_m{shape}")
     _assert_gamma_law(g[1], 3, "class1_m3")

@@ -139,8 +139,8 @@ def _classsum_reference(params, t, stream, n=None):
     Reads the same substream slots one value at a time (layout in
     `rng`), inverts the Poisson count with scipy's ppf and evaluates
     sampler `classsum-2` in plain floats: a class of at most 3 segments
-    is -log of the product of its uniforms, and classes 2p and 2p+1
-    share the Box-Muller pair of their first Marsaglia-Tsang attempt.
+    is a sum of exponentials, and classes 2p and 2p+1 share the
+    Box-Muller pair of their first Marsaglia-Tsang attempt.
     Returns ``(n_events, initial_index, position)``.
     """
     def uniform(slot):
@@ -164,10 +164,10 @@ def _classsum_reference(params, t, stream, n=None):
     gammas = []
     for q, m in enumerate(sizes):
         if m <= 3:
-            prod = 1.0
+            g = 0.0
             for k in range(m):
-                prod *= uniform(2 + 3 * q + k)
-            gammas.append(-math.log(prod))
+                g -= math.log(uniform(2 + 3 * q + k))
+            gammas.append(g)
             continue
         shape = m - 1.0 / 3.0
         base = first + 4 * (q // 2)
@@ -305,9 +305,11 @@ def test_largest_uniform_starts_in_the_last_direction(monkeypatch, dim):
 def test_first_rejection_attempt_draws_only_the_lanes_that_need_it(
         monkeypatch):
     # dim 1; class 0 takes rejection on rows 0-2, class 1 on rows 0-1 only;
-    # the pair's first attempt is 4 slots on each lane where class 0 does
-    m = np.array([[5, 4, 4, 3, 2],
-                  [4, 4, 3, 2, 1]])
+    # the pair's first attempt is 4 slots on each lane where class 0 does.
+    # Class 1 is empty on row 5, which alone never visits it: its gamma
+    # must be +0.0 in the block too.
+    m = np.array([[5, 4, 4, 3, 2, 1],
+                  [4, 4, 3, 2, 1, 0]])
     keys = rng.substream_keys(8, 0, m.shape[1])
     first = simulate._SLOT_EXP + simulate._EXP_TERMS * 2
     uniform_column = rng.uniform_column
