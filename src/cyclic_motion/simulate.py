@@ -294,11 +294,13 @@ def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     A shape m up to `_EXP_TERMS` is a sum of m exponentials, from slots
     ``_SLOT_EXP + _EXP_TERMS*q + k``: one draw per term over the block,
-    the term masked to -0.0 where a lane has fewer terms.  Larger shapes use the Marsaglia-Tsang (2000) rejection
-    method.  The first attempt of pair p is one draw of 4 slots over
-    the lanes where class 2p is above `_EXP_TERMS`: a
-    Box-Muller radius and angle whose normals r cos and r sin serve
-    classes 2p and 2p+1, and one acceptance uniform for each class.
+    the term masked to -0.0 where a lane has fewer terms, so an empty
+    class is +0.0 whether the block draws it or not.  Larger shapes use
+    the Marsaglia-Tsang (2000) rejection method.  The first attempt of
+    pair p is one draw of 4 slots over the lanes where class 2p is above
+    `_EXP_TERMS`: a Box-Muller radius and angle whose normals r cos and
+    r sin serve classes 2p and 2p+1, and one acceptance uniform for each
+    class.
     The rejected lanes (under 1%) go on after the pass, one entry per
     lane, 3 slots (radius, angle, acceptance) per attempt.  A lane
     reads the same slots and does the same float operations whatever
