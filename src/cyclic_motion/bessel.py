@@ -1,23 +1,21 @@
-"""The motion kernel g(u,t) and its power series.
+"""The motion kernel g(u,t) and its scaled Bessel ratios.
 
 Everything analytic in this package reduces to the kernel
 
-    g(u, t) = I_0(xi),   xi = (lam/c)*sqrt(c^2 t^2 - u^2),
+    g(u, t) = I_0(xi) = sum_k a_k P^k,   xi = (lam/c) sqrt(P),
+    P = c^2 t^2 - u^2,   a_k = (lam/(2c))^{2k} / (k!)^2,
 
 its partial derivatives in t and u, and integrals of u^m times those
-derivatives over [0, ct].  The derivatives are evaluated through the
-index-shifted power series
+derivatives over [0, ct].  The series' term-wise derivatives never
+produce negative powers of P, so the edge u = ct is a removable limit,
+and each is a combination of the ratios
 
-    g = sum_k a_k P^k,   P = c^2 t^2 - u^2,  a_k = (lam/(2c))^{2k} / (k!)^2,
+    R_nu = e^{-xi} sum_k z^k / (k! (k+nu)!) = (2/xi)^nu ive(nu, xi),
 
-whose term-wise derivatives never produce negative powers of P, so the
-edge u = ct is a removable limit (only finitely many terms survive).
-
-`scaled_series` sums the series for a scalar or an array of u in one
-array code path.  Each term carries e^{-xi}, so the sums stay finite
-for every lam*t; an unscaled kernel derivative is +-inf where its value
-overflows.  The modified Bessel functions themselves are scipy's AMOS
-routine ``ive``, under the name `bessel_i_scaled`.
+z = xi^2/4, nu = 0..3, that `scaled_series` returns for a scalar or an
+array of u.  They stay finite for every lam*t; an unscaled kernel
+derivative is +-inf where its value overflows.  ``ive`` is scipy's AMOS
+routine, under the name `bessel_i_scaled`.
 """
 
 from __future__ import annotations
@@ -30,10 +28,12 @@ from scipy.special import ive as bessel_i_scaled
 from .model import ModelParams, require_horizon, require_int
 
 _REL_TOL = 1e-17
-_BLOCK = 32  # series terms per array pass
+# Below this xi, R_nu is its two-term series e^{-xi} (1 + z/(nu+1)) / nu!,
+# whose next term is below 1e-17 relative.  The ``ive`` ratio loses about
+# nu |log xi| ulps at small xi (1.2e-14 at order 3 and xi = 3e-8).
+_SMALL_XI = 1e-4
 # Largest lam*t of the Bessel layer (the sampler's ceiling too): scipy's
-# ``ive`` returns NaN past x ~ 1e9, and the kernel series runs over
-# O(sqrt(lam*t)) terms per point.
+# ``ive`` returns NaN past x ~ 1e9.
 MAX_LAMBDA_T = 1e8
 
 
@@ -66,21 +66,15 @@ def _unscaled(scaled, xi):
     return np.where(scaled == 0.0, 0.0, value)
 
 
-def scaled_series(lam: float, c: float, t: float, u,
-                  weights) -> tuple[list[np.ndarray], np.ndarray]:
-    """Weighted sums of the scaled kernel series terms, for scalar or array u.
+def scaled_series(lam: float, c: float, t: float,
+                  u) -> tuple[list[np.ndarray], np.ndarray]:
+    """The scaled Bessel ratios of the kernel series, for scalar or array u.
 
-    Returns ``([sum_k b_k w(k) for w in weights], xi)`` as arrays shaped
-    like ``u``, with ``b_k = e^{-xi} (lam/(2c))^{2k} P^k / (k!)^2`` — the
-    kernel series terms scaled by e^{-xi} so every sum stays bounded.
-    Each weight maps an array of k to per-term factors.  ``t`` must be
+    Returns ``([R_0, R_1, R_2, R_3], xi)`` as arrays shaped like ``u``,
+    with R_nu = e^{-xi} sum_k z^k / (k! (k+nu)!) = (2/xi)^nu ive(nu, xi)
+    and z = xi^2/4; below ``_SMALL_XI`` the two-term series stands in
+    for the ratio, exactly 1/nu! at the edge xi = 0.  ``t`` must be
     finite and >= 0, and u in [0, ct].
-
-    The terms peak at k* = floor(xi/2) and fall monotonically on both
-    sides, so each sum starts there and runs outward, ``_BLOCK`` terms a
-    pass, until the terms drop below 1e-17 of the peak.  The terms are
-    summed relative to the peak and normalised by sum_k b_k = ive(0, xi):
-    a peak term taken from logs would lose ~xi ulps (1e-10 at xi = 1e5).
     """
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and >= 0, got {t}")
@@ -88,30 +82,12 @@ def scaled_series(lam: float, c: float, t: float, u,
     ct = c * t
     u = _check_u(ct, u)
     xi = (lam / c) * np.sqrt(np.maximum(0.0, (ct - u) * (ct + u)))
-    q = (0.5 * xi).ravel() ** 2
-    peak = np.floor(0.5 * xi).ravel()
-    sums = [np.ones_like(q)] + [w(peak) + np.zeros_like(q) for w in weights]
-    # Up from k*, then down from k* (rows with k* = 0 have no terms below
-    # it: they start at last = 0, and there q may be 0, hence max(q, 1)).
-    for step, last in ((1, np.ones_like(q)), (-1, (peak > 0).astype(float))):
-        k = peak
-        offsets = step * np.arange(1, _BLOCK + 1)
-        while last.any():
-            ks = k[:, None] + offsets
-            if step > 0:
-                ratio = q[:, None] / (ks * ks)
-            else:
-                ratio = np.where(ks >= 0, (ks + 1) ** 2, 0.0) \
-                    / np.maximum(q, 1.0)[:, None]
-            terms = last[:, None] * np.cumprod(ratio, axis=1)
-            terms[terms < _REL_TOL] = 0.0
-            k_w = np.maximum(ks, 0)  # the terms below k = 0 are 0
-            sums[0] += terms.sum(axis=1)
-            for m, w in enumerate(weights, 1):
-                sums[m] += (terms * w(k_w)).sum(axis=1)
-            last, k = terms[:, -1], ks[:, -1]
-    scale = bessel_i_scaled(0, xi.ravel()) / sums[0]
-    return [(s * scale).reshape(xi.shape) for s in sums[1:]], xi
+    small = xi < _SMALL_XI
+    x = np.where(small, 1.0, xi)
+    z, tail = 0.25 * xi * xi, np.exp(-xi)
+    return [np.where(small, tail * (1.0 + z / (nu + 1)) / math.factorial(nu),
+                     (2.0 / x) ** nu * bessel_i_scaled(nu, x))
+            for nu in range(4)], xi
 
 
 def _kernel_sums_scaled(params: ModelParams, t: float, u):
@@ -119,19 +95,13 @@ def _kernel_sums_scaled(params: ModelParams, t: float, u):
 
     B0 = e^{-xi} sum a_k P^k and B1..B3 carry the extra per-term
     factors r/(k+1), r^2/((k+1)(k+2)), r^3/((k+1)(k+2)(k+3)) with
-    r = lam^2/(4c^2); all t/u derivatives of g up to the supported
-    orders are linear combinations of these.
+    r = lam^2/(4c^2), so B_j = r^j R_j; all t/u derivatives of g up to
+    the supported orders are linear combinations of these.
     """
     lam, c = params.lam, params.c
     r = lam * lam / (4.0 * c * c)
-    weights = (
-        lambda k: 1.0,
-        lambda k: r / (k + 1),
-        lambda k: r * r / ((k + 1) * (k + 2)),
-        lambda k: r ** 3 / ((k + 1) * (k + 2) * (k + 3)),
-    )
-    sums, xi = scaled_series(lam, c, t, u, weights)
-    return (*sums, xi)
+    ratios, xi = scaled_series(lam, c, t, u)
+    return (*(r ** j * ratio for j, ratio in enumerate(ratios)), xi)
 
 
 _ALLOWED_ORDERS = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 2)}

@@ -6,10 +6,10 @@ an absolutely continuous density on (0, ct) for d = 2, 3.
 
 The density has three equivalent representations, all implemented:
 
-* `density_u` — the primary non-negative series (index-shifted so the
-  edge u = ct is a plain evaluation; every term is >= 0);
+* `density_u` — the primary form, non-negative products of the
+  kernel's Bessel ratios (the edge u = ct is a plain evaluation);
 * `density_u_from_coefficients` — a fixed linear combination of kernel
-  t-derivatives, all taken from one pass of the kernel series;
+  t-derivatives, all taken from one `scaled_series` call;
 * `density_u_closed_form` — an I0/I1 expression, valid on the open
   interval only (0/0 at the edge).
 
@@ -119,35 +119,27 @@ def _on_support(params: ModelParams, t: float, u, density):
     return like_input(u, np.where(off, 0.0, values))
 
 
-# Per-term weights w_i(k) of the series form: the density sums
-# w_0 + (lt/2) w_1 + q w_2 [+ q lt w_3] with q = lam^2 u^2 / (2 c^2).
-_SERIES_WEIGHTS = {
-    2: (lambda k: k / (k + 1.0),
-        lambda k: 1.0 / (k + 1.0),
-        lambda k: 1.0 / ((k + 1.0) * (k + 2.0))),
-    3: (lambda k: k / (k + 1.0),
-        lambda k: k / ((k + 1.0) * (k + 2.0)),
-        lambda k: 1.0 / ((k + 1.0) * (k + 2.0)),
-        lambda k: 1.0 / ((k + 1.0) * (k + 2.0) * (k + 3.0))),
-}
-
-
 def density_u(params: ModelParams, t: float, u):
     """Interior density p(u, t) of U(t) for dim 2 or 3 (series form).
 
-    Takes a scalar or an array u and returns a float or an array.  The
-    density is 0 outside [0, ct]; the edge u = ct is the finite limit
-    (only the k=0 series term survives there).  Evaluated in scaled
-    space, so large lam*t stays finite.
+    Takes a scalar or an array u and returns a float or an array, 0
+    outside [0, ct] and the finite limit at the edge u = ct.  With the
+    ratios R_nu of `scaled_series`, z = xi^2/4 and q = lam^2 u^2/(2c^2),
+    it is lam/c e^{xi - lam t} times z R_2 + (lam t/2) R_1 + q R_2 in
+    dim 2 and z R_2 + (lam t/2) z R_3 + q R_2 + q lam t R_3 in dim 3:
+    non-negative terms, in scaled space, so large lam*t stays finite.
     """
-    if params.dim not in _SERIES_WEIGHTS:
+    if params.dim not in (2, 3):
         raise ValueError("closed-form densities exist for dim 2 and 3 only")
     lam, c = params.lam, params.c
     lt = lam * t
 
     def series(v):
         q = lam * lam * v * v / (2.0 * c * c)
-        sums, xi = scaled_series(lam, c, t, v, _SERIES_WEIGHTS[params.dim])
+        (_, r1, r2, r3), xi = scaled_series(lam, c, t, v)
+        z = 0.25 * xi * xi
+        sums = ((z * r2, r1, r2) if params.dim == 2
+                else (z * r2, z * r3, r2, r3))
         total = sum(a * s for a, s in zip((1.0, 0.5 * lt, q, q * lt), sums))
         return lam / c * np.exp(xi - lt) * total
 
@@ -168,8 +160,8 @@ def density_u_from_coefficients(params: ModelParams, t: float, u):
         raise ValueError("closed-form densities exist for dim 2 and 3 only")
 
     def combination(v):
-        # One series pass holds every t-derivative; they stay scaled by
-        # e^{-xi}, since e^{xi} overflows for lam*t past ~709.
+        # One `scaled_series` call holds every t-derivative; they stay
+        # scaled by e^{-xi}, since e^{xi} overflows for lam*t past ~709.
         *sums, xi = _kernel_sums_scaled(params, t, v)
         total = sum(a * _derivative(sums, params.c, t, v, j, 0)
                     for j, a in enumerate(coeffs))

@@ -19,14 +19,15 @@ absolute residual at each step of a refinement schedule.  `verify` fits
 their order (about 2 for these O(h^2) stencils) and names every row.
 
 The fourth-order operator is the product that the four forward equations
-(d/dt + lam + c d_j.grad) p_j = lam p_{j-1} give, and the simulated planar
-density is constant on each level set |x|+|y| = u (a one-sample KS of the
-position along two level sets against the uniform law, for N=3, N=4 and
-unconditioned at 4e5 paths, does not reject).  So p/(4u) is the exact point
-density whenever p is the true density of U.  The point-field residual
-plateaus because ``laws.density_u`` is not the law of the simulated U
-(the cause shared by the failing conditional-law checks), not because of
-the 1/(4u) coarea factor.
+(d/dt + lam + c d_j.grad) p_j = lam p_{j-1} give.  Given N = n, the
+simulated position is uniform on each level set |x|_1 = u only while
+n <= 2d: KS of |X_1|/U against Beta(1, d-1), its law under that
+uniformity, does not reject for d <= n <= 2d and gives p < 1e-20 at
+n = 8 in dims 2 and 3 (1e5 conditioned paths).  So even for the true
+density p of U, p/(4u) is the planar point density only up to the paths
+with N > 4 (P(N >= 5) ~ 0.0037 at lam*t = 1).  The point-field residual
+plateaus because ``laws.density_u`` is not the law of the simulated U,
+the cause shared by the failing conditional-law checks.
 
 `density_moment` is the one quadrature oracle here: a fixed 64-node
 Gauss-Legendre rule whose nodes come from numpy's ``leggauss`` on first

@@ -1,13 +1,15 @@
-"""The kernel series against scipy's modified Bessel functions.
+"""The kernel's Bessel ratios against scipy and mpmath.
 
-`bessel.scaled_series` is the package's one series loop.  At the point
-u = 0, c = t = 1 its argument is xi = lam, and with the order-nu weights
-k!/Gamma(k+nu+1) its sum is e^{-xi} I_nu(xi) / (xi/2)^nu.  So each order
-checks the loop against scipy's AMOS routines (`scipy.special.iv` and
-`ive`; the package's `bessel_i_scaled` is `ive`).  The loop normalises
-its terms by ive(0, xi), so order 0 pins that normalisation and every
-other order pins the summation.  The kernel sums B_0..B_3 are the
-orders 0..3: B_j (P/r)^{j/2} = ive(j, xi) with r = lam^2/(4c^2).
+`bessel.scaled_series` returns the ratios
+R_nu = e^{-xi} sum_k (xi/2)^{2k} / (k! (k+nu)!) for nu = 0..3, so
+(xi/2)^nu R_nu = ive(nu, xi).  At the point u = 0, c = t = 1 its
+argument is xi = lam, and each order is checked against scipy's AMOS
+routines (`scipy.special.iv` and `ive`; the package's
+`bessel_i_scaled` is `ive`) and, independently, against mpmath.  The
+other orders (half-integers and 4, 5.5) check `bessel._term`, the 0F1
+ratio F_nu = Gamma(nu+1) e^{xi} R_nu that `kernel_integral` evaluates
+at p = (m+1)/2.  The kernel sums B_0..B_3 are the orders 0..3:
+B_j (P/r)^{j/2} = ive(j, xi) with r = lam^2/(4c^2).
 """
 
 import math
@@ -16,31 +18,36 @@ import numpy as np
 import pytest
 from scipy import special
 
-from cyclic_motion.bessel import (_kernel_sums_scaled,
+from cyclic_motion.bessel import (_SMALL_XI, _kernel_sums_scaled, _term,
                                   bessel_i_scaled, kernel_derivative,
-                                  scaled_series)
+                                  kernel_integral, scaled_series)
 from cyclic_motion.model import ModelParams
 
 ORDERS = [0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 5.5]
+SERIES_ORDERS = range(4)  # the orders `scaled_series` returns
 XS = [1e-8, 0.25, 1.0, 5.0, 30.0, 200.0, 700.0]
-# Crosses the old forward-sum limit xi = 680 and the peak start k* = 1.
+# From the edge xi = 0 through the small-argument series to xi = 1e5.
 XI_GRID = [0.0, 1e-8, 0.25, 1.0, 1.999, 2.0, 5.0, 30.0, 200.0, 679.5,
            680.0, 680.5, 700.0, 2000.0, 12345.6, 1e5]
 
 
-def order_weight(nu):
-    return lambda k: 1.0 / special.poch(k + 1.0, nu)
-
-
-def series_i_scaled(nu, x, lam=None, u=0.0):
-    """e^{-x} I_nu(x) from the kernel series at xi = x.
+def ratio(nu, x, lam=None, u=0.0):
+    """(R_nu, xi) at xi = x: `scaled_series` for nu in 0..3, else `_term`.
 
     By default the point is u = 0, lam = x; any (lam, u) with
     lam * sqrt(1 - u^2) = x reaches the same xi.
     """
-    lam = x if lam is None else lam
-    (s,), xi = scaled_series(lam, 1.0, 1.0, u, (order_weight(nu),))
-    return float(s) * (0.5 * float(xi)) ** nu
+    if nu not in SERIES_ORDERS:
+        sign, log = _term(-math.lgamma(nu + 1.0), nu, x, 1.0, scaled=True)
+        return sign * math.exp(log), x
+    ratios, xi = scaled_series(x if lam is None else lam, 1.0, 1.0, u)
+    return float(ratios[nu]), float(xi)
+
+
+def series_i_scaled(nu, x, lam=None, u=0.0):
+    """e^{-x} I_nu(x) from the ratio R_nu at xi = x."""
+    r, xi = ratio(nu, x, lam, u)
+    return r * (0.5 * xi) ** nu
 
 
 @pytest.mark.parametrize("nu", ORDERS)
@@ -61,19 +68,32 @@ def test_bessel_i_scaled_against_scipy(nu, x):
 
 @pytest.mark.parametrize("nu", ORDERS)
 def test_scaled_consistency(nu):
-    # the sums depend on (lam, c, t, u) only through xi
     for x in (0.5, 3.0, 50.0):
-        other = series_i_scaled(nu, x, lam=2.0 * x, u=math.sqrt(0.75))
-        assert other == pytest.approx(series_i_scaled(nu, x), rel=1e-13)
+        if nu in SERIES_ORDERS:
+            # the ratios depend on (lam, c, t, u) only through xi
+            other = series_i_scaled(nu, x, lam=2.0 * x, u=math.sqrt(0.75))
+            assert other == pytest.approx(series_i_scaled(nu, x), rel=1e-13)
+            continue
+        # kernel_integral's F_p at p = nu depends on (lam, c, t) only
+        # through lam*t, times the power (ct)^{m+1}
+        m = round(2 * nu - 1)
+        one = kernel_integral(ModelParams(c=1.0, lam=x, dim=2), 1.0, m)
+        slow = ModelParams(c=2.0, lam=0.5 * x, dim=2)
+        other = kernel_integral(slow, 2.0, m)
+        assert other == pytest.approx(4.0 ** (m + 1) * one, rel=1e-13)
+        assert one == pytest.approx(math.gamma(nu + 1.0) * math.exp(x)
+                                    * ratio(nu, x)[0] / (m + 1), rel=1e-13)
 
 
 def test_x_zero_values():
     # at xi = 0 (the edge u = ct) only the k = 0 term survives
     edge = ModelParams(c=1.0, lam=2.0, dim=2), 1.0, 1.0
     assert _kernel_sums_scaled(*edge) == (1.0, 1.0, 0.5, 1.0 / 6.0, 0.0)
+    ratios, _ = scaled_series(1.0, 1.0, 1.0, 1.0)
+    assert ratios == [1.0, 1.0, 0.5, 1.0 / 6.0]
     for nu in ORDERS:
-        (s,), _ = scaled_series(1.0, 1.0, 1.0, 1.0, (order_weight(nu),))
-        assert s == pytest.approx(1.0 / math.gamma(nu + 1.0), rel=1e-15)
+        assert ratio(nu, 0.0)[0] == pytest.approx(1.0 / math.gamma(nu + 1.0),
+                                                  rel=1e-15)
     assert series_i_scaled(0, 0.0) == 1.0
     assert series_i_scaled(1, 0.0) == 0.0
     assert series_i_scaled(0.5, 0.0) == 0.0
@@ -83,7 +103,7 @@ def test_negative_x_rejected():
     # xi is real only on [0, ct]; one bad point rejects the whole array
     for u in (-0.1, 1.5, [0.2, 1.5], [float("nan")]):
         with pytest.raises(ValueError, match="outside"):
-            scaled_series(1.0, 1.0, 1.0, u, (order_weight(0),))
+            scaled_series(1.0, 1.0, 1.0, u)
     with pytest.raises(ValueError):
         kernel_derivative(ModelParams(c=1.0, lam=1.0, dim=2), 1.0,
                           np.array([0.5, -0.2]))
@@ -97,6 +117,7 @@ def test_overflow_to_inf():
 
 
 def test_half_integer_closed_forms():
+    # `_term`'s F_{1/2} = sinh(x)/x and F_{-1/2} = cosh(x)
     for x in (0.3, 2.0, 10.0):
         assert series_i_scaled(0.5, x) == pytest.approx(
             (1.0 - math.exp(-2 * x)) / math.sqrt(2 * math.pi * x), rel=1e-14)
@@ -129,6 +150,22 @@ def test_known_values():
     x = math.sqrt(0.75)
     assert series_i_scaled(0, x) * math.exp(x) == pytest.approx(
         1.1964743299133564, rel=1e-14)
+
+
+@pytest.mark.parametrize("xi", [0.0, 1e-300, 1e-12,
+                                math.nextafter(_SMALL_XI, 0.0), _SMALL_XI]
+                         + [10.0 ** k for k in range(-3, 9)])
+def test_ratios_against_mpmath(xi):
+    # R_nu = e^{-xi} 0F1(; nu+1; xi^2/4) / nu! at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    ratios, got_xi = scaled_series(xi, 1.0, 1.0, 0.0)
+    assert got_xi == xi
+    with mpmath.workdps(40):
+        x = mpmath.mpf(xi)
+        for nu, got in enumerate(ratios):
+            want = (mpmath.hyp0f1(nu + 1, x * x / 4) * mpmath.exp(-x)
+                    / mpmath.factorial(nu))
+            assert abs(float((got - want) / want)) <= 1e-14, nu
 
 
 def kernel_sums_vs_ive(lam, u):

@@ -116,8 +116,8 @@ def test_representations_agree(params, t):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("lam", [1.0, 100.0, 1000.0])
 def test_coefficient_form_is_one_kernel_pass(dim, lam, monkeypatch):
-    # one series pass gives the same bits as one kernel_derivative per
-    # t-order, each of which runs the whole series
+    # one scaled_series call gives the same bits as one kernel_derivative
+    # per t-order, each of which makes its own call
     c, t = 1.0, 1.0
     params = ModelParams(c=c, lam=lam, dim=dim)
     coeffs = {2: (-lam, 1.0, 2.0 / lam),

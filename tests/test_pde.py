@@ -84,6 +84,23 @@ def test_fourth_order_point_field_residual_does_not_vanish():
     assert min(max_abs) > 1.0
 
 
+@pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (2, 4), (2, 8),
+                                   (3, 3), (3, 4), (3, 5), (3, 6), (3, 8)])
+def test_position_uniform_on_level_sets_only_up_to_2d(dim, n):
+    # uniform on the level set |x|_1 = U makes |X_1|/U ~ Beta(1, d-1);
+    # the simulated position is that for d <= n <= 2d and not at n = 8,
+    # so p/(4u) is the planar point density only where P(N > 4) is small
+    sample = simulate.simulate_ensemble(ModelParams(c=1.0, lam=1.0, dim=dim),
+                                        1.0, 100_000, 11, conditioning=n)
+    ratio = np.sort(np.abs(sample.positions[:, 0]) / sample.u)
+
+    def beta_cdf(v):
+        return 1.0 - (1.0 - v) ** (dim - 1)
+
+    p = stats.ks_one_sample(ratio, beta_cdf).p_value
+    assert p > 0.01 if n <= 2 * dim else p < 1e-20
+
+
 def test_fourth_order_symmetric_in_x_y():
     # the operator treats x and y symmetrically; swapping the split of
     # u into (x, y) must give identical residuals
