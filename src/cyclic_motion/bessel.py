@@ -138,6 +138,11 @@ def kernel_derivative(params: ModelParams, t: float, u, t_order: int = 0,
     overflows (xi beyond ~709) and 0 where it is 0; ``scaled=True``
     returns e^{-xi} times the derivative instead, which is finite for
     every lam*t.
+
+    The orders (0, 2) and (1, 2) are differences of two terms, which
+    cancel where the value crosses zero near u = ct/sqrt(lam*t) at
+    large lam*t: at lam*t = 1e6 and u = 0.001 ct they are 1.3e-10 and
+    1.6e-10 relative from mpmath, and ~1e-16 at 0.01 ct and 0.5 ct.
     """
     orders = require_int(t_order, "t_order"), require_int(u_order, "u_order")
     if orders not in _ALLOWED_ORDERS:
@@ -151,8 +156,10 @@ def kernel_identity_residual(params: ModelParams, t: float, u):
     """Residual of the exact identity d2g/dt2 = c^2 d2g/du2 + lam^2 g.
 
     Evaluated from one pass of the scaled series sums (no differencing);
-    rounding is the only contribution, so the relative size is ~1e-16.
-    Like the kernel itself, the residual is +-inf where e^{xi} overflows.
+    rounding is the only contribution: relative to
+    |g_tt| + c^2 |g_uu| + lam^2 |g| it stayed below 7.3e-16 for lam*t
+    from 1 to 1e6 and u/ct from 0 to 0.999.  Like the kernel itself, the
+    residual is +-inf where e^{xi} overflows.
     """
     lam, c = params.lam, params.c
     *sums, xi = _kernel_sums_scaled(params, t, u)

@@ -243,10 +243,11 @@ def cf_recursion_check(params: ModelParams, n: int, j: int, omega,
             params, m, j, omega, tt)
 
     th = cf_theta(n + 1, j, omega)
+    previous, here = f_n(n - 1, t), f_n(n, t)
     max_abs = []
     for h in h_values:
         dfdt = (f_n(n, t + h) - f_n(n, t - h)) / (2 * h)
-        r = abs(dfdt - f_n(n - 1, t) - 1j * params.c * th * f_n(n, t))
+        r = abs(dfdt - previous - 1j * params.c * th * here)
         max_abs.append(r)
     return h_values, max_abs
 

@@ -23,25 +23,32 @@ in blocks of `_BLOCK_ROWS`, so temporary arrays do not grow with the
 count.
 
 Blocks run concurrently: the calling thread and up to `_WORKERS` - 1
-helper threads each take every `_WORKERS`-th block (numpy drops the GIL
-inside its array loops), and each block writes only its own rows of the
-output.  The helpers live only for the duration of the call.  A block
-is a few large array operations on row-sized arrays.  Its Gammas
-(sampler `classsum-2`) come from one loop over the class pairs (2p,
-2p+1).  A class of at most `_EXP_TERMS` segments is a sum of
-exponentials, one draw per term over the block.  The pair's
-first Marsaglia-Tsang attempt is one draw of 4 slots over the lanes
-where class 2p has more segments: one Box-Muller radius and angle give the
-normals r cos and r sin of the two classes, so a class costs 2 slots
-and half a cosine per attempt.  After the loop only the rejected lanes
-(under 1% at 4 segments) go on, one entry per lane.  A conditioned
-ensemble's class sizes are one column broadcast over the rows; its
-other steps are those of any block.  Each coordinate is one in-range
-gather from the block's table of class pair differences, and the L1
-radius of fewer than 8 coordinates is summed from them in order, as
-numpy's row sum does.  A lane does the same float operations on the
-same slots on every path, so the output does not depend on the block
-size, the layout or the number of threads
+helper threads each take the next unstarted block from one shared,
+lock-guarded queue of block starts (numpy drops the GIL inside its
+array loops), so no thread idles while another has blocks left.  Each
+block writes only its own rows of the output, and the helpers live
+only for the duration of the call.  A block is a few large array
+operations on row-sized arrays.  Its Gammas (sampler `classsum-2`)
+come from one loop over the class pairs (2p, 2p+1).  A class of at
+most `_EXP_TERMS` segments is a sum of exponentials, one draw per term
+over the block.  The pair's first Marsaglia-Tsang attempt is one draw
+of 4 slots over the lanes where class 2p has more segments: one
+Box-Muller radius and angle give the normals r cos and r sin of the
+two classes, so a class costs 2 slots and half a cosine per attempt.
+After the loop only the rejected lanes (under 1% at 4 segments) go
+on, one entry per lane.  A conditioned ensemble's class sizes are one
+column broadcast over the rows; its other steps are those of any
+block.  Each coordinate is one in-range gather from the block's table
+of class pair differences, written to the block's contiguous span of
+that axis's row in the axis-major ``(dim, count)`` output.
+
+A `SampleSet` stores only the coordinates, the event counts and the
+initial directions.  The L1 radius `u` and the `final_direction` are
+derived on first read; the radius of fewer than 8 coordinates is
+summed in order and that of 8 in numpy's pairwise order, as numpy's
+row sum over ``(count, dim)`` positions does.  A lane does the same
+float operations on the same slots on every path, so the output does
+not depend on the block size, the layout or the number of threads
 (`tests/test_sampler_digest.py` pins it).
 """
 
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,7 +96,8 @@ _ROWS = np.arange(4)[:, None]  # slot offsets of a draw's rows
 
 _STRATUM_TOL = 1e-9  # relative tolerance of the u == ct shell test
 # numpy sums a row of this many terms or more pairwise, in eight
-# accumulators; a shorter row it sums in order.
+# accumulators; a shorter row it sums in order.  A row of exactly 8
+# (dims are at most 8) is ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)).
 _PAIRWISE_TERMS = 8
 
 
@@ -125,17 +134,53 @@ class MotionOutcome:
 
 @dataclass
 class SampleSet:
-    """Vector of outcomes from `simulate_ensemble` (column arrays)."""
+    """Vector of outcomes from `simulate_ensemble` (column arrays).
+
+    ``coordinates[a, i]`` is coordinate a of outcome i, stored
+    axis-major; `u` and `final_direction` are derived on first read.
+    """
 
     params: ModelParams
     horizon: float
     conditioning: int | None
     seed: int
-    u: np.ndarray
     n_events: np.ndarray
-    positions: np.ndarray
+    coordinates: np.ndarray
     initial_direction: np.ndarray
-    final_direction: np.ndarray
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The ``(count, dim)`` positions, a transposed view."""
+        return self.coordinates.T
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The L1 radius of each position, summed in the order of numpy's
+        row sum, and ct exactly on the shell."""
+        x = self.coordinates
+        if self.params.dim < _PAIRWISE_TERMS:
+            # The terms in order, as numpy sums fewer than 8 of them.
+            u = np.abs(x[0])
+            term = np.empty_like(u)
+            for row in x[1:]:
+                u += np.abs(row, out=term)
+        else:
+            a = np.abs(x)
+            u = (a[0] + a[1]) + (a[2] + a[3])
+            u += (a[4] + a[5]) + (a[6] + a[7])
+        # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
+        np.copyto(u, self.params.c * self.horizon,
+                  where=self.n_events < self.params.dim)
+        return u
+
+    @cached_property
+    def final_direction(self) -> np.ndarray:
+        """The direction of each path's last segment, 1-based."""
+        final = self.initial_direction - 1
+        final += self.n_events
+        final %= self.params.n_directions
+        final += 1
+        return final
 
     @cached_property
     def _stratum_codes(self) -> np.ndarray:
@@ -147,7 +192,7 @@ class SampleSet:
         return np.array(stratum_labels(self.params.dim))[self._stratum_codes]
 
     def __len__(self) -> int:
-        return len(self.u)
+        return len(self.n_events)
 
     def stratum_counts(self) -> dict[str, int]:
         counts = np.bincount(self._stratum_codes,
@@ -443,8 +488,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     ct = params.c * t
     n_events = np.empty(count, dtype=np.int64)
     j0 = np.empty(count, dtype=np.int64)
-    pos = np.empty((count, dim))
-    u = np.empty(count)
+    coords = np.empty((dim, count))
 
     def block(start: int) -> None:
         stop = min(start + _BLOCK_ROWS, count)
@@ -474,44 +518,35 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         index = np.arange(two_d * rows, (two_d + 1) * rows)
         j *= rows
         index -= j
-        x = np.empty((dim, rows))
+        x = coords[:, start:stop]
         for a in range(dim):
             flat[a * rows:].take(index, out=x[a], mode="clip")
         del diff, flat
         x /= total
         x *= ct
-        pos[start:stop] = x.T
-        # Shell outcomes lie on u = ct exactly; normalising leaves rounding.
-        radius = u[start:stop]
-        if dim < _PAIRWISE_TERMS:
-            # The terms in order, as numpy sums fewer than 8 of them.
-            np.abs(x[0], out=radius)
-            for a in range(1, dim):
-                radius += np.abs(x[a], out=total)  # total is spent
-        else:
-            radius[:] = np.abs(pos[start:stop]).sum(axis=1)
-        np.copyto(radius, ct, where=n < dim)
 
-    # Worker w runs every workers-th block; the caller is worker 0.
-    starts = range(0, count, _BLOCK_ROWS)
-    workers = min(_WORKERS, len(starts))
+    # The caller and its helpers each take the next unstarted block.
+    blocks = range(0, count, _BLOCK_ROWS)
+    workers = min(_WORKERS, len(blocks))
+    starts = iter(blocks)
+    lock = threading.Lock()
 
-    def run(w: int) -> None:
-        for start in starts[w::workers]:
+    def run() -> None:
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
             block(start)
 
     # Threads start on submit; leaving the block joins them, so no
     # thread writes to the output after the return.
     with ThreadPoolExecutor(max(workers - 1, 1),
                             thread_name_prefix="simulate-block") as pool:
-        helpers = [pool.submit(run, w) for w in range(1, workers)]
-        run(0)
+        helpers = [pool.submit(run) for _ in range(1, workers)]
+        run()
     for h in helpers:
         h.result()  # re-raises a helper's exception
-    final = j0 - 1
-    final += n_events
-    final %= two_d
-    final += 1
     return SampleSet(params=params, horizon=t, conditioning=conditioning,
-                     seed=seed, u=u, n_events=n_events, positions=pos,
-                     initial_direction=j0, final_direction=final)
+                     seed=seed, n_events=n_events, coordinates=coords,
+                     initial_direction=j0)

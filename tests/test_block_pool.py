@@ -1,8 +1,8 @@
 """The block threads of `simulate_ensemble` change no byte of its output.
 
 The pinned digests of `test_sampler_digest` are rerun with 1, 2 and 3
-threads, from two calling threads at once, after a block fails and in
-a forked child.
+threads, from two calling threads at once, with a slow calling thread,
+after a block fails and in a forked child.
 """
 
 import os
@@ -54,6 +54,29 @@ def test_concurrent_callers_get_the_pinned_bytes(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {c: [CASES[c]] * 3 for c in cases}
+
+
+def test_a_slow_caller_leaves_its_blocks_to_the_helper(monkeypatch):
+    # 20 blocks of 1000 rows on 2 threads, and every block of the calling
+    # thread 30 ms slower: the blocks go to whichever thread is free.
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    monkeypatch.setattr(simulate, "_BLOCK_ROWS", 1000)
+    class_gammas = simulate._class_gammas
+    caller = threading.current_thread()
+    ran = {"caller": 0, "helper": 0}
+
+    def slow_on_the_caller(keys, m):
+        if threading.current_thread() is caller:
+            ran["caller"] += 1
+            time.sleep(0.03)
+        else:
+            ran["helper"] += 1
+        return class_gammas(keys, m)
+
+    monkeypatch.setattr(simulate, "_class_gammas", slow_on_the_caller)
+    assert digest(_run(LARGE)) == CASES[LARGE]
+    assert ran["caller"] + ran["helper"] == 20
+    assert ran["helper"] > 10
 
 
 @pytest.mark.parametrize("failing", [0, 1, 4])

@@ -138,6 +138,43 @@ def test_kernel_identity_analytic(t, u):
             assert abs(res) < 1e-10
 
 
+@pytest.mark.parametrize("lam_t", [1.0, 30.0, 500.0, 1e4, 1e6])
+@pytest.mark.parametrize("c,t", [(1.0, 1.0), (3.0, 0.3)])
+def test_kernel_identity_residual_is_rounding(c, t, lam_t):
+    # Relative to |g_tt| + c^2 |g_uu| + lam^2 |g|, as the docstring states.
+    # Past lam*t ~ 700 e^{xi} overflows, so there the residual is formed
+    # from the scaled derivatives, as kernel_identity_residual forms it.
+    params = ModelParams(c=c, lam=lam_t / t, dim=2)
+    u = np.linspace(0.0, 0.999, 2001) * c * t
+    scaled = lam_t > 500.0
+    terms = np.array([1.0, -c * c, -params.lam ** 2])[:, None] * [
+        kernel_derivative(params, t, u, *orders, scaled=scaled)
+        for orders in ((2, 0), (0, 2), (0, 0))]
+    residual = (terms.sum(axis=0) if scaled
+                else kernel_identity_residual(params, t, u))
+    assert np.max(np.abs(residual) / np.abs(terms).sum(axis=0)) < 1e-15
+
+
+@pytest.mark.parametrize("orders", [(0, 2), (1, 2)])
+def test_u_derivatives_cancel_where_they_cross_zero(orders):
+    # At lam*t = 1e6 the value crosses zero near u = ct/sqrt(lam*t), where
+    # its two terms cancel: 1.3e-10 and 1.6e-10 relative at 0.001 ct.
+    mpmath = pytest.importorskip("mpmath")
+    lam = 1e6
+    params = ModelParams(c=1.0, lam=lam, dim=2)
+
+    def g(t, u):  # the fixed scale e^{-lam} keeps the t-derivative exact
+        return (mpmath.besseli(0, lam * mpmath.sqrt(t * t - u * u))
+                * mpmath.exp(-lam))
+
+    with mpmath.workdps(40):
+        for frac, tol in ((0.001, 2e-10), (0.01, 1e-15), (0.5, 1e-15)):
+            xi = lam * mpmath.sqrt(1 - mpmath.mpf(frac) ** 2)
+            want = mpmath.diff(g, (1, frac), orders) * mpmath.exp(lam - xi)
+            got = kernel_derivative(params, 1.0, frac, *orders, scaled=True)
+            assert abs(float((got - want) / want)) <= tol, frac
+
+
 def test_large_intensity_stays_finite_scaled_route():
     # xi = 800 * sqrt(1 - 0.09) ~ 763 exceeds the exp overflow threshold
     params = ModelParams(c=1.0, lam=800.0, dim=2)

@@ -341,6 +341,20 @@ def test_cf_recursion_second_order_dim3(n, j):
     assert rep.passed, rep.detail
 
 
+def test_cf_recursion_check_evaluates_each_point_once(monkeypatch):
+    # F_n at t +- h for the three steps, and F_{n-1}(t) and F_n(t) once
+    points = []
+    cf = pde.conditional_cf
+
+    def counted(params, m, j, omega, t):
+        points.append((m, t))
+        return cf(params, m, j, omega, t)
+
+    monkeypatch.setattr(pde, "conditional_cf", counted)
+    cf_recursion_check(P2, 2, 1, (0.5, 0.5), 1.0)
+    assert len(points) == len(set(points)) == 8
+
+
 def test_cf_recursion_guard():
     with pytest.raises(ValueError):
         cf_recursion_check(P2, 0, 1, (1.0, 0.0), 1.0)

@@ -516,6 +516,19 @@ def test_high_dimension_simulation_runs():
     assert np.all((1 <= s.initial_direction) & (s.initial_direction <= 16))
 
 
+def test_radius_and_final_direction_are_derived_on_first_read():
+    params = ModelParams(c=0.75, lam=8.0, dim=8)
+    s = simulate_ensemble(params, 1.0, 2000, 84)
+    positions = s.positions
+    assert "u" not in vars(s) and "final_direction" not in vars(s)
+    # in dim 8 numpy sums each contiguous row pairwise
+    want = np.abs(np.ascontiguousarray(positions)).sum(axis=1)
+    shell = s.n_events < params.dim
+    assert shell.any() and not shell.all()
+    assert np.array_equal(s.u[~shell], want[~shell])
+    assert np.all(s.u[shell] == params.c * 1.0)
+
+
 @pytest.mark.parametrize("n", [2.7, 3.0, True, np.True_, "3", np.float64(3)])
 def test_non_integer_conditioning_rejected(n):
     with pytest.raises(ValueError, match="integer"):
