@@ -22,12 +22,21 @@ ensembles are bit-reproducible under any batching.  Rows are processed
 in blocks of `_BLOCK_ROWS`, so temporary arrays do not grow with the
 count.
 
-Blocks run concurrently: the calling thread and up to `_WORKERS` - 1
-helper threads each take the next unstarted block from one shared,
+Blocks of an ensemble that takes Marsaglia-Tsang attempts run
+concurrently: the calling thread and up to `_WORKERS` - 1 helper
+threads each take the next unstarted block from one shared,
 lock-guarded queue of block starts (numpy drops the GIL inside its
 array loops), so no thread idles while another has blocks left.  Each
 block writes only its own rows of the output, and the helpers live
-only for the duration of the call.  A block is a few large array
+only for the duration of the call.  An ensemble whose typical path
+(its conditioning n, or the Poisson median) has at most `_EXP_TERMS`
+segments in every class runs all its blocks on the calling thread and
+starts no helper.  Its blocks are sums of exponentials: short
+load/store loops (the uint64 mixer, masks, adds) whose threads contend
+for the interpreter lock each call takes, so a helper gained little or
+lost (0.95-1.07x the one-thread time near the rule's boundary on a
+2-vCPU guest), while blocks that take rejection attempts, long in log,
+cos and sqrt, ran in 0.76-0.90x with one.  A block is a few large array
 operations on row-sized arrays.  Its Gammas (sampler `classsum-2`)
 come from one loop over the class pairs (2p, 2p+1).  A class of at
 most `_EXP_TERMS` segments is a sum of exponentials, one draw per term
@@ -80,7 +89,8 @@ MAX_CONDITIONING = 2 ** 53
 
 _BLOCK_ROWS = 1 << 14
 # Threads that run the blocks of an ensemble, the calling thread
-# included.
+# included; an ensemble of sums of exponentials runs on the calling
+# thread alone (see the module docstring).
 _WORKERS = min(4, (len(os.sched_getaffinity(0))
                    if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1))
@@ -485,6 +495,9 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     if conditioning is None:
         lo, cdf = _poisson_table(params.lam * t)
         guide = _guide_table(cdf)
+        typical = lo + int(np.searchsorted(cdf, 0.5))  # the Poisson median
+    else:
+        typical = conditioning
     ct = params.c * t
     n_events = np.empty(count, dtype=np.int64)
     j0 = np.empty(count, dtype=np.int64)
@@ -526,8 +539,11 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         x *= ct
 
     # The caller and its helpers each take the next unstarted block.
+    # Helpers start only where the typical path's largest class takes a
+    # Marsaglia-Tsang attempt (see the module docstring).
     blocks = range(0, count, _BLOCK_ROWS)
-    workers = min(_WORKERS, len(blocks))
+    tsang = _class_sizes(typical + 1, two_d)[0, 0] > _EXP_TERMS
+    workers = min(_WORKERS, len(blocks)) if tsang else 1
     starts = iter(blocks)
     lock = threading.Lock()
 
@@ -539,14 +555,17 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
                 return
             block(start)
 
-    # Threads start on submit; leaving the block joins them, so no
-    # thread writes to the output after the return.
-    with ThreadPoolExecutor(max(workers - 1, 1),
-                            thread_name_prefix="simulate-block") as pool:
-        helpers = [pool.submit(run) for _ in range(1, workers)]
+    if workers == 1:
         run()
-    for h in helpers:
-        h.result()  # re-raises a helper's exception
+    else:
+        # Threads start on submit; leaving the block joins them, so no
+        # thread writes to the output after the return.
+        with ThreadPoolExecutor(workers - 1,
+                                thread_name_prefix="simulate-block") as pool:
+            helpers = [pool.submit(run) for _ in range(1, workers)]
+            run()
+        for h in helpers:
+            h.result()  # re-raises a helper's exception
     return SampleSet(params=params, horizon=t, conditioning=conditioning,
                      seed=seed, n_events=n_events, coordinates=coords,
                      initial_direction=j0)
