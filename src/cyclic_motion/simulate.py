@@ -28,15 +28,7 @@ threads each take the next unstarted block from one shared,
 lock-guarded queue of block starts (numpy drops the GIL inside its
 array loops), so no thread idles while another has blocks left.  Each
 block writes only its own rows of the output, and the helpers live
-only for the duration of the call.  An ensemble whose typical path
-(its conditioning n, or the Poisson median) has at most `_EXP_TERMS`
-segments in every class runs all its blocks on the calling thread and
-starts no helper.  Its blocks are sums of exponentials: short
-load/store loops (the uint64 mixer, masks, adds) whose threads contend
-for the interpreter lock each call takes, so a helper gained little or
-lost (0.95-1.07x the one-thread time near the rule's boundary on a
-2-vCPU guest), while blocks that take rejection attempts, long in log,
-cos and sqrt, ran in 0.76-0.90x with one.  A block is a few large array
+only for the duration of the call.  A block is a few large array
 operations on row-sized arrays.  Its Gammas (sampler `classsum-2`)
 come from one loop over the class pairs (2p, 2p+1).  A class of at
 most `_EXP_TERMS` segments is a sum of exponentials, one draw per term
@@ -50,6 +42,13 @@ column broadcast over the rows; its other steps are those of any
 block.  Each coordinate is one in-range gather from the block's table
 of class pair differences, written to the block's contiguous span of
 that axis's row in the axis-major ``(dim, count)`` output.
+
+An ensemble whose typical path (its conditioning n, or the Poisson
+median) has at most `_EXP_TERMS` segments in every class runs all its
+blocks on the calling thread and starts no helper.  Its blocks are sums
+of exponentials, short load/store loops (the uint64 mixer, masks, adds)
+that a helper was measured not to speed up, while blocks that take
+rejection attempts ran faster with one (timings in ROADMAP.md, item 4).
 
 A `SampleSet` stores only the coordinates, the event counts and the
 initial directions.  The L1 radius `u` and the `final_direction` are
@@ -539,10 +538,11 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         x *= ct
 
     # The caller and its helpers each take the next unstarted block.
-    # Helpers start only where the typical path's largest class takes a
-    # Marsaglia-Tsang attempt (see the module docstring).
+    # Helpers start only where the typical path's largest class, class
+    # 0, takes a Marsaglia-Tsang attempt: it holds more than _EXP_TERMS
+    # of the typical + 1 segments exactly when typical >= _EXP_TERMS * 2d.
     blocks = range(0, count, _BLOCK_ROWS)
-    tsang = _class_sizes(typical + 1, two_d)[0, 0] > _EXP_TERMS
+    tsang = typical >= _EXP_TERMS * two_d
     workers = min(_WORKERS, len(blocks)) if tsang else 1
     starts = iter(blocks)
     lock = threading.Lock()
@@ -555,17 +555,14 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
                 return
             block(start)
 
-    if workers == 1:
+    # Threads start on submit; leaving the block joins them, so no
+    # thread writes to the output after the return.
+    with ThreadPoolExecutor(max(workers - 1, 1),
+                            thread_name_prefix="simulate-block") as pool:
+        helpers = [pool.submit(run) for _ in range(1, workers)]
         run()
-    else:
-        # Threads start on submit; leaving the block joins them, so no
-        # thread writes to the output after the return.
-        with ThreadPoolExecutor(workers - 1,
-                                thread_name_prefix="simulate-block") as pool:
-            helpers = [pool.submit(run) for _ in range(1, workers)]
-            run()
-        for h in helpers:
-            h.result()  # re-raises a helper's exception
+    for h in helpers:
+        h.result()  # re-raises a helper's exception
     return SampleSet(params=params, horizon=t, conditioning=conditioning,
                      seed=seed, n_events=n_events, coordinates=coords,
                      initial_direction=j0)

@@ -347,7 +347,9 @@ def test_batch_invariance_across_row_blocks(monkeypatch):
 def test_no_block_thread_outlives_the_call(monkeypatch):
     monkeypatch.setattr(simulate, "_WORKERS", 2)
     monkeypatch.setattr(simulate, "_BLOCK_ROWS", 1000)
-    simulate_ensemble(P2, 1.0, 3500, 11)
+    # Conditioned n = 12 in dim 2 (m_0 = 4) takes Marsaglia-Tsang
+    # attempts, so its blocks start a helper.
+    simulate_ensemble(P2, 1.0, 3500, 11, conditioning=12)
     assert [t.name for t in threading.enumerate()
             if t.name.startswith("simulate-block")] == []
 
