@@ -1,6 +1,7 @@
 """CLI harness: file formats, determinism, exit codes, round-trips."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import cyclic_motion
+from cyclic_motion import cli, verify
 from cyclic_motion.cli import main
 from cyclic_motion.model import ModelParams
 from cyclic_motion.simulate import SAMPLER_ID
@@ -282,6 +284,98 @@ def test_verify_unknown_suite_exit_1(capsys):
         run_cli("verify", "--suite", "nope", "--seed", "1")
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_bad_conditionals_exit_1(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("density", "--conditionals", "2,x", "--out", str(out))
+    assert exc.value.code == 1
+    assert "expects comma-separated integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_conditionals(tmp_path):
+    out = tmp_path / "d.csv"
+    assert run_cli("density", "--dim", "2", "--points", "3",
+                   "--conditionals", "", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert list(rows[0]) == ["u", "p_unconditional"]
+    out.unlink()
+    assert run_cli("density", "--dim", "1", "--points", "3",
+                   "--conditionals", "", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_unknown_suite_raises_naming_the_suites():
+    # the CLI stops earlier, at argparse's choices
+    with pytest.raises(ValueError, match="unknown suite 'nope'.*limits"):
+        verify.run_suite("nope", 1)
+
+
+def test_git_describe_without_git(monkeypatch):
+    def no_git(*args, **kwargs):
+        raise OSError("no git executable")
+    monkeypatch.setattr(cli.subprocess, "run", no_git)
+    assert cli._git_describe() == "unknown"
+
+
+def _sha256_without_git(data: bytes) -> str:
+    """sha256 of a CSV output with its ``# git=`` line removed."""
+    lines = data.splitlines(keepends=True)
+    return hashlib.sha256(
+        b"".join(ln for ln in lines if not ln.startswith(b"# git="))
+    ).hexdigest()
+
+
+# Each simulate output spans more than two 4,096-row chunks and ends in
+# a partial one; dim 3 at lambda 0.5 holds shell rows and 0.0
+# coordinates, and density at lambda*t 1000 a mostly underflowed column.
+CSV_PINS = {
+    "simulate_dim2": (
+        ["simulate", "--dim", "2", "--count", "10000", "--seed", "7"],
+        "674afef42e9f89b7f4103f042d6977910a6539aaa383c4b2af1638b22acc1740"),
+    "simulate_dim3_lambda0.5": (
+        ["simulate", "--dim", "3", "--lambda", "0.5", "--count", "10000",
+         "--seed", "7"],
+        "968f066e5a1f6d1c840f58b4d53118e8d074946b37408a76bc650fddafea8b46"),
+    "simulate_dim8": (
+        ["simulate", "--dim", "8", "--count", "10000", "--seed", "7"],
+        "090bd600736b851ff9effc843bc30864fe8237ae51f27b174ec96214bd701b40"),
+    "simulate_dim3_n6": (
+        ["simulate", "--dim", "3", "--condition-n", "6", "--count", "10000",
+         "--seed", "7"],
+        "19a68d120c21b46f4c62f15e2d9b28d711656e75c33af7f2e5245742618a6240"),
+    "density_dim1": (
+        ["density", "--dim", "1", "--conditionals", "1,4", "--points",
+         "10001"],
+        "487b026cbd6b029bbe371714d4ffbf8cf39b40ed97754d971119a4d999393723"),
+    "density_dim2_lambda1000": (
+        ["density", "--dim", "2", "--lambda", "1000", "--points", "10001"],
+        "cd44f30e4fc2082ea9ce268b1c5da1a470ef7ad6ffc8eb31f938bf7e1cfe3c3d"),
+    "density_dim3": (
+        ["density", "--dim", "3", "--conditionals", "3,4", "--points",
+         "10001"],
+        "e30d6a9422560092c4a9ac4eb90f16b16a56a2291ee20d67b5f9e50d81d5aac8"),
+}
+
+
+@pytest.mark.parametrize("name", CSV_PINS)
+def test_csv_bytes_are_pinned(tmp_path, name):
+    argv, digest = CSV_PINS[name]
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert _sha256_without_git(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("name", ["simulate_dim3_n6", "density_dim3"])
+def test_stdout_bytes_equal_the_file(tmp_path, capsys, name):
+    argv, _ = CSV_PINS[name]
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", "-") == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_density_stdout(capsys):

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from cyclic_motion import laws, pde, simulate
+from cyclic_motion import laws, pde, rng, simulate
 from cyclic_motion.bessel import MAX_LAMBDA_T, MAX_MOMENT, kernel_integral
-from cyclic_motion.model import ModelParams
+from cyclic_motion.model import ModelParams, classify_stratum
 
 
 def _lt(lt, dim=2):
@@ -81,3 +81,25 @@ def test_conditional_laws_below_dim_are_singular():
     for params in (P1, P2, P3):
         with pytest.raises(laws.SingularStratumError):
             laws.ConditionalLaw(params, params.dim - 1, 1.0)
+
+
+@pytest.mark.parametrize("message,call", [
+    ("n_events must be >= 0", lambda: classify_stratum(-1, 2)),
+    ("n must be >= 0",
+     lambda: simulate.sample_path_conditional(P2, 1.0, -1,
+                                              rng.Substream(7, 0))),
+    ("dim 2 and 3 only",
+     lambda: laws.density_u_from_coefficients(_lt(1.0, 4), 1.0, 0.5)),
+    ("f_field must be one of",
+     lambda: pde.planar_fourth_order_residual(P2, f_field="bogus")),
+], ids=["classify_stratum", "sample_path_conditional",
+        "density_u_from_coefficients", "planar_fourth_order_residual"])
+def test_invalid_argument_raises(message, call):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("t_order,m", [(1, 0), (2, 1), (3, 0)])
+def test_kernel_integral_vanishes_at_tiny_lambda_t(t_order, m):
+    # every log-space term is -inf: the sum is 0.0, not NaN
+    assert kernel_integral(_lt(1e-200), 1.0, m, t_order) == 0.0
