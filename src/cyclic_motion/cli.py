@@ -14,9 +14,10 @@ verify
     Run a verification suite and write a JSON report (array of
     ``{name, statistic, p_value, tolerance, pass, ...}`` objects).
 
-Exit codes: 0 success, 1 bad arguments (any ``ValueError``), 2 I/O
-failure, 3 verification failure.  All randomized subcommands require
-``--seed``; equal flags produce byte-identical output files.
+Exit codes: 0 success, 1 bad arguments (any ``ValueError``) or a size
+too large to allocate (``MemoryError``), 2 I/O failure, 3 verification
+failure.  All randomized subcommands require ``--seed``; equal flags
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -65,44 +66,43 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+# Rows formatted per chunk: a Python float and its list slot take 32
+# bytes against 8 for a double, so larger chunks raise the peak RSS
+# (4,096-row chunks added 2 MB to perfbench export's peak; 1,024 none).
+_CHUNK_ROWS = 1024
 
 
-def _header_lines(args: argparse.Namespace, **extra) -> list[str]:
-    pairs = {
-        "generator": f"cyclic-motion {__version__}",
-        "git": _git_describe(),
-        "c": _fmt(args.c),
-        "lambda": _fmt(args.lam),
-        "dim": args.dim,
-        "t": _fmt(args.t),
-    }
-    pairs.update(extra)
-    return [f"# {k}={v}" for k, v in pairs.items()]
+def _write_csv(args: argparse.Namespace, names: list[str], columns: list,
+               **header) -> None:
+    """Write the header lines, the column names, then one row per index
+    of the equal-length numpy ``columns``, `_CHUNK_ROWS` rows at a time.
+
+    ``str`` of a Python float is its shortest round-trip ``repr``.
+    """
+    pairs = {"generator": f"cyclic-motion {__version__}",
+             "git": _git_describe(), "c": args.c, "lambda": args.lam,
+             "dim": args.dim, "t": args.t, **header}
+    with _open_out(args.out) as f:
+        f.writelines(f"# {k}={v}\n" for k, v in pairs.items())
+        f.write(",".join(names) + "\n")
+        for s in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = [col[s:s + _CHUNK_ROWS].tolist() for col in columns]
+            f.writelines(",".join(map(str, row)) + "\n"
+                         for row in zip(*chunk))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = ModelParams(c=args.c, lam=args.lam, dim=args.dim)
     samples = simulate.simulate_ensemble(
         params, args.t, args.count, args.seed, conditioning=args.condition_n)
-    lines = _header_lines(
-        args, sampler=simulate.SAMPLER_ID, count=args.count, seed=args.seed,
-        condition_n="" if args.condition_n is None else args.condition_n)
     cols = (["replication", "n_events", "u", "stratum"]
             + [f"x{i + 1}" for i in range(params.dim)]
             + ["final_direction"])
-    strata = samples.strata
-    with _open_out(args.out) as f:
-        for line in lines:
-            f.write(line + "\n")
-        f.write(",".join(cols) + "\n")
-        for i in range(args.count):
-            row = [str(i), str(int(samples.n_events[i])),
-                   _fmt(samples.u[i]), strata[i]]
-            row += [_fmt(x) for x in samples.positions[i]]
-            row.append(str(int(samples.final_direction[i])))
-            f.write(",".join(row) + "\n")
+    columns = [np.arange(args.count), samples.n_events, samples.u,
+               samples.strata, *samples.coordinates, samples.final_direction]
+    condition_n = "" if args.condition_n is None else args.condition_n
+    _write_csv(args, cols, columns, sampler=simulate.SAMPLER_ID,
+               count=args.count, seed=args.seed, condition_n=condition_n)
     return EXIT_OK
 
 
@@ -121,15 +121,12 @@ def cmd_density(args: argparse.Namespace) -> int:
                  for n in args.conditionals}
     ct = params.c * args.t
     masses = laws.singular_masses(params, args.t)
-    extra = {}
-    for sm in masses:
-        extra[f"singular_mass_{sm.stratum}"] = _fmt(sm.mass)
-    extra["singular_mass_total"] = _fmt(sum(sm.mass for sm in masses))
-    extra["ac_mass"] = _fmt(laws.ac_mass(params, args.t))
+    extra = {f"singular_mass_{sm.stratum}": sm.mass for sm in masses}
+    extra["singular_mass_total"] = sum(sm.mass for sm in masses)
+    extra["ac_mass"] = laws.ac_mass(params, args.t)
     if params.dim == 2:
-        extra["mean_u"] = _fmt(laws.mean_u(params, args.t))
-        extra["moment2_u"] = _fmt(laws.moment_u(params, 2, args.t))
-    lines = _header_lines(args, points=args.points, **extra)
+        extra["mean_u"] = laws.mean_u(params, args.t)
+        extra["moment2_u"] = laws.moment_u(params, 2, args.t)
     cols = ["u"]
     if has_unconditional:
         cols.append("p_unconditional")
@@ -139,12 +136,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     if has_unconditional:
         columns.append(laws.density_u(params, args.t, us))
     columns += [cond_laws[n].density(us) for n in sorted(cond_laws)]
-    with _open_out(args.out) as f:
-        for line in lines:
-            f.write(line + "\n")
-        f.write(",".join(cols) + "\n")
-        for row in zip(*columns):
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+    _write_csv(args, cols, columns, points=args.points, **extra)
     return EXIT_OK
 
 
@@ -227,6 +219,9 @@ def main(argv=None) -> int:
         return command(args)
     except ValueError as exc:  # a parameter outside a supported range
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"{args.command}: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"{args.command}: I/O error: {exc}", file=sys.stderr)

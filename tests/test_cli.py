@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -320,6 +321,18 @@ def test_git_describe_without_git(monkeypatch):
     assert cli._git_describe() == "unknown"
 
 
+def test_unallocatable_size_exit_1(tmp_path, capsys):
+    # 10**15 grid points take 8 PB per column: the allocation fails at
+    # once, before any memory is touched
+    out = tmp_path / "x.csv"
+    assert run_cli("density", "--points", str(10 ** 15),
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("density: not enough memory: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def _sha256_without_git(data: bytes) -> str:
     """sha256 of a CSV output with its ``# git=`` line removed."""
     lines = data.splitlines(keepends=True)
@@ -328,8 +341,8 @@ def _sha256_without_git(data: bytes) -> str:
     ).hexdigest()
 
 
-# Each simulate output spans more than two 4,096-row chunks and ends in
-# a partial one; dim 3 at lambda 0.5 holds shell rows and 0.0
+# Each simulate output spans more than two of the writer's chunks and
+# ends in a partial one; dim 3 at lambda 0.5 holds shell rows and 0.0
 # coordinates, and density at lambda*t 1000 a mostly underflowed column.
 CSV_PINS = {
     "simulate_dim2": (
@@ -378,6 +391,18 @@ def test_stdout_bytes_equal_the_file(tmp_path, capsys, name):
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
+def test_csv_rows_format_each_float_by_repr(tmp_path):
+    # no pinned output holds these values; str of each float must
+    # equal its repr, so the file round-trips bit-exactly
+    values = np.array([-0.0, 5e-324, 1e-05, 0.1, 1e16, 2.0 ** 53 + 2,
+                       -math.inf, math.nan])
+    out = tmp_path / "x.csv"
+    args = types.SimpleNamespace(c=1.0, lam=1.0, dim=2, t=1.0, out=str(out))
+    cli._write_csv(args, ["i", "x"], [np.arange(8), values])
+    rows = out.read_text().splitlines()[7:]
+    assert rows == [f"{i},{v!r}" for i, v in enumerate(values.tolist())]
+
+
 def test_density_stdout(capsys):
     assert run_cli("density", "--dim", "2", "--points", "3") == 0
     captured = capsys.readouterr()
@@ -419,7 +444,8 @@ def test_quadrature_suites_load_no_scipy_integrate():
 
 
 def test_cli_import_starts_no_threads():
-    # The block pool of simulate_ensemble is created on first use.
+    # simulate_ensemble starts its helper threads inside a call, and
+    # only for ensembles that take Marsaglia-Tsang attempts.
     src = os.path.dirname(os.path.dirname(cyclic_motion.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "import threading, cyclic_motion.cli; "
