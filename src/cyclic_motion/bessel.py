@@ -25,7 +25,7 @@ import math
 import numpy as np
 from scipy.special import ive as bessel_i_scaled
 
-from .model import ModelParams, require_horizon, require_int
+from .model import _SCALE, ModelParams, require_horizon, require_int
 
 _REL_TOL = 1e-17
 # Below this xi, R_nu is its two-term series e^{-xi} (1 + z/(nu+1)) / nu!,
@@ -74,11 +74,14 @@ def scaled_series(lam: float, c: float, t: float,
     with R_nu = e^{-xi} sum_k z^k / (k! (k+nu)!) = (2/xi)^nu ive(nu, xi)
     and z = xi^2/4; below ``_SMALL_XI`` the two-term series stands in
     for the ratio, exactly 1/nu! at the edge xi = 0.  ``t`` must be
-    finite and >= 0, and u in [0, ct].
+    finite and >= 0, lam/c at most ``model._SCALE`` (the callers form
+    its square) and u in [0, ct].
     """
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     require_lambda_t(lam, t)
+    if lam > _SCALE * c:
+        raise ValueError(f"lam/c={lam / c:g} above the supported {_SCALE:g}")
     ct = c * t
     u = _check_u(ct, u)
     xi = (lam / c) * np.sqrt(np.maximum(0.0, (ct - u) * (ct + u)))
@@ -98,6 +101,8 @@ def _kernel_sums_scaled(params: ModelParams, t: float, u):
     r = lam^2/(4c^2), so B_j = r^j R_j; all t/u derivatives of g up to
     the supported orders are linear combinations of these.
     """
+    if t:  # t = 0, the kernel's initial value, has no reach to check
+        require_horizon(t, "t", params)
     lam, c = params.lam, params.c
     r = lam * lam / (4.0 * c * c)
     ratios, xi = scaled_series(lam, c, t, u)
@@ -242,7 +247,7 @@ def kernel_integral(params: ModelParams, t: float, m: int,
         raise ValueError(f"unsupported kernel_integral pair (m={m}, t_order={t_order})")
     if t_order == 3 and m != 0:
         raise ValueError("t_order=3 is only available for m=0")
-    require_horizon(t, "t")
+    require_horizon(t, "t", params)
     lam, c = params.lam, params.c
     x = require_lambda_t(lam, t)
     log_c, log_lam = math.log(c), math.log(lam)

@@ -181,24 +181,24 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_model_flags(p, need_seed):
+    def add_model_flags(p):
         p.add_argument("--dim", type=int, default=2)
         p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                        help="switch intensity")
         p.add_argument("--c", type=float, default=1.0, help="speed")
         p.add_argument("--t", type=float, default=1.0, help="horizon")
-        p.add_argument("--seed", type=int, required=need_seed,
-                       help="RNG seed (required: no wall-clock seeding)")
         p.add_argument("--out", default="-", help="output path (default -)")
 
     p_sim = sub.add_parser("simulate", help="write one CSV row per path")
-    add_model_flags(p_sim, need_seed=True)
+    add_model_flags(p_sim)
+    p_sim.add_argument("--seed", type=int, required=True,
+                       help="RNG seed (required: no wall-clock seeding)")
     p_sim.add_argument("--count", type=int, default=1000)
     p_sim.add_argument("--condition-n", dest="condition_n", type=int,
                        default=None, help="fix the switch count")
 
     p_den = sub.add_parser("density", help="tabulate radius densities")
-    add_model_flags(p_den, need_seed=False)
+    add_model_flags(p_den)
     p_den.add_argument("--points", type=int, default=101,
                        help="grid rows over [0, ct]")
     p_den.add_argument("--conditionals", type=_parse_conditionals,

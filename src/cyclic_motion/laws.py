@@ -1,4 +1,8 @@
-"""Closed-form distributions of the L1 radius U(t).
+"""Closed-form distributions of the L1 radius U(t), and the law of N(t).
+
+N(t) is Poisson(lam*t); its trimmed support (`_poisson_support`) is
+decided here once, for the sampler's inversion table and the Poisson
+mixtures alike.  Nothing here imports the sampler or the checks.
 
 The law of U(t) splits into a singular part on the shell u = ct
 (carried by paths with fewer than d events, see `singular_masses`) and
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
+from scipy.special import gammaln, pdtr, pdtrc, xlogy
 
 from .bessel import (MAX_MOMENT, _derivative, _kernel_sums_scaled,
                      _sum_exp, _term, bessel_i_scaled, like_input,
@@ -37,12 +41,11 @@ from .bessel import (MAX_MOMENT, _derivative, _kernel_sums_scaled,
 # Nothing here calls kernel_derivative; it stays a global of this module
 # because perfbench's tracer wraps laws.kernel_derivative by name.
 from .bessel import kernel_derivative  # noqa: F401
-from .model import (ModelParams, face_label, require_horizon, require_int,
-                    VERTEX)
-from .simulate import _poisson_table
+from .model import (ModelParams, require_horizon, require_int,
+                    stratum_labels)
 
 # Largest lam*t that `cdf_u` and `mixture_density` take (the sampler
-# takes up to `simulate.MAX_MEAN_EVENTS`): their polynomials have degree
+# takes up to `bessel.MAX_LAMBDA_T`): their polynomials have degree
 # about lam*t/2, so time and memory grow linearly with it.
 MAX_MIXTURE_EVENTS = 1e6
 # Largest n of a conditional law, for the same reason; it covers every
@@ -53,6 +56,8 @@ MAX_SWITCHES = 1 << 20
 MAX_MEAN_SWITCHES = 1 << 16
 # Block values per row that `_horner` holds at once (points x blocks).
 _HORNER_ENTRIES = 1 << 16
+# Poisson mass left out at each end of the support of N(t).
+_TAIL = 2.0 ** -60
 
 
 class SingularStratumError(ValueError):
@@ -67,6 +72,33 @@ class SingularStratumError(ValueError):
 def poisson_pmf(n: int, mu: float) -> float:
     """P(N=n) for N ~ Poisson(mu): a float for an int n, else an array."""
     return like_input(n, np.exp(-mu + xlogy(n, mu) - gammaln(n + 1)))
+
+
+def _poisson_support(mu: float) -> tuple[int, int]:
+    """``(lo, hi)`` for N ~ Poisson(mu), mu <= `bessel.MAX_LAMBDA_T`: the
+    first k with P(N <= k) >= 2**-60 and the first with P(N > k) <
+    2**-60, each by bisection (O(log mu) `pdtr`/`pdtrc` calls)."""
+    require_lambda_t(mu, 1.0)  # mu is lam*t
+    # Both Poisson tails beyond 10 sqrt(mu) + 60 are far below 2**-60.
+    half = 10.0 * math.sqrt(mu) + 60.0
+    # floor(mu) lies below the median (>= mu - ln 2), where both
+    # P(N <= k) and P(N > k) are >= 1/2: it splits the two searches.
+    mid = math.floor(mu)
+    lo = _bisect(lambda k: pdtr(k, mu) >= _TAIL, max(0, int(mu - half)), mid)
+    hi = _bisect(lambda k: pdtrc(k, mu) < _TAIL, mid, int(mu + half))
+    return lo, hi
+
+
+def _bisect(pred, lo: int, hi: int) -> int:
+    """The first k in [lo, hi] with ``pred(k)``; pred is monotone and
+    holds at hi."""
+    while lo < hi:
+        k = (lo + hi) // 2
+        if pred(k):
+            hi = k
+        else:
+            lo = k + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -91,11 +123,9 @@ def singular_masses(params: ModelParams, t: float) -> list[StratumMass]:
     absolutely continuous interior mass `ac_mass`.
     """
     require_horizon(t, "t")
-    out = [StratumMass(VERTEX, poisson_pmf(0, params.lam * t),
-                       2 * params.dim)]
-    for k in range(1, params.dim):
-        out.append(StratumMass(face_label(k), poisson_pmf(k, params.lam * t), 1))
-    return out
+    return [StratumMass(label, poisson_pmf(k, params.lam * t),
+                        2 * params.dim if k == 0 else 1)
+            for k, label in enumerate(stratum_labels(params.dim)[:-1])]
 
 
 def ac_mass(params: ModelParams, t: float) -> float:
@@ -110,7 +140,7 @@ def _on_support(params: ModelParams, t: float, u, density):
 
     A float for a scalar u, else an array.
     """
-    require_horizon(t, "t")
+    require_horizon(t, "t", params)
     u_arr = np.asarray(u, dtype=float)
     if np.isnan(u_arr).any():
         raise ValueError("u must not be NaN")
@@ -135,8 +165,8 @@ def density_u(params: ModelParams, t: float, u):
     lt = lam * t
 
     def series(v):
-        q = lam * lam * v * v / (2.0 * c * c)
         (_, r1, r2, r3), xi = scaled_series(lam, c, t, v)
+        q = lam * lam * v * v / (2.0 * c * c)
         z = 0.25 * xi * xi
         sums = ((z * r2, r1, r2) if params.dim == 2
                 else (z * r2, z * r3, r2, r3))
@@ -154,15 +184,16 @@ def density_u_from_coefficients(params: ModelParams, t: float, u):
     (A, B, C, D) = (-lam, -3, 2/lam, 4/lam^2) in dimension 3.
     """
     lam = params.lam
-    coeffs = {2: (-lam, 1.0, 2.0 / lam),
-              3: (-lam, -3.0, 2.0 / lam, 4.0 / lam ** 2)}.get(params.dim)
-    if coeffs is None:
+    if params.dim not in (2, 3):
         raise ValueError("closed-form densities exist for dim 2 and 3 only")
 
     def combination(v):
         # One `scaled_series` call holds every t-derivative; they stay
         # scaled by e^{-xi}, since e^{xi} overflows for lam*t past ~709.
+        # Its scale checks come first, so lam ** 2 does not overflow.
         *sums, xi = _kernel_sums_scaled(params, t, v)
+        coeffs = ((-lam, 1.0, 2.0 / lam) if params.dim == 2
+                  else (-lam, -3.0, 2.0 / lam, 4.0 / lam ** 2))
         total = sum(a * _derivative(sums, params.c, t, v, j, 0)
                     for j, a in enumerate(coeffs))
         return np.exp(xi - lam * t) / params.c * total
@@ -174,14 +205,15 @@ def density_u_closed_form(params: ModelParams, t: float, u):
     """Interior density via the I0/I1 expression (dim 2, 0 <= u < ct)."""
     if params.dim != 2:
         raise ValueError("the I0/I1 closed form is planar (dim 2) only")
-    require_horizon(t, "t")
+    require_horizon(t, "t", params)
     lam, c = params.lam, params.c
     lt = require_lambda_t(lam, t)
     ct = c * t
     v = np.asarray(u, dtype=float)
-    if not np.all((v >= 0) & (v < ct)):
-        raise ValueError("closed form requires 0 <= u < ct (0/0 at the edge)")
     p_fac = (ct - v) * (ct + v)
+    # p_fac is 0 at the edge and where it underflows (c*t below ~1e-154)
+    if not np.all((v >= 0) & (p_fac > 0)):
+        raise ValueError("closed form requires 0 <= u < ct (0/0 at the edge)")
     xi = lam / c * np.sqrt(p_fac)
     s = ct * ct + v * v
     i0 = bessel_i_scaled(0, xi)
@@ -274,7 +306,7 @@ class _Mixture:
 
     def __init__(self, params: ModelParams, horizon: float, ns, weights):
         self.params = params
-        self.horizon = require_horizon(horizon, "t")
+        self.horizon = require_horizon(horizon, "t", params)
         j, b = _cond_shape(params, ns)
         size = j.max(initial=0) + 1
         k = np.arange(1, size)
@@ -341,7 +373,7 @@ def mean_u(params: ModelParams, t: float) -> float:
     """
     if params.dim != 2:
         raise ValueError("the closed-form mean is planar (dim 2) only")
-    require_horizon(t, "t")
+    require_horizon(t, "t", params)
     lam, c = params.lam, params.c
     lt = require_lambda_t(lam, t)
     _, log_tail = _term(math.log(2.0 * c / lam), 0.0, lt, 0.0, scaled=True)
@@ -368,7 +400,7 @@ def moment_u(params: ModelParams, m: int, t: float) -> float:
     m = require_int(m, "m")
     if not 0 <= m <= MAX_MOMENT:
         raise ValueError(f"m must be in 0..{MAX_MOMENT}, got {m}")
-    require_horizon(t, "t")
+    require_horizon(t, "t", params)
     lam, c = params.lam, params.c
     lt = require_lambda_t(lam, t)
     log_ct = math.log(c * t)
@@ -401,23 +433,23 @@ def conditional_mean_u(n: int) -> float:
 
 def _poisson_terms(params: ModelParams,
                    t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(ns, P(N=ns)) for n = dim up to where the sampler's Poisson table
-    stops, at the first n with P(N > n) < 2**-60.  At large lam*t the
+    """(ns, P(N=ns)) for n = dim up to the top of `_poisson_support`,
+    the first n with P(N > n) < 2**-60.  At large lam*t the
     terms start higher, where P(N=n)/P(N=mode) is about to leave the
     normal range (`_normal_cumprod`).  Dims outside 1-3
     raise even when the arrays would be empty, and so does lam*t above
     `MAX_MIXTURE_EVENTS`."""
     _require_cond_dim(params)
-    require_horizon(t, "t")
+    require_horizon(t, "t", params)
     lt = params.lam * t
     if lt > MAX_MIXTURE_EVENTS:
         raise ValueError(f"lam*t={lt:g} above the supported "
                          f"{MAX_MIXTURE_EVENTS:g} of the Poisson mixtures")
-    lo, cdf = _poisson_table(lt)
+    lo, last = _poisson_support(lt)
     # Products of the term ratios k/lt and lt/k away from the mode, over
-    # the table (its tails hold < 2**-59): 4e-15 at lt = 1e5, where
+    # the support (its tails hold < 2**-59): 4e-15 at lt = 1e5, where
     # lgamma's rounding gives 3e-10.
-    first, last = min(params.dim, lo), lo + cdf.size - 1
+    first = min(params.dim, lo)
     mode = min(int(lt), last)
     down = _normal_cumprod(np.arange(mode, first, -1) / lt)[::-1]
     ratios = np.concatenate([down, [1.0],

@@ -48,11 +48,28 @@ class ModelParams:
         return 2 * self.dim
 
 
-def require_horizon(t: float, name: str = "horizon") -> float:
-    """``t`` as a float, or ValueError unless it is finite and > 0."""
+# Supported scales: the speed c in [_MIN_SPEED, _SCALE], the reach c*t
+# in [_MIN_REACH, _SCALE] and, where the Bessel forms square it, lam/c
+# up to _SCALE.  Inside them no square, cube or 1/(c*t) that a law
+# forms overflows or turns 0/0.
+_SCALE = 1e30
+_MIN_SPEED = 1e-30
+_MIN_REACH = 1e-300
+
+
+def require_horizon(t: float, name: str = "horizon",
+                    params: ModelParams | None = None) -> float:
+    """``t`` as a float, or ValueError unless it is finite and > 0 and,
+    given ``params``, the speed c and the reach c*t are supported scales."""
     t = float(t)
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"{name} must be finite and > 0, got {t}")
+    if params is not None:
+        for scale, value, low in (("speed c", params.c, _MIN_SPEED),
+                                  ("reach c*t", params.c * t, _MIN_REACH)):
+            if not low <= value <= _SCALE:
+                raise ValueError(f"{scale}={value:g} outside the supported "
+                                 f"scales {low:g}..{_SCALE:g}")
     return t
 
 
@@ -82,10 +99,6 @@ class Direction:
         return 1 if self.index <= self.dim else -1
 
 
-VERTEX = "vertex"
-INTERIOR = "interior"
-
-
 def face_label(n: int) -> str:
     """Label of the shell stratum reached after n < dim events."""
     return f"face{n}"
@@ -101,13 +114,10 @@ def classify_stratum(n_events: int, dim: int) -> str:
     """
     if require_int(n_events, "n_events") < 0:
         raise ValueError("n_events must be >= 0")
-    if n_events >= dim:
-        return INTERIOR
-    if n_events == 0:
-        return VERTEX
-    return face_label(n_events)
+    return stratum_labels(dim)[min(n_events, dim)]
 
 
 def stratum_labels(dim: int) -> list[str]:
-    """All strata in canonical order: vertex, face1, ..., interior."""
-    return [VERTEX] + [face_label(k) for k in range(1, dim)] + [INTERIOR]
+    """All strata in canonical order: vertex, face1, ..., interior; the
+    stratum of a path with n events is entry min(n, dim)."""
+    return ["vertex"] + [face_label(k) for k in range(1, dim)] + ["interior"]

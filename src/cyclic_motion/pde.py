@@ -202,7 +202,7 @@ def conditional_cf(params: ModelParams, n: int, j: int, omega,
     the n! (with ones, the entry is lost to rounding by n ~ 20).
     """
     from scipy.linalg import expm  # here, not at the top: start-up time
-    t = require_horizon(t, "t")
+    t = require_horizon(t, "t", params)
     if len(omega) != params.dim:
         raise ValueError(f"omega must have dim={params.dim} components")
     if not np.all(np.isfinite(omega)):
@@ -232,7 +232,7 @@ def cf_recursion_check(params: ModelParams, n: int, j: int, omega,
     """
     if n < 1:
         raise ValueError("the recursion needs n >= 1")
-    t = require_horizon(t, "t")
+    t = require_horizon(t, "t", params)
     h_values = [0.02, 0.01, 0.005]
     if t <= h_values[0]:
         raise ValueError(f"t must exceed the largest step {h_values[0]}, "

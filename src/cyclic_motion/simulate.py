@@ -14,7 +14,8 @@ cycle direction (j0-1+k) mod 2d, so the 2d direction-class sums are
 t*Dirichlet(m_0, ..., m_{2d-1}) with m_q the number of segments
 k <= n with k = q mod 2d (Dirichlet aggregation; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. XI).  A path costs
-one Poisson inversion (through a guide table, `_invert`) and 2d
+one Poisson inversion (through a guide table, `_invert`, of the CDF over
+the support of N(t) that `laws._poisson_support` trims) and 2d
 Gamma(m_q) variates, whatever lam*t is; conditioning on N(t)=n only
 fixes N.  Every draw of replication i reads a fixed slot of substream
 i (layout in `rng`), so replication i depends only on (seed, i) and
@@ -62,7 +63,6 @@ not depend on the block size, the layout or the number of threads
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -73,15 +73,13 @@ import numpy as np
 from scipy import special
 
 from . import rng
+from .laws import _poisson_support
 from .model import (Direction, ModelParams, classify_stratum,
                     require_horizon, require_int, stratum_labels)
 
 # Algorithm id of `simulate_ensemble`, written into every output: the
 # samples of a given seed change whenever it does.
 SAMPLER_ID = "classsum-2"
-# Largest supported lam*t of an unconditioned ensemble (the Poisson
-# inversion table holds about 20 sqrt(lam*t) entries).
-MAX_MEAN_EVENTS = 1e8
 # Largest supported conditioning n: n + 1 fits int64 and every class
 # size converts to float exactly.
 MAX_CONDITIONING = 2 ** 53
@@ -93,7 +91,6 @@ _BLOCK_ROWS = 1 << 14
 _WORKERS = min(4, (len(os.sched_getaffinity(0))
                    if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1))
-_TAIL = 2.0 ** -60
 _GUIDE_MAX = 1 << 16  # buckets of the Poisson guide table
 _EXP_TERMS = 3  # Gamma(m) with m <= 3 is a sum of m exponentials
 # Substream slots: initial direction, Poisson draw, then _EXP_TERMS
@@ -219,7 +216,7 @@ def _direction_index(u, two_d: int):
 def sample_path(params: ModelParams, horizon: float,
                 stream: rng.Substream) -> MotionPath:
     """Unconditional path: uniform initial direction, Poisson switches."""
-    horizon = require_horizon(horizon)
+    horizon = require_horizon(horizon, params=params)
     j0 = 1 + int(_direction_index(stream.uniform(), params.n_directions))
     times = []
     s = 0.0
@@ -235,7 +232,7 @@ def sample_path(params: ModelParams, horizon: float,
 def sample_path_conditional(params: ModelParams, horizon: float, n: int,
                             stream: rng.Substream) -> MotionPath:
     """Path conditioned on N(t)=n: switch times are n sorted uniforms."""
-    horizon = require_horizon(horizon)
+    horizon = require_horizon(horizon, params=params)
     if require_int(n, "n") < 0:
         raise ValueError("n must be >= 0")
     j0 = 1 + int(_direction_index(stream.uniform(), params.n_directions))
@@ -266,41 +263,15 @@ def evolve(path: MotionPath) -> MotionOutcome:
 
 
 def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
-    """``(lo, F)`` with ``F[k] = P(N <= lo + k)`` for N ~ Poisson(mu).
-
-    The table stops at the first k with P(N > k) < 2**-60 (its last
-    entry is set to 1) and starts at the first k with
-    P(N <= k) >= 2**-60.  `rng` uniforms are >= 2**-54, so inversion
-    never lands below ``lo`` and the trimmed table inverts exactly as
-    the full one; it holds O(sqrt(mu)) entries.  Both ends are found by
-    bisection, so `special.pdtr` is evaluated only inside the table.
+    """``(lo, F)`` with ``F[k] = P(N <= lo + k)`` over the support of
+    N ~ Poisson(mu) from `laws._poisson_support`, the last entry set to
+    1.  `rng` uniforms are >= 2**-54, so inversion never lands below
+    ``lo`` and the O(sqrt(mu)) entries invert exactly as the full table.
     """
-    if mu > MAX_MEAN_EVENTS:
-        raise ValueError(f"lam*t={mu:g} above the supported "
-                         f"{MAX_MEAN_EVENTS:g}")
-    # Both Poisson tails beyond 10 sqrt(mu) + 60 are far below 2**-60.
-    half = 10.0 * math.sqrt(mu) + 60.0
-    # floor(mu) lies below the median (>= mu - ln 2), where both
-    # P(N <= k) and P(N > k) are >= 1/2: it splits the two searches.
-    mid = math.floor(mu)
-    lo = _bisect(lambda k: special.pdtr(k, mu) >= _TAIL,
-                 max(0, int(mu - half)), mid)
-    hi = _bisect(lambda k: special.pdtrc(k, mu) < _TAIL, mid, int(mu + half))
+    lo, hi = _poisson_support(mu)
     cdf = special.pdtr(np.arange(lo, hi + 1), mu)
     cdf[-1] = 1.0
     return lo, cdf
-
-
-def _bisect(pred, lo: int, hi: int) -> int:
-    """The first k in [lo, hi] with ``pred(k)``; pred is monotone and
-    holds at hi."""
-    while lo < hi:
-        k = (lo + hi) // 2
-        if pred(k):
-            hi = k
-        else:
-            lo = k + 1
-    return lo
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -482,7 +453,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
     count, seed = require_int(count, "count"), require_int(seed, "seed")
     if count < 1:
         raise ValueError("count must be >= 1")
-    t = require_horizon(horizon)
+    t = require_horizon(horizon, params=params)
     if conditioning is not None:
         conditioning = require_int(conditioning, "conditioning")
         if conditioning < 0:

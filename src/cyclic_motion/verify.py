@@ -32,7 +32,7 @@ import numpy as np
 
 from . import laws, pde, simulate, stats
 from .bessel import kernel_identity_residual
-from .model import ModelParams
+from .model import ModelParams, stratum_labels
 from .rng import Substream
 from .stats import TestReport
 
@@ -87,12 +87,9 @@ def strata_masses_3d(seed: int) -> list[TestReport]:
         counts, vert = _strata_and_vertices(params, t, seed + i)
         lt = lam * t
         p0 = math.exp(-lt)
-        expected = {
-            "vertex": p0,
-            "face1": lt * p0,
-            "face2": 0.5 * lt * lt * p0,
-            "interior": 1.0 - p0 * (1.0 + lt + 0.5 * lt * lt),
-        }
+        expected = dict(zip(stratum_labels(3), (
+            p0, lt * p0, 0.5 * lt * lt * p0,
+            1.0 - p0 * (1.0 + lt + 0.5 * lt * lt))))
         reports.append(stats.chi_square_masses(
             counts, expected, name=f"strata_masses_3d_lt{lt:g}"))
         observed = {f"vertex{j}": int(np.sum(vert == j)) for j in range(1, 7)}

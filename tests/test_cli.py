@@ -185,7 +185,8 @@ def test_invalid_params_exit_1(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "density"])
 @pytest.mark.parametrize("horizon", ["nan", "inf"])
 def test_non_finite_horizon_exit_1(tmp_path, capsys, command, horizon):
-    assert run_cli(command, "--t", horizon, "--seed", "1",
+    seed = ("--seed", "1") if command == "simulate" else ()
+    assert run_cli(command, "--t", horizon, *seed,
                    "--out", str(tmp_path / "x.csv")) == 1
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
@@ -211,11 +212,53 @@ def test_density_at_vanishing_lambda_t(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "density"])
 def test_lambda_t_above_the_supported_range_exit_1(tmp_path, capsys, command):
-    size = ("--count", "1") if command == "simulate" else ("--points", "3")
-    assert run_cli(command, "--lambda", "1e9", *size, "--seed", "1",
+    size = (("--count", "1", "--seed", "1") if command == "simulate"
+            else ("--points", "3"))
+    assert run_cli(command, "--lambda", "1e9", *size,
                    "--out", str(tmp_path / "x.csv")) == 1
     assert "above the supported" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+# Commands whose speed c or reach c*t lies outside the supported scales
+# (each wrote NaN or inf, or failed with "math domain error"), and the
+# same commands with that scale on its bound.
+_SCALE_PROBES = [
+    (("simulate", "--c", "1e200", "--t", "1e200", "--lambda", "1e-199",
+      "--count", "5", "--seed", "1"),
+     ("simulate", "--c", "1e30", "--t", "1", "--lambda", "1e-30",
+      "--count", "5", "--seed", "1")),
+    (("simulate", "--c", "1e200", "--t", "1e200", "--lambda", "1e-250",
+      "--dim", "3", "--count", "5", "--seed", "1"),
+     ("simulate", "--c", "1", "--t", "1e30", "--lambda", "1e-30",
+      "--dim", "3", "--count", "5", "--seed", "1")),
+    (("density", "--c", "1e-200", "--t", "1e200", "--lambda", "1e-200",
+      "--points", "3"),
+     ("density", "--c", "1e-30", "--t", "1e30", "--lambda", "1e-30",
+      "--points", "3")),
+    (("density", "--c", "1e160", "--t", "1", "--lambda", "1e-160", "--dim",
+      "3", "--conditionals", "3"),
+     ("density", "--c", "1e30", "--t", "1", "--lambda", "1e-30", "--dim",
+      "3", "--conditionals", "3")),
+    (("density", "--c", "1e200", "--t", "1e200", "--lambda", "1e-199"),
+     ("density", "--c", "1e30", "--t", "1", "--lambda", "1e-29")),
+]
+
+
+@pytest.mark.parametrize("outside,inside", _SCALE_PROBES)
+def test_scales_outside_the_supported_range_exit_1(tmp_path, capsys,
+                                                   outside, inside):
+    out = tmp_path / "x.csv"
+    assert run_cli(*outside, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "outside the supported scales" in err
+    assert not out.exists()
+    assert run_cli(*inside, "--out", str(out)) == 0
+    headers, rows = read_csv(out)
+    numbers = [v for k, v in headers.items()
+               if k.startswith(("singular", "ac_", "mean", "moment"))]
+    numbers += [v for row in rows for k, v in row.items() if k != "stratum"]
+    assert rows and all(math.isfinite(float(v)) for v in numbers)
 
 
 @pytest.mark.parametrize("n", ["9223372036854775807", "99999999999999999999"])
@@ -293,6 +336,16 @@ def test_bad_conditionals_exit_1(tmp_path, capsys):
         run_cli("density", "--conditionals", "2,x", "--out", str(out))
     assert exc.value.code == 1
     assert "expects comma-separated integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_density_takes_no_seed(tmp_path, capsys):
+    # density draws nothing: a seed would change no byte of its output
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("density", "--seed", "1", "--out", str(out))
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cyclic_motion import laws, pde, simulate, stats, verify
+from cyclic_motion import bessel, laws, pde, simulate, stats, verify
 from cyclic_motion.model import ModelParams
 from cyclic_motion.pde import (MAX_QUADRATURE_EVENTS, average_cf,
                                cf_recursion_check, cf_theta, conditional_cf,
@@ -29,9 +29,9 @@ def _order_row(residual):
     return verify._order_report("residual", residual)
 
 
-def test_pde_computes_and_never_judges():
-    # pde returns numbers; verify owns every row, threshold and verdict
-    tree = ast.parse(Path(pde.__file__).read_text())
+def _imports(module):
+    """The module's AST and every module and name it imports."""
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -40,11 +40,26 @@ def test_pde_computes_and_never_judges():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1]
                             for alias in node.names)
+    return tree, imported
+
+
+def test_pde_computes_and_never_judges():
+    # pde returns numbers; verify owns every row, threshold and verdict
+    tree, imported = _imports(pde)
     assert not imported & {"simulate", "stats"}, imported
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree)
               if isinstance(node, ast.Attribute)}
     assert "TestReport" not in names | imported
+
+
+@pytest.mark.parametrize("module", [bessel, laws, pde],
+                         ids=["bessel", "laws", "pde"])
+def test_analytic_layer_never_imports_the_sampler_or_the_checks(module):
+    # the closed forms sit wholly below the sampler and the check layer,
+    # so a check that compares the two never compares a layer with itself
+    _, imported = _imports(module)
+    assert not imported & {"simulate", "stats", "verify"}, imported
 
 
 def test_order_report_fit():

@@ -5,12 +5,14 @@ ValueError one step past it (one ulp for lam*t, one for n and m).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cyclic_motion import laws, pde, rng, simulate
-from cyclic_motion.bessel import MAX_LAMBDA_T, MAX_MOMENT, kernel_integral
+from cyclic_motion.bessel import (MAX_LAMBDA_T, MAX_MOMENT, kernel_derivative,
+                                  kernel_identity_residual, kernel_integral)
 from cyclic_motion.model import ModelParams, classify_stratum
 
 
@@ -49,7 +51,7 @@ ROWS = [
      lambda m: pde.density_moment(P2, 1.0, m)),
     ("conditional_cf", pde.MAX_CF_SWITCHES,
      lambda n: pde.conditional_cf(P2, n, 1, (0.7, 0.3), 1.0)),
-    ("simulate_ensemble", simulate.MAX_MEAN_EVENTS,
+    ("simulate_ensemble", MAX_LAMBDA_T,
      lambda lt: simulate.simulate_ensemble(_lt(lt), 1.0, 1, 1).u),
     ("simulate_ensemble conditioning", simulate.MAX_CONDITIONING,
      lambda n: simulate.simulate_ensemble(P1, 1.0, 1, 1,
@@ -103,3 +105,109 @@ def test_invalid_argument_raises(message, call):
 def test_kernel_integral_vanishes_at_tiny_lambda_t(t_order, m):
     # every log-space term is -inf: the sum is 0.0, not NaN
     assert kernel_integral(_lt(1e-200), 1.0, m, t_order) == 0.0
+
+
+def _scale_laws(c, lam, t):
+    """Every law and the sampler at speed c, rate lam and horizon t, each
+    a zero-argument call."""
+    p1, p2, p3 = (ModelParams(c=c, lam=lam, dim=d) for d in (1, 2, 3))
+    us = np.array([0.0, 0.5, 1.0]) * c * t
+    calls = {
+        "density_u": lambda: (laws.density_u(p2, t, us),
+                              laws.density_u(p3, t, us)),
+        "density_u_from_coefficients": lambda: (
+            laws.density_u_from_coefficients(p2, t, us),
+            laws.density_u_from_coefficients(p3, t, us)),
+        "mean_u, moment_u": lambda: (laws.mean_u(p2, t),
+                                     laws.moment_u(p2, 2, t)),
+        "kernel_derivative": lambda: (
+            [kernel_derivative(p2, t, us, k, 0, scaled=True)
+             for k in range(4)],
+            kernel_identity_residual(p3, t, us)),
+        "kernel_integral": lambda: np.isnan(
+            [kernel_integral(p2, t, m, k) for m in (0, 2) for k in (0, 1, 2)]),
+        "density_moment": lambda: (pde.density_moment(p2, t, 2),
+                                   pde.density_moment(p3, t, 6)),
+        "conditional_cf": lambda: pde.conditional_cf(p2, 4, 1, (0.7, 0.3), t),
+        "simulate_ensemble": lambda: (
+            simulate.simulate_ensemble(p3, t, 8, 1).positions,
+            simulate.simulate_ensemble(p2, t, 8, 1, conditioning=9).u),
+        "sample_path": lambda: simulate.evolve(
+            simulate.sample_path(p2, t, rng.Substream(1, 0))).position,
+    }
+    for p in (p1, p2, p3):
+        calls[f"ConditionalLaw dim {p.dim}"] = lambda p=p: [
+            (law.density(us), law.cdf(us)) for law in
+            (laws.ConditionalLaw(p, n, t) for n in (p.dim, laws.MAX_SWITCHES))]
+        calls[f"mixtures dim {p.dim}"] = lambda p=p: (
+            laws.mixture_density(p, t, us), laws.cdf_u(p, t, us))
+    return calls
+
+
+def _finite(values) -> bool:
+    """Whether every number in a nest of tuples, lists and arrays is finite."""
+    if isinstance(values, (tuple, list)):
+        return all(_finite(v) for v in values)
+    return bool(np.all(np.isfinite(values)))
+
+
+def _up(x):
+    return np.nextafter(x, math.inf)
+
+
+def _down(x):
+    return np.nextafter(x, 0.0)
+
+
+# (scale, (c, lam, t) on its bound, (c, lam, t) one ulp past it); each
+# point has lam*t at most 1 and its other scales inside theirs
+SCALES = [
+    ("speed c", (1e-30, 1e-30, 1e30), (_down(1e-30), 1e-30, 1e30)),
+    ("speed c", (1e30, 1e30, 1e-30), (_up(1e30), 1e30, 1e-30)),
+    ("reach c*t", (1.0, 1e30, 1e-300), (1.0, 1e30, _down(1e-300))),
+    ("reach c*t", (1.0, 1e-30, 1e30), (1.0, 1e-30, _up(1e30))),
+]
+
+
+@pytest.mark.parametrize("scale,inside,past", SCALES,
+                         ids=["c low", "c high", "ct low", "ct high"])
+def test_supported_scales(scale, inside, past):
+    for name, call in _scale_laws(*inside).items():
+        assert _finite(call()), name
+    for name, call in _scale_laws(*past).items():
+        with pytest.raises(ValueError, match=f"{re.escape(scale)}=.* "
+                           "outside the supported scales"):
+            call()
+
+
+def test_rate_per_length_bound_of_the_bessel_forms():
+    # lam/c enters the Bessel forms squared; the laws without lam/c
+    # (conditional laws, mixtures, means, the sampler) take any
+    inside = ModelParams(c=1.0, lam=1e30)
+    past = ModelParams(c=1.0, lam=_up(1e30))
+    for params in (inside, past):
+        assert np.isfinite(laws.mean_u(params, 1e-30))
+    for form in (laws.density_u, laws.density_u_from_coefficients):
+        assert np.all(np.isfinite(form(inside, 1e-30, [0.0, 1e-30])))
+        with pytest.raises(ValueError, match="lam/c=.* above the supported"):
+            form(past, 1e-30, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: laws.density_u(ModelParams(c=1e160, lam=1.0), 1.0, 5e159),
+    lambda: laws.mean_u(ModelParams(c=1e160, lam=1e-160), 1.0),
+    lambda: laws.ConditionalLaw(ModelParams(c=1e200, lam=1.0, dim=3), 3,
+                                1e200).density(math.inf),
+    lambda: laws.density_u(ModelParams(c=1.0, lam=1e160), 1e-160, 0.0),
+    lambda: laws.density_u_from_coefficients(
+        ModelParams(c=1.0, lam=1e200, dim=3), 1e-200, 0.0),
+    lambda: laws.density_u_closed_form(ModelParams(c=1.0, lam=1e30), 1e-300,
+                                       0.0),
+], ids=["density_u", "mean_u", "ConditionalLaw", "density_u lam/c",
+        "coefficient form lam/c", "closed form"])
+def test_scales_that_gave_nan_or_inf_raise(call):
+    # NaN, inf, NaN (at u = ct = inf), NaN, OverflowError and NaN before
+    # the scales were bounded; the closed form's (ct - u)(ct + u)
+    # underflows to 0 below c*t ~ 1e-154
+    with pytest.raises(ValueError, match="supported|0/0"):
+        call()
