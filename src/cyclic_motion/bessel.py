@@ -35,6 +35,10 @@ _SMALL_XI = 1e-4
 # Largest lam*t of the Bessel layer (the sampler's ceiling too): scipy's
 # ``ive`` returns NaN past x ~ 1e9.
 MAX_LAMBDA_T = 1e8
+# Smallest lam*t of `laws.density_u_from_coefficients`: its O(lam) terms
+# cancel down to the density, so its relative error grows like
+# 1e-15/(lam*t) in dim 2 and 1e-14/(lam*t)^2 in dim 3 (7.5e-11 at 1e-2).
+MIN_COEFFICIENT_LAMBDA_T = 1e-2
 
 
 def like_input(u, values):

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, pdtr, pdtrc, xlogy
 
-from .bessel import (MAX_MOMENT, _derivative, _kernel_sums_scaled,
-                     _sum_exp, _term, bessel_i_scaled, like_input,
-                     require_lambda_t, scaled_series)
+from .bessel import (MAX_MOMENT, MIN_COEFFICIENT_LAMBDA_T, _derivative,
+                     _kernel_sums_scaled, _sum_exp, _term, bessel_i_scaled,
+                     like_input, require_lambda_t, scaled_series)
 # Nothing here calls kernel_derivative; it stays a global of this module
 # because perfbench's tracer wraps laws.kernel_derivative by name.
 from .bessel import kernel_derivative  # noqa: F401
@@ -181,13 +181,18 @@ def density_u_from_coefficients(params: ModelParams, t: float, u):
 
     The density is (e^{-lam t}/c) * sum_j coeffs[j] * d^j g/dt^j with
     (A, B, C) = (-lam, 1, 2/lam) in dimension 2 and
-    (A, B, C, D) = (-lam, -3, 2/lam, 4/lam^2) in dimension 3.
+    (A, B, C, D) = (-lam, -3, 2/lam, 4/lam^2) in dimension 3, for lam*t
+    from `bessel.MIN_COEFFICIENT_LAMBDA_T` up.
     """
     lam = params.lam
     if params.dim not in (2, 3):
         raise ValueError("closed-form densities exist for dim 2 and 3 only")
 
     def combination(v):
+        if lam * t < MIN_COEFFICIENT_LAMBDA_T:
+            raise ValueError(f"lam*t={lam * t:g} below the supported "
+                             f"{MIN_COEFFICIENT_LAMBDA_T:g} of the "
+                             "coefficient form")
         # One `scaled_series` call holds every t-derivative; they stay
         # scaled by e^{-xi}, since e^{xi} overflows for lam*t past ~709.
         # Its scale checks come first, so lam ** 2 does not overflow.

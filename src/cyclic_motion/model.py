@@ -99,6 +99,22 @@ class Direction:
         return 1 if self.index <= self.dim else -1
 
 
+def cycle_index(j, k, two_d: int):
+    """The 1-based index of the direction ``k`` switches after ``j``."""
+    i = j - 1  # ints or int arrays: an array call makes one new array
+    i += k
+    i %= two_d
+    i += 1
+    return i
+
+
+def class_sizes(segs, two_d: int) -> np.ndarray:
+    """``m[q, i]``, the number of segments k < ``segs[i]`` in class q,
+    ``cycle_index(1, k, two_d) = q + 1``; a scalar ``segs`` gives a column."""
+    full, extra = np.divmod(segs, two_d)
+    return full + (np.arange(two_d)[:, None] < extra)
+
+
 def face_label(n: int) -> str:
     """Label of the shell stratum reached after n < dim events."""
     return f"face{n}"

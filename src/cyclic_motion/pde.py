@@ -45,7 +45,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import laws
-from .model import Direction, ModelParams, require_horizon, require_int
+from .model import (_SCALE, Direction, ModelParams, cycle_index,
+                    require_horizon, require_int)
 
 # The Klein-Gordon check evaluates at _N_T horizons in _KG_T and the
 # planar fourth-order check at _F_T0, with _LEVELS step sizes halving from
@@ -187,7 +188,7 @@ def cf_theta(k: int, j: int, omega) -> float:
     """theta_k = <omega, direction of the k-th segment> for initial
     direction j (k = 1 is j itself); ``len(omega)`` is the dimension."""
     dim = len(omega)
-    d = Direction((j + k - 2) % (2 * dim) + 1, dim)
+    d = Direction(cycle_index(j, k - 1, 2 * dim), dim)
     return d.sign * omega[d.axis]
 
 
@@ -207,6 +208,11 @@ def conditional_cf(params: ModelParams, n: int, j: int, omega,
         raise ValueError(f"omega must have dim={params.dim} components")
     if not np.all(np.isfinite(omega)):
         raise ValueError(f"omega must be finite, got {tuple(omega)}")
+    # the largest phase c t |theta_k|; from about 1e39 expm turns NaN
+    phase = params.c * t * float(np.max(np.abs(omega)))
+    if phase > _SCALE:
+        raise ValueError(f"c*t*max|omega_i|={phase:g} above the supported "
+                         f"{_SCALE:g}")
     Direction(j, params.dim)  # rejects j outside 1..2d
     n = require_int(n, "n")
     if not 0 <= n <= MAX_CF_SWITCHES:

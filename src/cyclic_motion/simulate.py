@@ -10,9 +10,9 @@ switch times and integrate the path segment by segment.
 
 `simulate_ensemble` draws no switch times.  Given N(t)=n the n+1
 segment lengths are t*Dirichlet(1, ..., 1), and segment k runs along
-cycle direction (j0-1+k) mod 2d, so the 2d direction-class sums are
-t*Dirichlet(m_0, ..., m_{2d-1}) with m_q the number of segments
-k <= n with k = q mod 2d (Dirichlet aggregation; Devroye,
+direction `model.cycle_index` (j0, k, 2d), so the 2d direction-class
+sums are t*Dirichlet(m_0, ..., m_{2d-1}) with m_q the number of
+segments in class q, `model.class_sizes` (Dirichlet aggregation; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. XI).  A path costs
 one Poisson inversion (through a guide table, `_invert`, of the CDF over
 the support of N(t) that `laws._poisson_support` trims) and 2d
@@ -74,8 +74,8 @@ from scipy import special
 
 from . import rng
 from .laws import _poisson_support
-from .model import (Direction, ModelParams, classify_stratum,
-                    require_horizon, require_int, stratum_labels)
+from .model import (Direction, ModelParams, class_sizes, classify_stratum,
+                    cycle_index, require_horizon, require_int, stratum_labels)
 
 # Algorithm id of `simulate_ensemble`, written into every output: the
 # samples of a given seed change whenever it does.
@@ -182,11 +182,8 @@ class SampleSet:
     @cached_property
     def final_direction(self) -> np.ndarray:
         """The direction of each path's last segment, 1-based."""
-        final = self.initial_direction - 1
-        final += self.n_events
-        final %= self.params.n_directions
-        final += 1
-        return final
+        return cycle_index(self.initial_direction, self.n_events,
+                           self.params.n_directions)
 
     @cached_property
     def _stratum_codes(self) -> np.ndarray:
@@ -248,7 +245,7 @@ def evolve(path: MotionPath) -> MotionOutcome:
     times = np.concatenate([[0.0], path.switch_times, [t]])
     j = path.initial_direction.index
     for k in range(len(times) - 1):
-        d = Direction((j - 1 + k) % p.n_directions + 1, p.dim)
+        d = Direction(cycle_index(j, k, p.n_directions), p.dim)
         pos[d.axis] += d.sign * p.c * (times[k + 1] - times[k])
     n = len(path.switch_times)
     u = float(np.sum(np.abs(pos)))
@@ -256,7 +253,7 @@ def evolve(path: MotionPath) -> MotionOutcome:
     if n < p.dim and abs(u - p.c * t) > _STRATUM_TOL * p.c * t:
         raise AssertionError(
             f"shell outcome with u={u} != ct={p.c * t}; path invariant broken")
-    final = Direction((j - 1 + n) % p.n_directions + 1, p.dim)
+    final = Direction(cycle_index(j, n, p.n_directions), p.dim)
     return MotionOutcome(params=p, horizon=t, position=pos, u=u, n_events=n,
                          initial_direction=path.initial_direction,
                          final_direction=final, stratum=stratum)
@@ -298,16 +295,6 @@ def _invert(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     split = np.flatnonzero(n != guide[b + 1])
     n[split] = np.searchsorted(cdf, u[split])
     return n
-
-
-def _class_sizes(segs, two_d: int) -> np.ndarray:
-    """``m[q, i]``, how many of the ``segs[i]`` segments run along class q.
-
-    Segment k runs along class k mod 2d.  A scalar ``segs`` gives one
-    column.
-    """
-    full, extra = np.divmod(segs, two_d)
-    return full + (np.arange(two_d)[:, None] < extra)
 
 
 def _class_gammas(keys: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -483,7 +470,7 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
              lo + _invert(cdf, guide, rng.uniform_column(keys, _SLOT_POISSON)))
         n_events[start:stop] = n
         # A conditioned block's class sizes are one column, broadcast.
-        m = np.broadcast_to(_class_sizes(n + 1, two_d), (two_d, rows))
+        m = np.broadcast_to(class_sizes(n + 1, two_d), (two_d, rows))
         g = _class_gammas(keys, m)
         total = g.sum(axis=0)
         # diff[e] is class e mod 2d minus its opposite class e + d (mod 2d);
@@ -493,8 +480,9 @@ def simulate_ensemble(params: ModelParams, horizon: float, count: int,
         np.subtract(g[dim:], g[:dim], out=diff[dim:two_d])
         del g
         diff[two_d:] = diff[:dim]
-        # Class q runs along cycle direction (j + q) mod 2d, so axis a
-        # reads class (a - j) mod 2d: flat entry (a + 2d - j)*rows + i.
+        # The gather inverts `cycle_index`: class q runs along direction
+        # cycle_index(j + 1, q, 2d), so flat entry (a + 2d - j)*rows + i
+        # is the class that runs along +e_{a+1}, minus its opposite.
         # ("clip" clips nothing here; unlike "raise" it writes straight
         # to ``out``.)
         flat = diff.reshape(-1)

@@ -6,15 +6,19 @@ substream (layout in the `rng` docstring).  Two classes that shared a
 slot would be correlated, and no marginal test would notice, so the
 reads are recorded and checked against the layout; the paired classes
 are tested for their Gamma laws, for correlation and for coinciding
-rejections.
+rejections.  The class sizes and the cycle's direction order of `model`
+are checked against oracles of their own here.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from cyclic_motion import rng, simulate, stats
-from cyclic_motion.model import ModelParams
+from cyclic_motion.model import (Direction, ModelParams, class_sizes,
+                                 cycle_index)
 
 
 def _recording(reads):
@@ -34,6 +38,33 @@ def _recording(reads):
 def _class_sizes(n, two_d):
     q = np.arange(two_d)[:, None]
     return (n + 1) // two_d + (q < (n + 1) % two_d)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_class_sizes_match_the_oracle(dim):
+    two_d = 2 * dim
+    n = np.arange(4 * two_d + 1)
+    assert np.array_equal(class_sizes(n + 1, two_d), _class_sizes(n, two_d))
+    for k in n.tolist():  # a scalar gives one column
+        assert np.array_equal(class_sizes(k + 1, two_d),
+                              _class_sizes(k, two_d))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_cycle_index_walks_the_direction_order(dim):
+    # +e_1..+e_d, -e_1..-e_d as (sign, axis), wrapping around
+    order = [(1, a) for a in range(dim)] + [(-1, a) for a in range(dim)]
+    two_d, ks = 2 * dim, np.arange(3 * 2 * dim + 2)
+    for j in range(1, two_d + 1):
+        walk = list(itertools.islice(itertools.cycle(order), j - 1,
+                                     j - 1 + ks.size))
+        ints = [cycle_index(j, k, two_d) for k in ks.tolist()]
+        assert [(d.sign, d.axis)
+                for d in (Direction(i, dim) for i in ints)] == walk
+        js = np.full(ks.size, j)
+        assert np.array_equal(cycle_index(js, ks, two_d), ints)
+        assert np.all(js == j)  # the array call leaves its input alone
+        assert np.array_equal(cycle_index(j, ks, two_d), ints)
 
 
 SLOT_CASES = ([(dim, lam_t, None) for dim in range(1, 9)

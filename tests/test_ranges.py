@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from cyclic_motion import laws, pde, rng, simulate
-from cyclic_motion.bessel import (MAX_LAMBDA_T, MAX_MOMENT, kernel_derivative,
+from cyclic_motion.bessel import (MAX_LAMBDA_T, MAX_MOMENT,
+                                  MIN_COEFFICIENT_LAMBDA_T, kernel_derivative,
                                   kernel_identity_residual, kernel_integral)
 from cyclic_motion.model import ModelParams, classify_stratum
 
@@ -172,7 +173,15 @@ SCALES = [
 @pytest.mark.parametrize("scale,inside,past", SCALES,
                          ids=["c low", "c high", "ct low", "ct high"])
 def test_supported_scales(scale, inside, past):
+    c, lam, t = inside
     for name, call in _scale_laws(*inside).items():
+        if (name == "density_u_from_coefficients"
+                and lam * t < MIN_COEFFICIENT_LAMBDA_T):
+            # "ct low" has lam*t <= 1e-270, below the coefficient form
+            with pytest.raises(ValueError, match="lam\\*t=.* below the "
+                               "supported"):
+                call()
+            continue
         assert _finite(call()), name
     for name, call in _scale_laws(*past).items():
         with pytest.raises(ValueError, match=f"{re.escape(scale)}=.* "
@@ -211,3 +220,62 @@ def test_scales_that_gave_nan_or_inf_raise(call):
     # underflows to 0 below c*t ~ 1e-154
     with pytest.raises(ValueError, match="supported|0/0"):
         call()
+
+
+def _rate_from(lt, t):
+    """The smallest rate lam with lam*t >= lt."""
+    lam = lt / t
+    while lam * t < lt:
+        lam = _up(lam)
+    while _down(lam) * t >= lt:
+        lam = _down(lam)
+    return lam
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("c,t", [(1.0, 1.0), (1e-10, 1e10), (1e10, 1e-10),
+                                 (0.5, 2.0)])
+def test_coefficient_form_lower_lambda_t_bound(dim, c, t):
+    # the form's O(lam) terms cancel down to the density; at its lowest
+    # lam*t it is within the 1e-9 of the density_forms_agree rows
+    lam = _rate_from(MIN_COEFFICIENT_LAMBDA_T, t)
+    params = ModelParams(c=c, lam=lam, dim=dim)
+    us = np.linspace(0.0, c * t, 101)[1:-1]
+    want = laws.density_u(params, t, us)
+    got = laws.density_u_from_coefficients(params, t, us)
+    assert np.max(np.abs(got - want) / want) <= 1e-9
+    below = ModelParams(c=c, lam=_down(lam), dim=dim)
+    assert np.all(np.isfinite(laws.density_u(below, t, us)))
+    with pytest.raises(ValueError, match="lam\\*t=.* below the supported"):
+        laws.density_u_from_coefficients(below, t, us)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam", [3e-3, 1e-3, 1e-6, 1e-8, 1e-16, 1e-100,
+                                 1e-160, 1e-200])
+def test_coefficient_form_raises_where_it_was_wrong(dim, lam):
+    # relative errors from 9e-10 to 15, NaN and ZeroDivisionError
+    # before the lower bound
+    params = ModelParams(c=1.0, lam=lam, dim=dim)
+    with pytest.raises(ValueError, match="below the supported"):
+        laws.density_u_from_coefficients(params, 1.0, [0.25, 0.5])
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 40, 200])
+def test_conditional_cf_reach_bound(n):
+    # c*t*max|omega_i| up to 1e30: finite, and exact where checkable;
+    # it was NaN from about 1e39
+    w = 1e30
+    g = pde.conditional_cf(P2, n, 1, (w, 0.3 * w), 1.0)
+    assert np.isfinite(g)
+    if n == 0:
+        assert g == complex(np.exp(1j * w))
+    if n == 1:  # the divided difference of exp at i w and 0.3 i w
+        z1, z2 = 1j * w, 0.3j * w
+        assert abs(g - (np.exp(z2) - np.exp(z1)) / (z2 - z1)) < 1e-40
+    for omega, params in (((_up(w), 0.3), P2), ((0.3, -_up(w)), P2),
+                          ((0.6 * w, 0.3), ModelParams(2.0, 1.0, 2)),
+                          ((1e300, 0.3), P2)):
+        with pytest.raises(ValueError,
+                           match="c\\*t\\*max.*above the supported"):
+            pde.conditional_cf(params, n, 1, omega, 1.0)
