@@ -25,33 +25,25 @@ import math
 import numpy as np
 from scipy.special import ive as bessel_i_scaled
 
-from .model import _SCALE, ModelParams, require_horizon, require_int
+# The layer's lam*t ceiling, MAX_LAMBDA_T, is the sampler's, kept in model.
+from .model import (_SCALE, MAX_LAMBDA_T, ModelParams,  # noqa: F401
+                    require_horizon, require_int, require_lambda_t)
 
 _REL_TOL = 1e-17
 # Below this xi, R_nu is its two-term series e^{-xi} (1 + z/(nu+1)) / nu!,
 # whose next term is below 1e-17 relative.  The ``ive`` ratio loses about
 # nu |log xi| ulps at small xi (1.2e-14 at order 3 and xi = 3e-8).
 _SMALL_XI = 1e-4
-# Largest lam*t of the Bessel layer (the sampler's ceiling too): scipy's
-# ``ive`` returns NaN past x ~ 1e9.
-MAX_LAMBDA_T = 1e8
-# Smallest lam*t of `laws.density_u_from_coefficients`: its O(lam) terms
-# cancel down to the density, so its relative error grows like
-# 1e-15/(lam*t) in dim 2 and 1e-14/(lam*t)^2 in dim 3 (7.5e-11 at 1e-2).
+# Smallest lam*t of `laws.density_u_from_coefficients` and of the closed
+# form: their O(lam) terms cancel down to the density, so the relative
+# error grows like 1e-15/(lam*t) in dim 2 and 1e-14/(lam*t)^2 in dim 3
+# (7.5e-11 at 1e-2), and the closed form's is 1e-9 at 1e-4, 0.1 at 1e-12.
 MIN_COEFFICIENT_LAMBDA_T = 1e-2
 
 
 def like_input(u, values):
     """``values`` as a float when ``u`` is a scalar, else as an array."""
     return float(values) if np.ndim(u) == 0 else values
-
-
-def require_lambda_t(lam: float, t: float) -> float:
-    """lam*t, or ValueError above `MAX_LAMBDA_T`."""
-    lt = lam * t
-    if lt > MAX_LAMBDA_T:
-        raise ValueError(f"lam*t={lt:g} above the supported {MAX_LAMBDA_T:g}")
-    return lt
 
 
 def _check_u(ct: float, u) -> np.ndarray:

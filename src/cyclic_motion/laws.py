@@ -1,8 +1,8 @@
-"""Closed-form distributions of the L1 radius U(t), and the law of N(t).
+"""Closed-form distributions of the L1 radius U(t).
 
-N(t) is Poisson(lam*t); its trimmed support (`_poisson_support`) is
-decided here once, for the sampler's inversion table and the Poisson
-mixtures alike.  Nothing here imports the sampler or the checks.
+N(t) is Poisson(lam*t); the mixtures take its terms and its trimmed
+support from `model.poisson_law`, as the sampler's inversion table does.
+Nothing here imports the sampler or the checks.
 
 The law of U(t) splits into a singular part on the shell u = ct
 (carried by paths with fewer than d events, see `singular_masses`) and
@@ -33,19 +33,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrc, xlogy
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .bessel import (MAX_MOMENT, MIN_COEFFICIENT_LAMBDA_T, _derivative,
                      _kernel_sums_scaled, _sum_exp, _term, bessel_i_scaled,
-                     like_input, require_lambda_t, scaled_series)
+                     like_input, scaled_series)
 # Nothing here calls kernel_derivative; it stays a global of this module
 # because perfbench's tracer wraps laws.kernel_derivative by name.
 from .bessel import kernel_derivative  # noqa: F401
-from .model import (ModelParams, require_horizon, require_int,
-                    stratum_labels)
+from .model import (ModelParams, poisson_law, require_horizon, require_int,
+                    require_lambda_t, stratum_labels)
 
 # Largest lam*t that `cdf_u` and `mixture_density` take (the sampler
-# takes up to `bessel.MAX_LAMBDA_T`): their polynomials have degree
+# takes up to `model.MAX_LAMBDA_T`): their polynomials have degree
 # about lam*t/2, so time and memory grow linearly with it.
 MAX_MIXTURE_EVENTS = 1e6
 # Largest n of a conditional law, for the same reason; it covers every
@@ -56,8 +56,6 @@ MAX_SWITCHES = 1 << 20
 MAX_MEAN_SWITCHES = 1 << 16
 # Block values per row that `_horner` holds at once (points x blocks).
 _HORNER_ENTRIES = 1 << 16
-# Poisson mass left out at each end of the support of N(t).
-_TAIL = 2.0 ** -60
 
 
 class SingularStratumError(ValueError):
@@ -72,33 +70,6 @@ class SingularStratumError(ValueError):
 def poisson_pmf(n: int, mu: float) -> float:
     """P(N=n) for N ~ Poisson(mu): a float for an int n, else an array."""
     return like_input(n, np.exp(-mu + xlogy(n, mu) - gammaln(n + 1)))
-
-
-def _poisson_support(mu: float) -> tuple[int, int]:
-    """``(lo, hi)`` for N ~ Poisson(mu), mu <= `bessel.MAX_LAMBDA_T`: the
-    first k with P(N <= k) >= 2**-60 and the first with P(N > k) <
-    2**-60, each by bisection (O(log mu) `pdtr`/`pdtrc` calls)."""
-    require_lambda_t(mu, 1.0)  # mu is lam*t
-    # Both Poisson tails beyond 10 sqrt(mu) + 60 are far below 2**-60.
-    half = 10.0 * math.sqrt(mu) + 60.0
-    # floor(mu) lies below the median (>= mu - ln 2), where both
-    # P(N <= k) and P(N > k) are >= 1/2: it splits the two searches.
-    mid = math.floor(mu)
-    lo = _bisect(lambda k: pdtr(k, mu) >= _TAIL, max(0, int(mu - half)), mid)
-    hi = _bisect(lambda k: pdtrc(k, mu) < _TAIL, mid, int(mu + half))
-    return lo, hi
-
-
-def _bisect(pred, lo: int, hi: int) -> int:
-    """The first k in [lo, hi] with ``pred(k)``; pred is monotone and
-    holds at hi."""
-    while lo < hi:
-        k = (lo + hi) // 2
-        if pred(k):
-            hi = k
-        else:
-            lo = k + 1
-    return lo
 
 
 @dataclass(frozen=True)
@@ -207,12 +178,16 @@ def density_u_from_coefficients(params: ModelParams, t: float, u):
 
 
 def density_u_closed_form(params: ModelParams, t: float, u):
-    """Interior density via the I0/I1 expression (dim 2, 0 <= u < ct)."""
+    """Interior density via the I0/I1 expression (dim 2, 0 <= u < ct),
+    for lam*t >= `bessel.MIN_COEFFICIENT_LAMBDA_T`."""
     if params.dim != 2:
         raise ValueError("the I0/I1 closed form is planar (dim 2) only")
     require_horizon(t, "t", params)
     lam, c = params.lam, params.c
     lt = require_lambda_t(lam, t)
+    if lt < MIN_COEFFICIENT_LAMBDA_T:
+        raise ValueError(f"lam*t={lt:g} below the supported "
+                         f"{MIN_COEFFICIENT_LAMBDA_T:g} of the closed form")
     ct = c * t
     v = np.asarray(u, dtype=float)
     p_fac = (ct - v) * (ct + v)
@@ -438,46 +413,19 @@ def conditional_mean_u(n: int) -> float:
 
 def _poisson_terms(params: ModelParams,
                    t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(ns, P(N=ns)) for n = dim up to the top of `_poisson_support`,
-    the first n with P(N > n) < 2**-60.  At large lam*t the
-    terms start higher, where P(N=n)/P(N=mode) is about to leave the
-    normal range (`_normal_cumprod`).  Dims outside 1-3
-    raise even when the arrays would be empty, and so does lam*t above
-    `MAX_MIXTURE_EVENTS`."""
+    """(ns, P(N=ns)) for n = dim (higher at large lam*t) up to the top of
+    the support of N(t), from the ratios of `model.poisson_law`.  Dims
+    outside 1-3 raise even when the arrays would be empty, and so does
+    lam*t above `MAX_MIXTURE_EVENTS`."""
     _require_cond_dim(params)
     require_horizon(t, "t", params)
     lt = params.lam * t
     if lt > MAX_MIXTURE_EVENTS:
         raise ValueError(f"lam*t={lt:g} above the supported "
                          f"{MAX_MIXTURE_EVENTS:g} of the Poisson mixtures")
-    lo, last = _poisson_support(lt)
-    # Products of the term ratios k/lt and lt/k away from the mode, over
-    # the support (its tails hold < 2**-59): 4e-15 at lt = 1e5, where
-    # lgamma's rounding gives 3e-10.
-    first = min(params.dim, lo)
-    mode = min(int(lt), last)
-    down = _normal_cumprod(np.arange(mode, first, -1) / lt)[::-1]
-    ratios = np.concatenate([down, [1.0],
-                             np.cumprod(lt / np.arange(mode + 1, last + 1))])
-    k = np.arange(last + 1 - ratios.size, last + 1)
+    k, r = poisson_law(lt, params.dim)
     keep = k >= params.dim
-    return k[keep], ratios[keep] / ratios.sum()
-
-
-def _normal_cumprod(r: np.ndarray) -> np.ndarray:
-    """``np.cumprod(r)`` for factors r <= 1, cut after the first chunk
-    that ends below the normal range (2**-1022): the products left only
-    shrink, weigh nothing next to the leading 1, and subnormal arithmetic
-    is slow (the left Poisson tail at lam*t = 1e6 has 1e6 terms)."""
-    parts, run, chunk = [], 1.0, 4096
-    for start in range(0, r.size, chunk):
-        seg = r[start:start + chunk].copy()
-        seg[0] *= run
-        parts.append(np.cumprod(seg))
-        run = parts[-1][-1]
-        if run < np.finfo(float).tiny:
-            break
-    return np.concatenate(parts) if parts else r
+    return k[keep], r[keep] / r.sum()
 
 
 def mixture_density(params: ModelParams, t: float, u):

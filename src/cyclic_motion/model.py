@@ -1,4 +1,4 @@
-"""Model parameters, directions, and boundary strata.
+"""Model parameters, scale rules, the law of N(t), directions, strata.
 
 The motion moves at constant speed ``c`` in dimension ``d`` and cycles
 through the 2d directions ``+e_1, ..., +e_d, -e_1, ..., -e_d`` (in that
@@ -55,6 +55,11 @@ class ModelParams:
 _SCALE = 1e30
 _MIN_SPEED = 1e-30
 _MIN_REACH = 1e-300
+# Largest lam*t of the Bessel layer and the sampler: scipy's ``ive``
+# returns NaN past x ~ 1e9.
+MAX_LAMBDA_T = 1e8
+# Poisson mass left out at each end of the support of N(t).
+_TAIL = 2.0 ** -60
 
 
 def require_horizon(t: float, name: str = "horizon",
@@ -71,6 +76,59 @@ def require_horizon(t: float, name: str = "horizon",
                 raise ValueError(f"{scale}={value:g} outside the supported "
                                  f"scales {low:g}..{_SCALE:g}")
     return t
+
+
+def require_lambda_t(lam: float, t: float) -> float:
+    """lam*t, or ValueError above `MAX_LAMBDA_T`."""
+    lt = lam * t
+    if lt > MAX_LAMBDA_T:
+        raise ValueError(f"lam*t={lt:g} above the supported {MAX_LAMBDA_T:g}")
+    return lt
+
+
+def poisson_law(mu: float,
+                first: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, r)`` for N ~ Poisson(mu), mu = lam*t <= `MAX_LAMBDA_T`.
+
+    ``r = P(N = k) / P(N = floor(mu))`` for the ints ``k`` from
+    min(first, lo) to hi, where lo is the first k with P(N <= k) >=
+    2**-60 and hi the first with P(N > k) < 2**-60: products of the term
+    ratios k/mu below the mode and mu/k above it (4e-15 relative at
+    mu = 1e5, where lgamma's rounding gives 3e-10), cut where they leave
+    the normal range (`_normal_cumprod`).  lo and hi come from their
+    sums over mu +- (12 sqrt(mu) + 60), summed from each end; each tail
+    beyond that holds under 1e-13 of 2**-60.
+    """
+    require_lambda_t(mu, 1.0)
+    half = 12.0 * math.sqrt(mu) + 60.0
+    mode, top, bottom = int(mu), int(mu + half), max(0, int(mu - half))
+    down = _normal_cumprod(np.arange(mode, min(first, bottom), -1) / mu)
+    r = np.concatenate([down[::-1], [1.0],
+                        np.cumprod(mu / np.arange(mode + 1, top + 1))])
+    start = top + 1 - r.size  # min(first, bottom) unless the products cut
+    window = r[bottom - start:]
+    below = np.cumsum(window)  # P(N <= k) up to a factor
+    cut = _TAIL * below[-1]
+    lo = bottom + int(np.searchsorted(below, cut))
+    hi = top - int(np.searchsorted(np.cumsum(window[::-1]), cut))
+    begin = max(start, min(first, lo))
+    return np.arange(begin, hi + 1), r[begin - start:hi + 1 - start]
+
+
+def _normal_cumprod(r: np.ndarray) -> np.ndarray:
+    """``np.cumprod(r)`` for factors r <= 1, cut after the first chunk
+    that ends below the normal range (2**-1022): the products left only
+    shrink, weigh nothing next to the leading 1, and subnormal arithmetic
+    is slow (the left Poisson tail at lam*t = 1e6 has 1e6 terms)."""
+    parts, run, chunk = [], 1.0, 4096
+    for start in range(0, r.size, chunk):
+        seg = r[start:start + chunk].copy()
+        seg[0] *= run
+        parts.append(np.cumprod(seg))
+        run = parts[-1][-1]
+        if run < np.finfo(float).tiny:
+            break
+    return np.concatenate(parts) if parts else r
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ substream ``i`` is a pure function of ``(seed, i, j)``, so results are
 identical no matter how replications are batched or parallelised, and
 any single path can be reproduced in isolation.
 
-Slot layout of `simulate` sampler ``classsum-2`` (d = dimension, 2d
-direction classes, paired as classes 2p and 2p+1 for p < d):
+Slot layout of `simulate` samplers ``classsum-2`` and ``classsum-3`` (d =
+dimension, 2d direction classes, paired as classes 2p and 2p+1 for p < d):
 
 * value 0: the initial direction;
 * value 1: the Poisson inversion of the switch count (unused when

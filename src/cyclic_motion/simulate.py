@@ -15,7 +15,7 @@ sums are t*Dirichlet(m_0, ..., m_{2d-1}) with m_q the number of
 segments in class q, `model.class_sizes` (Dirichlet aggregation; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. XI).  A path costs
 one Poisson inversion (through a guide table, `_invert`, of the CDF over
-the support of N(t) that `laws._poisson_support` trims) and 2d
+the support of N(t) that `model.poisson_law` trims; no scipy) and 2d
 Gamma(m_q) variates, whatever lam*t is; conditioning on N(t)=n only
 fixes N.  Every draw of replication i reads a fixed slot of substream
 i (layout in `rng`), so replication i depends only on (seed, i) and
@@ -30,7 +30,7 @@ lock-guarded queue of block starts (numpy drops the GIL inside its
 array loops), so no thread idles while another has blocks left.  Each
 block writes only its own rows of the output, and the helpers live
 only for the duration of the call.  A block is a few large array
-operations on row-sized arrays.  Its Gammas (sampler `classsum-2`)
+operations on row-sized arrays.  Its Gammas (those of `classsum-2`)
 come from one loop over the class pairs (2p, 2p+1).  A class of at
 most `_EXP_TERMS` segments is a sum of exponentials, one draw per term
 over the block.  The pair's first Marsaglia-Tsang attempt is one draw
@@ -70,16 +70,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from . import rng
-from .laws import _poisson_support
 from .model import (Direction, ModelParams, class_sizes, classify_stratum,
-                    cycle_index, require_horizon, require_int, stratum_labels)
+                    cycle_index, poisson_law, require_horizon, require_int,
+                    stratum_labels)
 
 # Algorithm id of `simulate_ensemble`, written into every output: the
 # samples of a given seed change whenever it does.
-SAMPLER_ID = "classsum-2"
+SAMPLER_ID = "classsum-3"
 # Largest supported conditioning n: n + 1 fits int64 and every class
 # size converts to float exactly.
 MAX_CONDITIONING = 2 ** 53
@@ -261,14 +260,14 @@ def evolve(path: MotionPath) -> MotionOutcome:
 
 def _poisson_table(mu: float) -> tuple[int, np.ndarray]:
     """``(lo, F)`` with ``F[k] = P(N <= lo + k)`` over the support of
-    N ~ Poisson(mu) from `laws._poisson_support`, the last entry set to
-    1.  `rng` uniforms are >= 2**-54, so inversion never lands below
-    ``lo`` and the O(sqrt(mu)) entries invert exactly as the full table.
+    N ~ Poisson(mu) from `model.poisson_law`: the cumulative sums of its
+    term ratios over their total, so the last entry is 1.  `rng` uniforms
+    are >= 2**-54, so inversion never lands below ``lo`` and the
+    O(sqrt(mu)) entries invert exactly as the full table.
     """
-    lo, hi = _poisson_support(mu)
-    cdf = special.pdtr(np.arange(lo, hi + 1), mu)
-    cdf[-1] = 1.0
-    return lo, cdf
+    k, r = poisson_law(mu)
+    cdf = np.cumsum(r)
+    return int(k[0]), cdf / cdf[-1]
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Sampler `classsum-2`: its slot reads and the law of its paired classes.
+"""Samplers `classsum-2` and `classsum-3` (one Gamma kernel): its slot
+reads and the law of its paired classes.
 
 Classes 2p and 2p+1 share the Box-Muller pair of their first rejection
 attempt, and each class reads its own slots of the replication's

@@ -400,18 +400,18 @@ def _sha256_without_git(data: bytes) -> str:
 CSV_PINS = {
     "simulate_dim2": (
         ["simulate", "--dim", "2", "--count", "10000", "--seed", "7"],
-        "674afef42e9f89b7f4103f042d6977910a6539aaa383c4b2af1638b22acc1740"),
+        "20132916d200e95d15d9182818d50a9026a1aed3ea40567e67ba9d405ed8aeb8"),
     "simulate_dim3_lambda0.5": (
         ["simulate", "--dim", "3", "--lambda", "0.5", "--count", "10000",
          "--seed", "7"],
-        "968f066e5a1f6d1c840f58b4d53118e8d074946b37408a76bc650fddafea8b46"),
+        "d5ab7a2f516991ce381ba797a97ddf00e89220d35bd51471299104992971bb6e"),
     "simulate_dim8": (
         ["simulate", "--dim", "8", "--count", "10000", "--seed", "7"],
-        "090bd600736b851ff9effc843bc30864fe8237ae51f27b174ec96214bd701b40"),
+        "6d1cb87eee2d621b4b5235f627d8d1e00108b1263251f6c4bdb999f85fe2c013"),
     "simulate_dim3_n6": (
         ["simulate", "--dim", "3", "--condition-n", "6", "--count", "10000",
          "--seed", "7"],
-        "19a68d120c21b46f4c62f15e2d9b28d711656e75c33af7f2e5245742618a6240"),
+        "9a01a20afcf968650f71f7397f6f05cdfb1a5ef37ade54747d173f5e968e8fff"),
     "density_dim1": (
         ["density", "--dim", "1", "--conditionals", "1,4", "--points",
          "10001"],

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cyclic_motion import bessel, laws, pde, simulate, stats, verify
+from cyclic_motion import (bessel, laws, model, pde, rng, simulate, stats,
+                           verify)
 from cyclic_motion.model import ModelParams
 from cyclic_motion.pde import (MAX_QUADRATURE_EVENTS, average_cf,
                                cf_recursion_check, cf_theta, conditional_cf,
@@ -30,16 +31,20 @@ def _order_row(residual):
 
 
 def _imports(module):
-    """The module's AST and every module and name it imports."""
+    """The module's AST and every module and name it imports; a dotted
+    module counts as its first and its last part."""
     tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").rsplit(".", 1)[-1])
+            names = [node.module or ""]
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            imported.update(alias.name.rsplit(".", 1)[-1]
-                            for alias in node.names)
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            imported.update({name.split(".")[0], name.rsplit(".", 1)[-1]})
     return tree, imported
 
 
@@ -60,6 +65,16 @@ def test_analytic_layer_never_imports_the_sampler_or_the_checks(module):
     # so a check that compares the two never compares a layer with itself
     _, imported = _imports(module)
     assert not imported & {"simulate", "stats", "verify"}, imported
+
+
+@pytest.mark.parametrize("module", [simulate, rng, model],
+                         ids=["simulate", "rng", "model"])
+def test_sampler_imports_neither_scipy_nor_the_analytic_layer(module):
+    # the sampler reads the law of N(t) from model, so it loads no
+    # scipy and never compares the closed forms with themselves
+    _, imported = _imports(module)
+    assert not imported & {"scipy", "bessel", "laws", "pde", "stats",
+                           "verify"}, imported
 
 
 def test_order_report_fit():

@@ -119,6 +119,8 @@ def _scale_laws(c, lam, t):
         "density_u_from_coefficients": lambda: (
             laws.density_u_from_coefficients(p2, t, us),
             laws.density_u_from_coefficients(p3, t, us)),
+        "density_u_closed_form": lambda: laws.density_u_closed_form(
+            p2, t, us[:-1]),
         "mean_u, moment_u": lambda: (laws.mean_u(p2, t),
                                      laws.moment_u(p2, 2, t)),
         "kernel_derivative": lambda: (
@@ -175,9 +177,10 @@ SCALES = [
 def test_supported_scales(scale, inside, past):
     c, lam, t = inside
     for name, call in _scale_laws(*inside).items():
-        if (name == "density_u_from_coefficients"
+        if (name in ("density_u_from_coefficients", "density_u_closed_form")
                 and lam * t < MIN_COEFFICIENT_LAMBDA_T):
-            # "ct low" has lam*t <= 1e-270, below the coefficient form
+            # "ct low" has lam*t <= 1e-270, below the coefficient and
+            # closed forms
             with pytest.raises(ValueError, match="lam\\*t=.* below the "
                                "supported"):
                 call()
@@ -210,14 +213,15 @@ def test_rate_per_length_bound_of_the_bessel_forms():
     lambda: laws.density_u(ModelParams(c=1.0, lam=1e160), 1e-160, 0.0),
     lambda: laws.density_u_from_coefficients(
         ModelParams(c=1.0, lam=1e200, dim=3), 1e-200, 0.0),
-    lambda: laws.density_u_closed_form(ModelParams(c=1.0, lam=1e30), 1e-300,
+    lambda: laws.density_u_closed_form(ModelParams(c=1.0, lam=1e298), 1e-300,
                                        0.0),
 ], ids=["density_u", "mean_u", "ConditionalLaw", "density_u lam/c",
         "coefficient form lam/c", "closed form"])
 def test_scales_that_gave_nan_or_inf_raise(call):
     # NaN, inf, NaN (at u = ct = inf), NaN, OverflowError and NaN before
     # the scales were bounded; the closed form's (ct - u)(ct + u)
-    # underflows to 0 below c*t ~ 1e-154
+    # underflows to 0 below c*t ~ 1e-154 (its lam*t is 1e-2, at the
+    # form's lower bound)
     with pytest.raises(ValueError, match="supported|0/0"):
         call()
 
@@ -232,33 +236,44 @@ def _rate_from(lt, t):
     return lam
 
 
+def _cancelling_forms(dim):
+    """The density forms whose O(lam) terms cancel, bounded below by
+    `MIN_COEFFICIENT_LAMBDA_T`; the closed form is planar."""
+    if dim == 2:
+        return (laws.density_u_from_coefficients, laws.density_u_closed_form)
+    return (laws.density_u_from_coefficients,)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("c,t", [(1.0, 1.0), (1e-10, 1e10), (1e10, 1e-10),
                                  (0.5, 2.0)])
 def test_coefficient_form_lower_lambda_t_bound(dim, c, t):
-    # the form's O(lam) terms cancel down to the density; at its lowest
-    # lam*t it is within the 1e-9 of the density_forms_agree rows
+    # the forms' O(lam) terms cancel down to the density; at their lowest
+    # lam*t they are within the 1e-9 of the density_forms_agree rows
     lam = _rate_from(MIN_COEFFICIENT_LAMBDA_T, t)
     params = ModelParams(c=c, lam=lam, dim=dim)
+    below = ModelParams(c=c, lam=_down(lam), dim=dim)
     us = np.linspace(0.0, c * t, 101)[1:-1]
     want = laws.density_u(params, t, us)
-    got = laws.density_u_from_coefficients(params, t, us)
-    assert np.max(np.abs(got - want) / want) <= 1e-9
-    below = ModelParams(c=c, lam=_down(lam), dim=dim)
     assert np.all(np.isfinite(laws.density_u(below, t, us)))
-    with pytest.raises(ValueError, match="lam\\*t=.* below the supported"):
-        laws.density_u_from_coefficients(below, t, us)
+    for form in _cancelling_forms(dim):
+        got = form(params, t, us)
+        assert np.max(np.abs(got - want) / want) <= 1e-9, form
+        with pytest.raises(ValueError,
+                           match="lam\\*t=.* below the supported"):
+            form(below, t, us)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("lam", [3e-3, 1e-3, 1e-6, 1e-8, 1e-16, 1e-100,
                                  1e-160, 1e-200])
 def test_coefficient_form_raises_where_it_was_wrong(dim, lam):
-    # relative errors from 9e-10 to 15, NaN and ZeroDivisionError
-    # before the lower bound
+    # relative errors from 9e-10 to 15 (the closed form: 1e-9 at 1e-4 to
+    # 6,943 at 1e-16), NaN and ZeroDivisionError before the lower bound
     params = ModelParams(c=1.0, lam=lam, dim=dim)
-    with pytest.raises(ValueError, match="below the supported"):
-        laws.density_u_from_coefficients(params, 1.0, [0.25, 0.5])
+    for form in _cancelling_forms(dim):
+        with pytest.raises(ValueError, match="below the supported"):
+            form(params, 1.0, [0.25, 0.5])
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 40, 200])

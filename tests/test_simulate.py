@@ -6,7 +6,6 @@ import threading
 import numpy as np
 import pytest
 
-from scipy import special
 from scipy.stats import poisson
 
 from cyclic_motion import laws, rng, simulate, stats
@@ -138,9 +137,10 @@ def _classsum_reference(params, t, stream, n=None):
 
     Reads the same substream slots one value at a time (layout in
     `rng`), inverts the Poisson count with scipy's ppf and evaluates
-    sampler `classsum-2` in plain floats: a class of at most 3 segments
-    is a sum of exponentials, and classes 2p and 2p+1 share the
-    Box-Muller pair of their first Marsaglia-Tsang attempt.
+    the Gammas of sampler `classsum-3` (those of `classsum-2`) in plain
+    floats: a class of at most 3 segments is a sum of exponentials, and
+    classes 2p and 2p+1 share the Box-Muller pair of their first
+    Marsaglia-Tsang attempt.
     Returns ``(n_events, initial_index, position)``.
     """
     def uniform(slot):
@@ -566,28 +566,36 @@ def test_numpy_integer_conditioning_accepted(n):
     assert np.array_equal(s.u, ref.u)
 
 
-def _poisson_table_full_range(mu):
-    """The table as built before its ends were bisected: pdtr over
-    mu +- (10 sqrt(mu) + 60), trimmed at the two 2**-60 tails."""
-    half = 10.0 * math.sqrt(mu) + 60.0
-    k = np.arange(max(0, int(mu - half)), int(mu + half) + 1)
-    cdf = special.pdtr(k, mu)
-    first = int(np.searchsorted(cdf, 2.0 ** -60))
-    above = int(np.searchsorted(k, math.floor(mu)))
-    last = above + int(np.argmax(special.pdtrc(k[above:], mu) < 2.0 ** -60))
-    cdf = cdf[first:last + 1]
-    cdf[-1] = 1.0
-    return int(k[first]), cdf
-
-
 @pytest.mark.parametrize("mu", [1e-300, 1e-30, 1e-8, 1e-3, 0.1, 0.5, 1.0,
                                 2.5, 7.0, 16.0, 64.5, 100.0, 1024.0, 12345.6,
                                 1e5, 1e6, 3.3e7, 1e8])
-def test_poisson_table_bisection_is_byte_identical(mu):
+def test_poisson_table_is_exact(mu):
+    # against mpmath: the CDF within 1e-13 at 25 points and both 2**-60
+    # cut points exact (scipy's pdtr was 1e-7 off and cut the top 205
+    # counts short at 1e8).  The upper tail P(N > k) is the sum of its
+    # terms, pmf(k+1) 1F1(1; k+2; mu): mpmath's lower incomplete gamma
+    # does not converge at 1e8.
+    mpmath = pytest.importorskip("mpmath")
     lo, cdf = simulate._poisson_table(mu)
-    ref_lo, ref_cdf = _poisson_table_full_range(mu)
-    assert lo == ref_lo
-    assert cdf.tobytes() == ref_cdf.tobytes()
+    hi = lo + cdf.size - 1
+    with mpmath.workdps(20):
+        m = mpmath.mpf(mu)
+
+        def at_most(k):
+            return (mpmath.gammainc(k + 1, m, mpmath.inf, regularized=True)
+                    if k >= 0 else 0)
+
+        def pmf(k):
+            return mpmath.exp(k * mpmath.log(m) - m - mpmath.loggamma(k + 1))
+
+        def above(k):
+            return pmf(k + 1) * mpmath.hyp1f1(1, k + 2, m, maxterms=10 ** 6)
+
+        for i in np.unique(np.linspace(0, cdf.size - 1, 25).astype(int)):
+            assert abs(cdf[i] - at_most(lo + int(i))) <= 1e-13, lo + i
+        tail = mpmath.mpf(2) ** -60
+        assert at_most(lo - 1) < tail <= at_most(lo)
+        assert above(hi) < tail <= above(hi) + pmf(hi)
 
 
 @pytest.mark.parametrize("mu", [1e-30, 0.5, 8.0, 1024.0, 1e6, 1e8])
