@@ -9,39 +9,10 @@ U(t) = sum_i |X_i(t)| (Bessel-kernel densities, conditional laws,
 moments), and machine-checks the governing identities: boundary-stratum
 masses, Klein-Gordon and fourth-order PDE residuals,
 characteristic-function recursions, and the diffusive limit.
+
+Each layer is imported by its module name (``cyclic_motion.simulate``,
+``cyclic_motion.laws``, ...); the root holds only ``__version__``, so
+the sampler (``rng``, ``model``, ``simulate``) loads no scipy.
 """
 
-from .bessel import (bessel_i_scaled, kernel_derivative,
-                     kernel_identity_residual, kernel_integral)
-from .laws import (ConditionalLaw, SingularStratumError, StratumMass,
-                   ac_mass, cdf_u, conditional_mean_u, density_u,
-                   density_u_closed_form, density_u_from_coefficients,
-                   mean_u, mixture_density, moment_u, singular_masses)
-from .model import (Direction, ModelParams, classify_stratum, face_label,
-                    stratum_labels)
-from .pde import (average_cf, cf_recursion_check, conditional_cf,
-                  klein_gordon_residual, planar_fourth_order_residual)
-from .simulate import (MotionOutcome, MotionPath, SampleSet, evolve,
-                       sample_path, sample_path_conditional,
-                       simulate_ensemble)
-from .stats import (TestReport, chi_square_masses, ks_one_sample,
-                    ks_two_sample, moment_compare)
-from .verify import run_suite
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "bessel_i_scaled", "kernel_derivative", "kernel_identity_residual",
-    "kernel_integral",
-    "ConditionalLaw", "SingularStratumError", "StratumMass", "ac_mass",
-    "cdf_u", "conditional_mean_u", "density_u", "density_u_closed_form",
-    "density_u_from_coefficients", "mean_u", "mixture_density", "moment_u",
-    "singular_masses", "Direction", "ModelParams", "classify_stratum",
-    "face_label", "stratum_labels", "average_cf", "cf_recursion_check",
-    "conditional_cf", "klein_gordon_residual",
-    "planar_fourth_order_residual", "MotionOutcome", "MotionPath",
-    "SampleSet", "evolve", "sample_path", "sample_path_conditional",
-    "simulate_ensemble", "TestReport",
-    "chi_square_masses", "ks_one_sample", "ks_two_sample", "moment_compare",
-    "run_suite", "__version__",
-]

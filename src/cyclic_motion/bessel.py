@@ -25,9 +25,8 @@ import math
 import numpy as np
 from scipy.special import ive as bessel_i_scaled
 
-# The layer's lam*t ceiling, MAX_LAMBDA_T, is the sampler's, kept in model.
-from .model import (_SCALE, MAX_LAMBDA_T, ModelParams,  # noqa: F401
-                    require_horizon, require_int, require_lambda_t)
+from .model import (_SCALE, ModelParams, require_horizon, require_int,
+                    require_lambda_t)
 
 _REL_TOL = 1e-17
 # Below this xi, R_nu is its two-term series e^{-xi} (1 + z/(nu+1)) / nu!,

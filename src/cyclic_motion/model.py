@@ -173,11 +173,6 @@ def class_sizes(segs, two_d: int) -> np.ndarray:
     return full + (np.arange(two_d)[:, None] < extra)
 
 
-def face_label(n: int) -> str:
-    """Label of the shell stratum reached after n < dim events."""
-    return f"face{n}"
-
-
 def classify_stratum(n_events: int, dim: int) -> str:
     """Stratum of an outcome: 'vertex', 'face1'..'face{d-1}', or 'interior'.
 
@@ -194,4 +189,4 @@ def classify_stratum(n_events: int, dim: int) -> str:
 def stratum_labels(dim: int) -> list[str]:
     """All strata in canonical order: vertex, face1, ..., interior; the
     stratum of a path with n events is entry min(n, dim)."""
-    return ["vertex"] + [face_label(k) for k in range(1, dim)] + ["interior"]
+    return ["vertex"] + [f"face{k}" for k in range(1, dim)] + ["interior"]

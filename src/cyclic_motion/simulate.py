@@ -82,6 +82,10 @@ SAMPLER_ID = "classsum-3"
 # Largest supported conditioning n: n + 1 fits int64 and every class
 # size converts to float exactly.
 MAX_CONDITIONING = 2 ** 53
+# Largest lam*t of `sample_path` and n of `sample_path_conditional`: the
+# oracle draws and `evolve` integrates one event at a time, 1 to 3 s
+# per 1e6 events each.
+MAX_PATH_EVENTS = 10 ** 6
 
 _BLOCK_ROWS = 1 << 14
 # Threads that run the blocks of an ensemble, the calling thread
@@ -213,6 +217,9 @@ def sample_path(params: ModelParams, horizon: float,
                 stream: rng.Substream) -> MotionPath:
     """Unconditional path: uniform initial direction, Poisson switches."""
     horizon = require_horizon(horizon, params=params)
+    if params.lam * horizon > MAX_PATH_EVENTS:
+        raise ValueError(f"lam*t={params.lam * horizon:g} above the "
+                         f"supported {MAX_PATH_EVENTS:g} of the path oracle")
     j0 = 1 + int(_direction_index(stream.uniform(), params.n_directions))
     times = []
     s = 0.0
@@ -231,6 +238,9 @@ def sample_path_conditional(params: ModelParams, horizon: float, n: int,
     horizon = require_horizon(horizon, params=params)
     if require_int(n, "n") < 0:
         raise ValueError("n must be >= 0")
+    if n > MAX_PATH_EVENTS:
+        raise ValueError(f"n={n} above the supported {MAX_PATH_EVENTS} "
+                         "of the path oracle")
     j0 = 1 + int(_direction_index(stream.uniform(), params.n_directions))
     times = np.sort(stream.uniforms(n)) * horizon
     return MotionPath(params, horizon, Direction(j0, params.dim), times)

@@ -323,11 +323,15 @@ def test_verify_conjecture_never_blocks(tmp_path, capsys):
     assert names == {"u3_eq_u4_n4", "u4_eq_u5_n5"}
 
 
-def test_verify_unknown_suite_exit_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("verify", "--suite", "nope", "--seed", "1")
-    assert exc.value.code == 1
-    capsys.readouterr()
+def test_verify_unknown_suite_exit_1(tmp_path, capsys):
+    # verify.run_suite is the one check of the name
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--suite", "nope", "--seed", "1",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "unknown suite 'nope'" in err
+    assert all(name in err for name in verify.SUITE_NAMES)
+    assert not out.exists()
 
 
 def test_bad_conditionals_exit_1(tmp_path, capsys):
@@ -362,7 +366,7 @@ def test_empty_conditionals(tmp_path):
 
 
 def test_unknown_suite_raises_naming_the_suites():
-    # the CLI stops earlier, at argparse's choices
+    # the CLI reports this message and exits 1
     with pytest.raises(ValueError, match="unknown suite 'nope'.*limits"):
         verify.run_suite("nope", 1)
 
@@ -465,25 +469,37 @@ def test_density_stdout(capsys):
     assert len(lines) == 4
 
 
-def _fresh_modules(statements: str) -> set[str]:
-    """Modules loaded by a fresh interpreter that imports the CLI and
+def _fresh_modules(statements: str,
+                   module: str = "cyclic_motion.cli") -> set[str]:
+    """Modules loaded by a fresh interpreter that imports ``module`` and
     runs ``statements``: this test process already holds scipy.integrate
     (pytest's IntegrationWarning filter imports it)."""
     src = os.path.dirname(os.path.dirname(cyclic_motion.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); "
-            f"import cyclic_motion.cli; {statements}; "
+            f"import {module}; {statements}; "
             "print(' '.join(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True)
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def test_cli_import_loads_no_heavy_scipy():
-    loaded = _fresh_modules("pass")
-    assert "scipy.special" in loaded
-    for heavy in ("scipy.stats", "scipy.integrate", "scipy.optimize",
-                  "scipy.linalg", "scipy.sparse"):
-        assert heavy not in loaded
+def _scipy(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.partition(".")[0] == "scipy"}
+
+
+def test_cli_import_loads_no_scipy():
+    # only the density and verify commands import the scipy layers
+    assert not _scipy(_fresh_modules("pass"))
+
+
+def test_simulate_loads_no_scipy():
+    # the runtime side of test_pde's import test of the sampler modules
+    assert not _scipy(_fresh_modules(
+        "cyclic_motion.cli.main(['simulate', '--count', '100', '--seed', "
+        "'7', '--condition-n', '3', '--out', '-']); "
+        "cyclic_motion.cli.main(['simulate', '--count', '100', '--seed', "
+        "'7', '--out', '-'])"))
+    assert not _scipy(_fresh_modules("pass", "cyclic_motion.simulate"))
 
 
 def test_quadrature_suites_load_no_scipy_integrate():

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from cyclic_motion import laws, pde, rng, simulate
-from cyclic_motion.bessel import (MAX_LAMBDA_T, MAX_MOMENT,
-                                  MIN_COEFFICIENT_LAMBDA_T, kernel_derivative,
-                                  kernel_identity_residual, kernel_integral)
-from cyclic_motion.model import ModelParams, classify_stratum
+from cyclic_motion.bessel import (MAX_MOMENT, MIN_COEFFICIENT_LAMBDA_T,
+                                  kernel_derivative, kernel_identity_residual,
+                                  kernel_integral)
+from cyclic_motion.model import MAX_LAMBDA_T, ModelParams, classify_stratum
 
 
 def _lt(lt, dim=2):
@@ -57,6 +57,9 @@ ROWS = [
     ("simulate_ensemble conditioning", simulate.MAX_CONDITIONING,
      lambda n: simulate.simulate_ensemble(P1, 1.0, 1, 1,
                                           conditioning=n).positions),
+    ("sample_path_conditional", simulate.MAX_PATH_EVENTS,
+     lambda n: simulate.sample_path_conditional(
+         P2, 1.0, n, rng.Substream(1, 0)).switch_times),
 ]
 
 
@@ -84,6 +87,21 @@ def test_conditional_laws_below_dim_are_singular():
     for params in (P1, P2, P3):
         with pytest.raises(laws.SingularStratumError):
             laws.ConditionalLaw(params, params.dim - 1, 1.0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda stream: simulate.sample_path(
+        _lt(_past(float(simulate.MAX_PATH_EVENTS))), 1.0, stream),
+    lambda stream: simulate.sample_path_conditional(
+        P2, 1.0, _past(simulate.MAX_PATH_EVENTS), stream),
+], ids=["sample_path", "sample_path_conditional"])
+def test_path_oracle_bound_raises_before_drawing(draw):
+    # the oracle draws one event at a time (minutes at lam*t = 1e8):
+    # past its bound it raises with the stream untouched
+    stream = rng.Substream(1, 0)
+    with pytest.raises(ValueError, match="supported .* of the path oracle"):
+        draw(stream)
+    assert stream.cursor == 0
 
 
 @pytest.mark.parametrize("message,call", [

@@ -12,7 +12,9 @@ import types
 from pathlib import Path
 
 import cyclic_motion
-from cyclic_motion import cli, laws  # noqa: F401  (the tracer reads pkg.cli)
+# the tracer reads these as pkg.<module>; the package root imports none
+from cyclic_motion import (cli, laws, pde, rng, simulate,  # noqa: F401
+                           stats, verify)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
